@@ -9,7 +9,8 @@ from .fock import (FockState, PhotonNumberDistribution, TruncationError,
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
                         TwoModeState, bs_transform, catalysis_coefficient,
                         herald, iterated_pcoc, oracle_discrepancy, pcoc_oracle,
-                        pcoc_state, success_probability_analytic)
+                        pcoc_state, success_probability_analytic,
+                        two_mode_output)
 from .analysis import (DomainError, PoleError, QuadratureStats, WignerGrid,
                        WignerGridSpec, g2, locus_alpha_max, locus_alpha_min,
                        quadrature_variances, variance_p_analytic,

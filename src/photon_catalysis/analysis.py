@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (FockState, PhotonNumberDistribution, TAIL_GATE,
-                   TruncationError, UndefinedQuantityError)
+                   TruncationError, UndefinedQuantityError, fmt9)
 
 VACUUM_VARIANCE = 0.25
 
@@ -258,17 +258,13 @@ def wigner_negativity(w: WignerGrid) -> tuple[float, float]:
     return min_value, volume
 
 
-def _fmt9(x: float) -> str:
-    return f"{x:.8e}"
-
-
 def wigner_to_csv(w: WignerGrid) -> str:
     """Row-major CSV with header x,p,w; 9 significant digits."""
     xs, ps = w.spec.x_axis(), w.spec.p_axis()
     lines = ["x,p,w"]
     for i in range(w.spec.nx):
         for j in range(w.spec.np):
-            lines.append(f"{_fmt9(xs[i])},{_fmt9(ps[j])},{_fmt9(w.values[i, j])}")
+            lines.append(f"{fmt9(xs[i])},{fmt9(ps[j])},{fmt9(w.values[i, j])}")
     return "\n".join(lines) + "\n"
 
 

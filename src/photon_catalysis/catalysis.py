@@ -5,8 +5,10 @@ with the interference coefficient
 
     C_n(r, t, k) = sum_j binom(n, j) binom(k, j) (-1)^j t^{n+k-2j} r^{2j},
 
-plus an independent brute-force path (two-mode unitary, then projection) used
-as the oracle against which the closed form is tested.
+The same binomial expansion gives the full two-mode output U|alpha>|k> in
+closed form (two_mode_output).  An independent brute-force path (two-mode
+unitary from a matrix exponential, then projection) is kept as the oracle the
+closed forms are tested against; it alone needs scipy, imported on first use.
 """
 
 from __future__ import annotations
@@ -16,16 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
-from .fock import (FockState, TAIL_GATE, TruncationError, UndefinedQuantityError,
-                   coherent_amplitudes, default_dim, make_coherent)
+from .fock import FockState, UndefinedQuantityError, coherent_window, default_dim
 
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
     "catalysis_coefficient", "pcoc_state", "success_probability_analytic",
-    "iterated_pcoc", "bs_transform", "herald", "pcoc_oracle",
-    "oracle_discrepancy",
+    "iterated_pcoc", "two_mode_output", "bs_transform", "herald",
+    "pcoc_oracle", "oracle_discrepancy",
 ]
 
 # Exact integer binomials up to this total order; log-gamma beyond.  Keeps the
@@ -152,32 +152,14 @@ def _coefficient_vector(dim: int, k: int, bs: BeamSplitter) -> np.ndarray:
     return np.array([catalysis_coefficient(n, k, bs) for n in range(dim)])
 
 
-def _gate_coherent(alpha: complex, dim: int) -> np.ndarray:
-    """Raw Poisson-weighted amplitudes, gated on truncation tail."""
-    amps = coherent_amplitudes(alpha, dim)
-    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    if tail > TAIL_GATE:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}; "
-            f"try dim={default_dim(alpha)}")
-    return amps
-
-
 def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
-    """Conditioned output state and the success probability of the herald.
+    """Conditioned state and herald success probability: iterated_pcoc with one stage.
 
     The success probability is sum_n |a_n|^2 with the coherent Poisson weights
     included (the r2=0 limit gives exactly 1 and the r2=1 limit the Poisson
     weight of |k> in the input, both confirmed by the brute-force oracle).
     """
-    raw = _gate_coherent(cfg.alpha, cfg.dim) * _coefficient_vector(cfg.dim, cfg.k, cfg.bs)
-    prob = float(np.vdot(raw, raw).real)
-    if prob < 1e-300:
-        raise UndefinedQuantityError("herald outcome has zero probability")
-    coh_tail = max(0.0, 1.0 - float(np.vdot(
-        coherent_amplitudes(cfg.alpha, cfg.dim),
-        coherent_amplitudes(cfg.alpha, cfg.dim)).real))
-    return FockState(raw, coh_tail).normalized(), prob
+    return iterated_pcoc(IteratedConfig(cfg.alpha, ((cfg.bs.r2, cfg.k),), cfg.dim))
 
 
 def success_probability_analytic(alpha: complex, bs: BeamSplitter) -> float:
@@ -193,7 +175,7 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
     The returned probability is the joint success probability of all stage
     heralds, which for a cascade factorizes through the product coefficients.
     """
-    u_amps = _gate_coherent(cfg.alpha, cfg.dim)
+    u_amps, tail = coherent_window(cfg.alpha, cfg.dim)
     prod = np.ones(cfg.dim)
     for r2, k in cfg.stages:
         prod *= _coefficient_vector(cfg.dim, k, BeamSplitter(r2))
@@ -201,8 +183,38 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
     prob = float(np.vdot(raw, raw).real)
     if prob < 1e-300:
         raise UndefinedQuantityError("herald outcome has zero probability")
-    tail = max(0.0, 1.0 - float(np.vdot(u_amps, u_amps).real))
     return FockState(raw, tail).normalized(), prob
+
+
+@lru_cache(maxsize=16)
+def _sqrt_binom(size: int) -> np.ndarray:
+    """S[n, i] = sqrt(binom(n, i)) for n, i < size; zero where i > n.  Read-only."""
+    s = np.sqrt([[float(math.comb(n, i)) for i in range(size)] for n in range(size)])
+    s.flags.writeable = False
+    return s
+
+
+def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
+    """U |alpha>|k> on both output modes, from the binomial expansion of U.
+
+    U turns |n, k> into (t a^+ - r b^+)^n (r a^+ + t b^+)^k |0, 0> / sqrt(n! k!).
+    Sending i of the n coherent photons and j of the k catalyst photons into
+    mode a adds sqrt(C(m,i) C(l,n-i) C(n,i) C(k,j)) t^(i+k-j) (-r)^(n-i) r^j
+    to <m, l|U|n, k>, with m = i + j and l = n + k - m.  The convention is
+    bs_transform's, and heralding l = k leaves C_n.
+    """
+    coh, _ = coherent_window(cfg.alpha, cfg.dim)
+    k, side, r, t = cfg.k, cfg.dim + cfg.k, cfg.bs.r, cfg.bs.t
+    sb = _sqrt_binom(side)
+    m, l = np.indices((side, side))
+    n = m + l - k
+    amps = np.zeros((side, side), dtype=complex)
+    for j in range(k + 1):
+        ok = (m >= j) & (m - j <= n) & (n < cfg.dim)
+        mi, li, ni, ii = m[ok], l[ok], n[ok], m[ok] - j
+        amps[mi, li] += (sb[mi, ii] * sb[li, ni - ii] * sb[ni, ii] * sb[k, j]
+                         * t ** (ii + k - j) * (-r) ** (ni - ii) * r ** j * coh[ni])
+    return TwoModeState(amps)
 
 
 @lru_cache(maxsize=4096)
@@ -213,6 +225,8 @@ def _block_unitary(r2: float, n_total: int) -> np.ndarray:
     with theta = arcsin(r); this convention gives U a^+ U^+ = t a^+ - r b^+ and
     U b^+ U^+ = r a^+ + t b^+, which reproduces C_n exactly.
     """
+    from scipy.linalg import expm
+
     if n_total == 0:
         return np.ones((1, 1))
     theta = math.asin(min(1.0, math.sqrt(r2)))
@@ -274,7 +288,7 @@ def pcoc_oracle(cfg: CatalysisConfig) -> tuple[FockState, float]:
     Makes no use of the closed-form coefficients; this is the independent
     reference for the closed-form path.
     """
-    coh = _gate_coherent(cfg.alpha, cfg.dim)
+    coh, _ = coherent_window(cfg.alpha, cfg.dim)
     side = cfg.dim + cfg.k
     joint = np.zeros((side, side), dtype=complex)
     joint[:cfg.dim, cfg.k] = coh
@@ -291,8 +305,7 @@ def oracle_discrepancy(cfg: CatalysisConfig) -> dict:
     s2, p2 = pcoc_oracle(cfg)
     max_amp = float(np.max(np.abs(s1.amplitudes - s2.amplitudes)))
     return {
-        "config": {"alpha_re": cfg.alpha.real if isinstance(cfg.alpha, complex) else float(cfg.alpha),
-                   "alpha_im": cfg.alpha.imag if isinstance(cfg.alpha, complex) else 0.0,
+        "config": {"alpha_re": complex(cfg.alpha).real, "alpha_im": complex(cfg.alpha).imag,
                    "r2": cfg.bs.r2, "k": cfg.k, "dim": cfg.dim},
         "max_amp_err": max_amp,
         "prob_err": abs(p1 - p2),

@@ -15,16 +15,13 @@ import sys
 
 from .analysis import (DomainError, PoleError, WignerGridSpec, g2,
                        quadrature_variances, wigner, wigner_negativity,
-                       wigner_to_csv, wigner_to_pgm, VACUUM_VARIANCE)
-from .catalysis import (BeamSplitter, CatalysisConfig, pcoc_oracle, pcoc_state)
+                       wigner_to_csv, wigner_to_pgm)
+from .catalysis import BeamSplitter, CatalysisConfig, pcoc_state
 from .design import (Axis, DesignProblem, SweepSpec, optimize_reflectivities,
                      optimize_result_to_json, sweep, METRICS)
-from .detector import (JointClickDistribution, TMDConfig,
-                       joint_output_distribution)
-from .fock import (FockState, TruncationError, UndefinedQuantityError,
+from .detector import TMDConfig, joint_output_distribution
+from .fock import (FockState, TruncationError, UndefinedQuantityError, fmt9,
                    number_distribution, state_from_json, state_to_json)
-
-_FMT9 = "{:.8e}"
 
 
 def _die(msg: str, code: int) -> int:
@@ -59,8 +56,7 @@ def _parse_grid(text: str) -> WignerGridSpec:
 
 def _build_state(alpha: float, r2: float, k: int,
                  dim: int | None) -> tuple[FockState, float]:
-    cfg = CatalysisConfig(alpha, BeamSplitter(r2), k, dim)
-    return pcoc_state(cfg) if k == 1 else pcoc_oracle(cfg)
+    return pcoc_state(CatalysisConfig(alpha, BeamSplitter(r2), k, dim))
 
 
 def _write_text(path: str, text: str):
@@ -78,7 +74,7 @@ def cmd_state(args) -> int:
                         ("var_p_db", stats.squeeze_db_p),
                         ("g2", g2_val),
                         ("wigner_min", min_w)):
-        print(f"{name} = {_FMT9.format(value)}")
+        print(f"{name} = {fmt9(value)}")
     if args.out:
         _write_text(args.out, state_to_json(state))
     return 0
@@ -104,7 +100,7 @@ def cmd_sweep(args) -> int:
             if i < n_axes and axes[i].name == "k":
                 cells.append(str(int(v)))
             else:
-                cells.append(_FMT9.format(v))
+                cells.append(fmt9(v))
         lines.append(",".join(cells))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -115,7 +111,7 @@ def cmd_wigner(args) -> int:
     grid = wigner(state, _parse_grid(args.grid))
     if grid.coverage_warning:
         print(f"warning: {grid.coverage_warning}", file=sys.stderr)
-    print(f"integral = {_FMT9.format(grid.integral())}")
+    print(f"integral = {fmt9(grid.integral())}")
     if args.format == "csv":
         _write_text(args.out, wigner_to_csv(grid))
     else:
@@ -131,11 +127,11 @@ def cmd_joint(args) -> int:
         cfg = CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim)
         joint = joint_output_distribution(cfg, TMDConfig(args.eta1, args.bins),
                                           TMDConfig(args.eta2, args.bins))
-        r2_cell = _FMT9.format(r2)
+        r2_cell = fmt9(r2)
         p = joint.probabilities
         for i in range(p.shape[0]):
             for j in range(p.shape[1]):
-                lines.append(f"{r2_cell},{i},{j},{_FMT9.format(p[i, j])}")
+                lines.append(f"{r2_cell},{i},{j},{fmt9(p[i, j])}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

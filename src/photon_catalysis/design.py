@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,9 +13,9 @@ from .analysis import (quadrature_variances, variance_p_analytic,
                        variance_x_analytic, g2, wigner, wigner_negativity,
                        VACUUM_VARIANCE)
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
-                        iterated_pcoc, pcoc_oracle, pcoc_state,
-                        success_probability_analytic)
-from .fock import FockState, fidelity, number_distribution
+                        iterated_pcoc, pcoc_state, success_probability_analytic)
+from .fock import (FockState, UndefinedQuantityError, fidelity, fmt17,
+                   number_distribution)
 
 __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
@@ -102,7 +102,7 @@ def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
         return prob, prob
 
     cfg = CatalysisConfig(alpha, bs, k)
-    state, prob = pcoc_state(cfg) if k == 1 else pcoc_oracle(cfg)
+    state, prob = pcoc_state(cfg)
     if spec.metric in ("var_x_db", "var_p_db"):
         stats = quadrature_variances(state)
         var = stats.var_x if spec.metric == "var_x_db" else stats.var_p
@@ -247,7 +247,10 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
         evaluations += 1
         alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
         stages = tuple((coords[i], problem.ks[i]) for i in range(problem.stages))
-        state, prob = iterated_pcoc(IteratedConfig(alpha, stages))
+        try:
+            state, prob = iterated_pcoc(IteratedConfig(alpha, stages))
+        except UndefinedQuantityError:
+            return 0.0, 0.0  # a probe whose heralds cannot all fire
         return fidelity(state, problem.target), prob
 
     def coord_bounds(i: int) -> tuple[float, float]:
@@ -300,16 +303,12 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
     )
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def optimize_result_to_json(res: OptimizeResult,
                             include_alpha: bool = False) -> str:
-    stages = ",".join(_fmt17(r2) for r2 in res.stages)
-    alpha_field = f'"alpha": {_fmt17(res.alpha)}, ' if include_alpha else ""
+    stages = ",".join(fmt17(r2) for r2 in res.stages)
+    alpha_field = f'"alpha": {fmt17(res.alpha)}, ' if include_alpha else ""
     return (f'{{"stages": [{stages}], {alpha_field}'
-            f'"fidelity": {_fmt17(res.fidelity)}, '
-            f'"success_prob": {_fmt17(res.success_prob)}, '
+            f'"fidelity": {fmt17(res.fidelity)}, '
+            f'"success_prob": {fmt17(res.success_prob)}, '
             f'"evaluations": {res.evaluations}, '
             f'"stagnated": {"true" if res.stagnated else "false"}}}')

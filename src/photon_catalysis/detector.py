@@ -10,23 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .catalysis import CatalysisConfig, TwoModeState, bs_transform, _gate_coherent
-from .fock import PhotonNumberDistribution, UndefinedQuantityError
+from .catalysis import CatalysisConfig, two_mode_output
+from .fock import PhotonNumberDistribution, UndefinedQuantityError, fmt9
 
 __all__ = [
     "LossChannel", "TMDConfig", "ClickDistribution", "JointClickDistribution",
     "apply_loss", "tmd_click_distribution", "joint_output_distribution",
     "g2_from_clicks", "joint_to_csv", "joint_to_json",
 ]
-
-# Detection-chain efficiency assumed when modeling measured correlation
-# curves.  Nothing in the model pins this value; it is a declared choice, and
-# the click-level curves depend on it strongly.
-MEASURED_CURVE_ETA = 0.1
-
 
 @dataclass(frozen=True)
 class LossChannel:
@@ -84,18 +79,19 @@ class JointClickDistribution:
         object.__setattr__(self, "probabilities", p)
 
 
+def _loss_matrix(n_max: int, eta: float) -> np.ndarray:
+    """L[n, m] = binom(n, m) eta^m (1-eta)^(n-m): m of n photons survive."""
+    out = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            out[n, m] = math.comb(n, m) * eta ** m * (1.0 - eta) ** (n - m)
+    return out
+
+
 def apply_loss(d: PhotonNumberDistribution,
                ch: LossChannel) -> PhotonNumberDistribution:
     """Binomial thinning: p'_m = sum_n p_n binom(n, m) eta^m (1-eta)^(n-m)."""
-    p = d.probabilities
-    eta = ch.eta
-    out = np.zeros_like(p)
-    for n in range(p.size):
-        if p[n] == 0.0:
-            continue
-        for m in range(n + 1):
-            out[m] += p[n] * math.comb(n, m) * eta ** m * (1.0 - eta) ** (n - m)
-    return PhotonNumberDistribution(out)
+    return PhotonNumberDistribution(d.probabilities @ _loss_matrix(d.size - 1, ch.eta))
 
 
 def _surjections(n: int, c: int) -> int:
@@ -126,32 +122,25 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
                               cfg2: TMDConfig) -> JointClickDistribution:
     """Click statistics of both beam-splitter output arms, with no heralding.
 
-    The joint state is built through the brute-force unitary path; detector 1
-    sees the mode carrying the transformed coherent input, detector 2 the mode
-    the catalyst was injected into.
+    The joint state is built from the closed-form two-mode amplitudes;
+    detector 1 sees the mode carrying the transformed coherent input, detector
+    2 the mode the catalyst was injected into.
     """
-    coh = _gate_coherent(cfg.alpha, cfg.dim)
-    side = cfg.dim + cfg.k
-    joint = np.zeros((side, side), dtype=complex)
-    joint[:cfg.dim, cfg.k] = coh
-    rotated = bs_transform(TwoModeState(joint), cfg.bs)
-    q = np.abs(rotated.amplitudes) ** 2
-
-    t1 = _loss_click_matrix(side - 1, cfg1)
-    t2 = _loss_click_matrix(side - 1, cfg2)
-    return JointClickDistribution(t1.T @ q @ t2)
+    q = np.abs(two_mode_output(cfg).amplitudes) ** 2
+    n_max = q.shape[0] - 1
+    return JointClickDistribution(
+        _loss_click_matrix(n_max, cfg1).T @ q @ _loss_click_matrix(n_max, cfg2))
 
 
+@lru_cache(maxsize=64)
 def _loss_click_matrix(n_max: int, cfg: TMDConfig) -> np.ndarray:
-    """T[n, c] including the loss channel commuted in front of the binning."""
-    ideal = _click_matrix(n_max, cfg.bins)
-    eta = cfg.eta
-    out = np.zeros_like(ideal)
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            w = math.comb(n, m) * eta ** m * (1.0 - eta) ** (n - m)
-            if w:
-                out[n] += w * ideal[m]
+    """T[n, c] including the loss channel commuted in front of the binning.
+
+    Cached, because a scan asks for the same matrix at every point; read-only,
+    so no caller can change the cached copy.
+    """
+    out = _loss_matrix(n_max, cfg.eta) @ _click_matrix(n_max, cfg.bins)
+    out.flags.writeable = False
     return out
 
 
@@ -174,20 +163,16 @@ def g2_from_clicks(c: ClickDistribution, cfg: TMDConfig) -> float:
     return (cfg.bins / (cfg.bins - 1.0)) * m2 / m1 ** 2
 
 
-def _fmt9(x: float) -> str:
-    return f"{x:.8e}"
-
-
 def joint_to_csv(j: JointClickDistribution) -> str:
     lines = ["i,j,p"]
     ni, nj = j.probabilities.shape
     for i in range(ni):
         for jj in range(nj):
-            lines.append(f"{i},{jj},{_fmt9(j.probabilities[i, jj])}")
+            lines.append(f"{i},{jj},{fmt9(j.probabilities[i, jj])}")
     return "\n".join(lines) + "\n"
 
 
 def joint_to_json(j: JointClickDistribution) -> str:
     rows = ",".join(
-        "[" + ",".join(_fmt9(v) for v in row) + "]" for row in j.probabilities)
+        "[" + ",".join(fmt9(v) for v in row) + "]" for row in j.probabilities)
     return f'{{"probabilities": [{rows}]}}'

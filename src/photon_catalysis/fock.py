@@ -91,25 +91,30 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return amps
 
 
-def make_coherent(alpha: complex, dim: int | None = None,
-                  allow_tail: bool = False) -> FockState:
-    """Coherent state |alpha> truncated to ``dim`` levels.
+def coherent_window(alpha: complex, dim: int,
+                    allow_tail: bool = False) -> tuple[np.ndarray, float]:
+    """Coherent amplitudes inside the window and the Poisson tail beyond it.
 
-    Raises TruncationError when the Poisson tail beyond the window exceeds
-    TAIL_GATE, unless ``allow_tail`` is set.
+    Raises TruncationError when the tail exceeds TAIL_GATE, unless
+    ``allow_tail`` is set.
     """
-    if dim is None:
-        dim = default_dim(alpha)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     amps = coherent_amplitudes(alpha, dim)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if tail > TAIL_GATE and not allow_tail:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}; "
             f"try dim={default_dim(alpha)}")
-    state = FockState(amps, tail)
-    return state.normalized()
+    return amps, tail
+
+
+def make_coherent(alpha: complex, dim: int | None = None,
+                  allow_tail: bool = False) -> FockState:
+    """Coherent state |alpha> truncated to ``dim`` levels (gated as in coherent_window)."""
+    if dim is None:
+        dim = default_dim(alpha)
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return FockState(*coherent_window(alpha, dim, allow_tail)).normalized()
 
 
 def make_fock(k: int, dim: int) -> FockState:
@@ -200,7 +205,12 @@ def distribution_moment(d: PhotonNumberDistribution, order: int) -> float:
     raise ValueError(f"unsupported moment order {order}; expected 1 or 2")
 
 
-def _fmt17(x: float) -> str:
+def fmt9(x: float) -> str:
+    """Scientific notation with 9 significant digits: CSV cells and summary lines."""
+    return f"{x:.8e}"
+
+
+def fmt17(x: float) -> str:
     """Scientific notation with 17 significant digits, round-trippable."""
     return f"{x:.16e}"
 
@@ -208,9 +218,9 @@ def _fmt17(x: float) -> str:
 def state_to_json(s: FockState) -> str:
     """Serialize to the fixed schema {dim, amplitudes: [[re, im], ...], tail_mass}."""
     rows = ",".join(
-        f"[{_fmt17(a.real)},{_fmt17(a.imag)}]" for a in s.amplitudes)
+        f"[{fmt17(a.real)},{fmt17(a.imag)}]" for a in s.amplitudes)
     return (f'{{"dim": {s.dim}, "amplitudes": [{rows}], '
-            f'"tail_mass": {_fmt17(s.tail_mass)}}}')
+            f'"tail_mass": {fmt17(s.tail_mass)}}}')
 
 
 def state_from_json(text: str) -> FockState:

@@ -12,7 +12,8 @@ from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         herald, iterated_pcoc,
                                         oracle_discrepancy, pcoc_oracle,
                                         pcoc_state,
-                                        success_probability_analytic)
+                                        success_probability_analytic,
+                                        two_mode_output)
 from photon_catalysis.fock import (UndefinedQuantityError, coherent_amplitudes,
                                    fidelity)
 
@@ -163,6 +164,34 @@ class TestHerald:
             herald(s, 2, 0)
         with pytest.raises(ValueError):
             herald(s, 1, 3)
+
+
+class TestTwoModeOutput:
+    """Closed-form U|alpha>|k> against the blockwise matrix-exponential oracle."""
+
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("r2", [0.0, 0.5, 1.0, 0.23, 0.81])
+    def test_matches_oracle(self, r2, k):
+        rng = np.random.default_rng(100 * k + round(100 * r2))
+        for mod in (2.7, rng.uniform(0.0, 2.7), rng.uniform(0.0, 2.7)):
+            alpha = complex(mod * np.exp(2j * np.pi * rng.uniform()))
+            cfg = CatalysisConfig(alpha, BeamSplitter(r2), k)
+            side = cfg.dim + k
+            joint = np.zeros((side, side), dtype=complex)
+            joint[:cfg.dim, k] = coherent_amplitudes(alpha, cfg.dim)
+            want = bs_transform(TwoModeState(joint), cfg.bs).amplitudes
+            got = two_mode_output(cfg).amplitudes
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_heralded_column_is_the_closed_form_state(self, k):
+        cfg = CatalysisConfig(1.3 - 0.4j, BeamSplitter(0.37), k)
+        state, prob = herald(two_mode_output(cfg), 1, k)
+        want, p = pcoc_state(cfg)
+        assert prob == pytest.approx(p, rel=1e-13)
+        assert np.abs(state.amplitudes[:cfg.dim] - want.amplitudes).max() < 1e-14
+        assert np.all(state.amplitudes[cfg.dim:] == 0.0)
 
 
 class TestPcocState:

@@ -172,6 +172,20 @@ class TestOptimize:
         doc = json.loads(stdout.strip().split("\n")[-1])
         assert doc["alpha"] == pytest.approx(1.2, abs=1e-2)
 
+    def test_probe_with_dead_herald_scores_zero(self, tmp_path, capsys):
+        """A line-search probe can put one stage at r2 = 1 while another
+        zeroes the only photon number it passes; the fit must go on."""
+        target = tmp_path / "s.json"
+        assert main(["state", "--alpha", "1.35", "--r2", "0.77", "--k", "1",
+                     "--out", str(target)]) == 0
+        code, stdout, stderr = run(capsys, "optimize", "--target", str(target),
+                                   "--stages", "3", "--k", "1,1,1",
+                                   "--alpha", "1.0")
+        assert code == 0, stderr
+        doc = json.loads(stdout.strip().split("\n")[-1])
+        assert 0.0 < doc["fidelity"] <= 1.0
+        assert doc["success_prob"] > 0.0
+
     def test_unreadable_target(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "optimize", "--target",
                               str(tmp_path / "missing.json"), "--stages", "1",

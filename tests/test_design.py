@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from photon_catalysis.analysis import VACUUM_VARIANCE, variance_x_analytic
+from photon_catalysis import design
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         IteratedConfig, iterated_pcoc,
-                                        pcoc_state)
+                                        pcoc_oracle, pcoc_state)
 from photon_catalysis.design import (Axis, DesignProblem, SweepSpec, METRICS,
                                      optimize_reflectivities,
                                      optimize_result_to_json, sweep,
@@ -94,6 +95,21 @@ class TestSweep:
         monkeypatch.setenv("CATALYSIS_THREADS", "1")
         serial = sweep(spec)
         assert parallel == serial
+
+
+class TestSweepMatchesOracle:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_rows_equal_oracle_built_states(self, metric, k, monkeypatch):
+        target, _ = pcoc_state(CatalysisConfig(1.5, BeamSplitter(0.4), 1))
+        steps = 3 if metric == "wigner_min" else 9
+        spec = SweepSpec((Axis("r2", 0.05, 0.95, steps),), metric, alpha=1.6,
+                         k=k, target=target)
+        got = sweep(spec)
+        monkeypatch.setattr(design, "pcoc_state", pcoc_oracle)
+        want = sweep(spec)
+        for row, ref in zip(got, want):
+            assert row == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestWorkerCount:

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from photon_catalysis.analysis import g2
-from photon_catalysis.catalysis import BeamSplitter, CatalysisConfig, pcoc_state
+from photon_catalysis import detector
+from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
+                                        TwoModeState, bs_transform, pcoc_state)
 from photon_catalysis.detector import (ClickDistribution,
                                        JointClickDistribution, LossChannel,
                                        TMDConfig, apply_loss, g2_from_clicks,
                                        joint_output_distribution, joint_to_csv,
                                        joint_to_json, tmd_click_distribution)
-from photon_catalysis.fock import (PhotonNumberDistribution, make_coherent,
+from photon_catalysis.fock import (PhotonNumberDistribution, coherent_amplitudes,
+                                   make_coherent,
                                    number_distribution)
 
 RNG = np.random.default_rng(20230817)
@@ -195,6 +198,26 @@ class TestJoint:
             vals[r2] = j.probabilities[1, 1]
         assert vals[0.5] < vals[0.45]
         assert vals[0.5] < vals[0.55]
+
+
+def oracle_two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
+    """U|alpha>|k> through the blockwise matrix-exponential oracle."""
+    side = cfg.dim + cfg.k
+    joint = np.zeros((side, side), dtype=complex)
+    joint[:cfg.dim, cfg.k] = coherent_amplitudes(cfg.alpha, cfg.dim)
+    return bs_transform(TwoModeState(joint), cfg.bs)
+
+
+class TestJointMatchesOracle:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("r2", [0.0, 0.3, 0.5, 0.77, 1.0])
+    def test_closed_form_equals_oracle_built_state(self, r2, k, monkeypatch):
+        cfg = CatalysisConfig(1.7, BeamSplitter(r2), k)
+        det1, det2 = TMDConfig(0.6), TMDConfig(0.9, 4)
+        got = joint_output_distribution(cfg, det1, det2).probabilities
+        monkeypatch.setattr(detector, "two_mode_output", oracle_two_mode_output)
+        want = joint_output_distribution(cfg, det1, det2).probabilities
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestJointExports:
