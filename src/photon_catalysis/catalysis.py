@@ -5,7 +5,8 @@ with the interference coefficient
 
     C_n(r, t, k) = sum_j binom(n, j) binom(k, j) (-1)^j t^{n+k-2j} r^{2j},
 
-The same binomial expansion gives the full two-mode output U|alpha>|k> in
+taken one at a time (catalysis_coefficient, the scalar reference) or for a
+whole array of reflectivities at once (catalysis_coefficients).  The same binomial expansion gives the full two-mode output U|alpha>|k> in
 closed form (two_mode_output).  An independent brute-force path (two-mode
 unitary from a matrix exponential, then projection) is kept as the oracle the
 closed forms are tested against; it alone needs scipy, imported on first use.
@@ -13,6 +14,7 @@ closed forms are tested against; it alone needs scipy, imported on first use.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,8 +25,9 @@ from .fock import FockState, UndefinedQuantityError, coherent_window, default_di
 
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
-    "catalysis_coefficient", "pcoc_state", "success_probability_analytic",
-    "iterated_pcoc", "two_mode_output", "bs_transform", "herald",
+    "catalysis_coefficient", "catalysis_coefficients", "pcoc_state",
+    "success_probability_analytic", "iterated_pcoc", "iterated_pcoc_scan",
+    "two_mode_output", "bs_transform", "herald",
     "pcoc_oracle", "oracle_discrepancy",
 ]
 
@@ -32,6 +35,23 @@ __all__ = [
 # alternating sum free of cancellation noise at the photon numbers in range
 # here.
 _EXACT_BINOM_LIMIT = 64
+
+# Largest two-mode window side dim + k: sqrt(binom(n, i)) is taken from a float
+# binomial, and binom(n, n/2) overflows a double beyond n = 1029.
+_MAX_WINDOW = 1030
+
+
+def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
+    """dim, or default_dim(alpha, k) when None, checked before anything is allocated."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"--alpha/--alpha2 must be finite, got {alpha}")
+    if dim is None:
+        dim = default_dim(alpha, k)
+    if dim + k > _MAX_WINDOW:
+        raise ValueError(
+            f"dim + k = {dim + k} exceeds {_MAX_WINDOW}, the largest window whose "
+            f"binomials fit a float; lower --alpha/--alpha2, --k or --dim")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -74,8 +94,7 @@ class CatalysisConfig:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be non-negative")
-        if self.dim is None:
-            object.__setattr__(self, "dim", default_dim(self.alpha, self.k))
+        object.__setattr__(self, "dim", _window_dim(self.alpha, self.dim, self.k))
         if self.k >= self.dim:
             raise ValueError(f"k={self.k} must be below dim={self.dim}")
 
@@ -93,9 +112,8 @@ class IteratedConfig:
             raise ValueError("at least one stage required")
         object.__setattr__(self, "stages",
                            tuple((float(r2), int(k)) for r2, k in self.stages))
-        if self.dim is None:
-            kmax = max(k for _, k in self.stages)
-            object.__setattr__(self, "dim", default_dim(self.alpha, kmax))
+        kmax = max(k for _, k in self.stages)
+        object.__setattr__(self, "dim", _window_dim(self.alpha, self.dim, kmax))
         for r2, k in self.stages:
             CatalysisConfig(self.alpha, BeamSplitter(r2), k, self.dim)
 
@@ -148,8 +166,48 @@ def catalysis_coefficient(n: int, k: int, bs: BeamSplitter) -> float:
     return total
 
 
-def _coefficient_vector(dim: int, k: int, bs: BeamSplitter) -> np.ndarray:
-    return np.array([catalysis_coefficient(n, k, bs) for n in range(dim)])
+@lru_cache(maxsize=256)
+def _binom_products(dim: int, k: int) -> tuple[np.ndarray, ...]:
+    """Row j holds binom(n, j) * binom(k, j) for n = j..dim-1, as
+    catalysis_coefficient takes the product.  Read-only."""
+    rows = []
+    for j in range(min(dim - 1, k) + 1):
+        row = np.array([_binom(n, j) * _binom(k, j) for n in range(j, dim)])
+        row.flags.writeable = False
+        rows.append(row)
+    return tuple(rows)
+
+
+def catalysis_coefficients(r2s, k: int, dim: int) -> np.ndarray:
+    """C[p, n] = catalysis_coefficient(n, k, BeamSplitter(r2s[p])) for n < dim.
+
+    One broadcast per j, bitwise equal to the scalar reference: each term is
+    ((b_nj b_kj) t-power) r2^j, summed over ascending j with alternating sign,
+    and the powers come from Python's float ``**`` (libm pow), which numpy's
+    vectorised power does not always match in the last bit.
+    """
+    r2s = [float(x) for x in r2s]
+    for x in r2s:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"r2={x} outside [0, 1]")
+    t2s = [1.0 - x for x in r2s]
+    side = dim + k
+    t2_pow = np.array([[t2 ** m for m in range((side + 1) // 2)]
+                       for t2 in t2s]).reshape(len(r2s), -1)
+    r2_pow = np.array([[x ** j for j in range(k + 1)]
+                       for x in r2s]).reshape(len(r2s), k + 1)
+    # t_pow[p, e] = t^e, taken as t2^(e // 2) times t for odd e
+    e = np.arange(side)
+    t_pow = t2_pow[:, e // 2] * np.where(e % 2 == 1, np.sqrt(t2s)[:, None], 1.0)
+    total = np.zeros((len(r2s), dim))
+    for j, bb in enumerate(_binom_products(dim, k)):
+        # n = j..dim-1 puts e = n + k - 2j on k-j..dim+k-2j-1
+        term = bb * t_pow[:, k - j:side - 2 * j] * r2_pow[:, j:j + 1]
+        if j % 2:
+            total[:, j:] -= term
+        else:
+            total[:, j:] += term
+    return total
 
 
 def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
@@ -175,15 +233,33 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
     The returned probability is the joint success probability of all stage
     heralds, which for a cascade factorizes through the product coefficients.
     """
-    u_amps, tail = coherent_window(cfg.alpha, cfg.dim)
-    prod = np.ones(cfg.dim)
-    for r2, k in cfg.stages:
-        prod *= _coefficient_vector(cfg.dim, k, BeamSplitter(r2))
-    raw = u_amps * prod
-    prob = float(np.vdot(raw, raw).real)
-    if prob < 1e-300:
+    result, = iterated_pcoc_scan(cfg, 0, (cfg.stages[0][0],))
+    if result is None:
         raise UndefinedQuantityError("herald outcome has zero probability")
-    return FockState(raw, tail).normalized(), prob
+    return result
+
+
+def iterated_pcoc_scan(cfg: IteratedConfig, stage: int,
+                       r2s) -> list[tuple[FockState, float] | None]:
+    """iterated_pcoc at every r2 in r2s for one stage, the others as in cfg.
+
+    Each entry is bitwise what iterated_pcoc returns for that cascade, or None
+    where the heralds cannot all fire.  The stage products are taken in
+    declaration order, as the one-point cascade takes them.
+    """
+    if not 0 <= stage < len(cfg.stages):
+        raise ValueError(f"stage {stage} out of range for {len(cfg.stages)} stages")
+    u_amps, tail = coherent_window(cfg.alpha, cfg.dim)
+    prod = np.ones((len(r2s), cfg.dim))
+    for s, (r2, k) in enumerate(cfg.stages):
+        prod *= catalysis_coefficients(r2s if s == stage else (r2,), k, cfg.dim)
+    results = []
+    for row in prod:
+        raw = u_amps * row
+        prob = float(np.vdot(raw, raw).real)
+        results.append(None if prob < 1e-300
+                       else (FockState(raw, tail).normalized(), prob))
+    return results
 
 
 @lru_cache(maxsize=16)

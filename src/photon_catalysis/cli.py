@@ -64,11 +64,18 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+def _warn_coverage(grid):
+    if grid.coverage_warning:
+        print(f"warning: {grid.coverage_warning}", file=sys.stderr)
+
+
 def cmd_state(args) -> int:
     state, prob = _build_state(args.alpha, args.r2, args.k, args.dim)
     stats = quadrature_variances(state)
     g2_val = g2(number_distribution(state))
-    min_w, _ = wigner_negativity(wigner(state))
+    grid = wigner(state)
+    _warn_coverage(grid)
+    min_w, _ = wigner_negativity(grid)
     for name, value in (("success_prob", prob),
                         ("var_x_db", stats.squeeze_db_x),
                         ("var_p_db", stats.squeeze_db_p),
@@ -109,8 +116,7 @@ def cmd_sweep(args) -> int:
 def cmd_wigner(args) -> int:
     state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
     grid = wigner(state, _parse_grid(args.grid))
-    if grid.coverage_warning:
-        print(f"warning: {grid.coverage_warning}", file=sys.stderr)
+    _warn_coverage(grid)
     print(f"integral = {fmt9(grid.integral())}")
     if args.format == "csv":
         _write_text(args.out, wigner_to_csv(grid))

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,31 +11,20 @@ from .analysis import (quadrature_variances, variance_p_analytic,
                        variance_x_analytic, g2, wigner, wigner_negativity,
                        VACUUM_VARIANCE)
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
-                        iterated_pcoc, pcoc_state, success_probability_analytic)
+                        iterated_pcoc, iterated_pcoc_scan, pcoc_state,
+                        success_probability_analytic)
 from .fock import (FockState, UndefinedQuantityError, fidelity, fmt17,
                    number_distribution)
 
 __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
-    "sweep", "optimize_reflectivities", "optimize_result_to_json",
-    "worker_count", "METRICS",
+    "sweep", "optimize_reflectivities", "optimize_result_to_json", "METRICS",
 ]
 
 METRICS = ("var_x_db", "var_p_db", "success_prob", "g2",
            "fidelity_to_target", "wigner_min")
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def worker_count() -> int:
-    """Worker cap for internal parallelism, from CATALYSIS_THREADS."""
-    raw = os.environ.get("CATALYSIS_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"CATALYSIS_THREADS={raw!r} is not an integer")
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -120,27 +107,12 @@ def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
 
 
 def sweep(spec: SweepSpec) -> list[tuple]:
-    """Row-major table over the declared axes: (*axis values, metric, success_prob).
-
-    Grid points are independent and may evaluate concurrently; the returned
-    row order depends only on the axis declaration, never on scheduling.
-    """
+    """Row-major table over the declared axes: (*axis values, metric, success_prob)."""
     grids = [a.values() for a in spec.axes]
     mesh = np.meshgrid(*grids, indexing="ij")
-    points = [dict(zip((a.name for a in spec.axes), combo))
-              for combo in zip(*(m.ravel() for m in mesh))]
-
-    workers = worker_count()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _evaluate_point(spec, p), points))
-    else:
-        results = [_evaluate_point(spec, p) for p in points]
-
-    rows = []
-    for p, (value, prob) in zip(points, results):
-        rows.append(tuple(p[a.name] for a in spec.axes) + (value, prob))
-    return rows
+    names = [a.name for a in spec.axes]
+    return [combo + _evaluate_point(spec, dict(zip(names, combo)))
+            for combo in zip(*(m.ravel() for m in mesh))]
 
 
 @dataclass(frozen=True)
@@ -158,6 +130,8 @@ class DesignProblem:
     def __post_init__(self):
         if self.stages < 1:
             raise ValueError("need at least one stage")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol={self.tol} must be finite and > 0")
         if len(self.ks) != self.stages:
             raise ValueError("one catalyst photon number per stage required")
         bounds = self.bounds or tuple((0.0, 1.0) for _ in range(self.stages))
@@ -199,14 +173,15 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return mid, f(mid)
 
 
-def _line_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _line_max(f, scan, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Coarse scan for a bracket, then golden-section refinement.
 
     The fidelity landscape has interference zeros, so a single golden section
     over the full interval is not safe; 33 stratified probes locate the basin.
+    ``scan`` maps the probe array to the values f would give, in one call.
     """
     xs = np.linspace(lo, hi, 33)
-    vals = [f(x) for x in xs]
+    vals = scan(xs)
     i = int(np.argmax(vals))
     a = xs[max(0, i - 1)]
     b = xs[min(len(xs) - 1, i + 1)]
@@ -233,25 +208,42 @@ def _start_points(problem: DesignProblem) -> list[list[float]]:
     return starts
 
 
+def _cascade(problem: DesignProblem, coords) -> IteratedConfig:
+    alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
+    return IteratedConfig(alpha, tuple(zip(coords[:problem.stages], problem.ks)))
+
+
+def _fidelity_at(problem: DesignProblem, coords) -> tuple[float, float]:
+    """(fidelity, success probability) at one point; a probe whose heralds
+    cannot all fire scores (0, 0)."""
+    try:
+        state, prob = iterated_pcoc(_cascade(problem, coords))
+    except UndefinedQuantityError:
+        return 0.0, 0.0
+    return fidelity(state, problem.target), prob
+
+
+def _fidelity_scan(problem: DesignProblem, coords, stage: int, xs) -> list[float]:
+    """Fidelity with stage ``stage`` at each of xs: bitwise _fidelity_at's,
+    from one batched cascade."""
+    results = iterated_pcoc_scan(_cascade(problem, coords), stage, xs)
+    return [0.0 if r is None else fidelity(r[0], problem.target) for r in results]
+
+
 def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
     """Multi-start coordinate descent with golden-section line searches.
 
     Deterministic: the start set is fixed, coordinates cycle in declaration
     order, and iteration stops when no single-coordinate move larger than the
-    tolerance improves the fidelity.
+    tolerance improves the fidelity.  The coarse probes along a stage
+    coordinate are evaluated as one batch; every probe counts as an evaluation.
     """
     evaluations = 0
 
     def evaluate(coords: list[float]) -> tuple[float, float]:
         nonlocal evaluations
         evaluations += 1
-        alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
-        stages = tuple((coords[i], problem.ks[i]) for i in range(problem.stages))
-        try:
-            state, prob = iterated_pcoc(IteratedConfig(alpha, stages))
-        except UndefinedQuantityError:
-            return 0.0, 0.0  # a probe whose heralds cannot all fire
-        return fidelity(state, problem.target), prob
+        return _fidelity_at(problem, coords)
 
     def coord_bounds(i: int) -> tuple[float, float]:
         return problem.bounds[i] if i < problem.stages else problem.alpha_bounds
@@ -279,7 +271,14 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
                     trial[i] = float(x)
                     return evaluate(trial)[0]
 
-                x_new, f_new = _line_max(along, lo, hi, problem.tol)
+                def scan(xs, i=i):
+                    nonlocal evaluations
+                    if i == problem.stages:  # alpha moves dim: no common batch
+                        return [along(x) for x in xs]
+                    evaluations += len(xs)
+                    return _fidelity_scan(problem, coords, i, xs)
+
+                x_new, f_new = _line_max(along, scan, lo, hi, problem.tol)
                 if f_new > fid + 1e-13:
                     if abs(x_new - coords[i]) > problem.tol or f_new > fid + 1e-9:
                         improved = True

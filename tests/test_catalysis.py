@@ -5,11 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         IteratedConfig, TwoModeState,
                                         bs_transform, catalysis_coefficient,
-                                        herald, iterated_pcoc,
+                                        catalysis_coefficients, herald,
+                                        iterated_pcoc, iterated_pcoc_scan,
                                         oracle_discrepancy, pcoc_oracle,
                                         pcoc_state,
                                         success_probability_analytic,
@@ -290,6 +292,67 @@ class TestIterated:
         assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-14
 
 
+def bits(values) -> list[int]:
+    """IEEE bit patterns, so that 0.0 and -0.0 (or any last-bit move) differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+R2_DRAWS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestBatchedCoefficients:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(dim=st.integers(1, 130), k=st.integers(0, 8),
+           r2s=st.lists(R2_DRAWS, min_size=1, max_size=5))
+    @example(dim=130, k=8, r2s=[0.0, 0.5, 1.0, 0.37])  # exact and log-gamma binomials
+    @example(dim=1, k=0, r2s=[0.5])
+    def test_rows_are_the_scalar_reference_bit_for_bit(self, dim, k, r2s):
+        table = catalysis_coefficients(r2s, k, dim)
+        assert table.shape == (len(r2s), dim)
+        for row, r2 in zip(table, r2s):
+            ref = [catalysis_coefficient(n, k, BeamSplitter(r2)) for n in range(dim)]
+            assert row.tolist() == ref
+            assert bits(row) == bits(ref)
+
+    def test_reflectivity_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError):
+            catalysis_coefficients([0.5, 1.5], 1, 5)
+
+
+class TestIteratedScan:
+    @pytest.mark.parametrize("stages", [((0.3, 1),),
+                                        ((0.3, 1), (0.6, 2)),
+                                        ((0.2, 2), (0.5, 1), (0.8, 3))])
+    def test_rows_are_pointwise_cascades_bit_for_bit(self, stages):
+        xs = np.linspace(0.0, 1.0, 33)
+        cfg = IteratedConfig(1.1, stages)
+        for stage in range(len(stages)):
+            rows = iterated_pcoc_scan(cfg, stage, xs)
+            for x, row in zip(xs, rows):
+                trial = list(stages)
+                trial[stage] = (float(x), stages[stage][1])
+                state, prob = iterated_pcoc(IteratedConfig(1.1, tuple(trial)))
+                assert bits(row[1]) == bits(prob)
+                assert bits(row[0].amplitudes.view(float)) == \
+                    bits(state.amplitudes.view(float))
+                assert row[0].tail_mass == state.tail_mass
+
+    def test_rows_whose_heralds_cannot_fire_are_none(self):
+        """At r2 = 1 a k=1 stage passes only |1>, which a balanced k=1 stage
+        cancels exactly (C_1 = t^2 - r^2 = 0)."""
+        cfg = IteratedConfig(1.0, ((0.4, 1), (0.5, 1)))
+        rows = iterated_pcoc_scan(cfg, 0, [0.4, 1.0])
+        assert rows[0] is not None and rows[1] is None
+        with pytest.raises(UndefinedQuantityError):
+            iterated_pcoc(IteratedConfig(1.0, ((1.0, 1), (0.5, 1))))
+
+    @pytest.mark.parametrize("stage", [-1, 2])
+    def test_stage_index_checked(self, stage):
+        with pytest.raises(ValueError, match="stage"):
+            iterated_pcoc_scan(IteratedConfig(1.0, ((0.4, 1), (0.5, 1))),
+                               stage, [0.3])
+
+
 class TestConfigValidation:
     def test_reflectivity_range(self):
         with pytest.raises(ValueError):
@@ -304,3 +367,20 @@ class TestConfigValidation:
     def test_negative_k(self):
         with pytest.raises(ValueError):
             CatalysisConfig(1.0, BeamSplitter(0.5), k=-1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="--alpha"):
+            CatalysisConfig(alpha, BeamSplitter(0.5), 1)
+        with pytest.raises(ValueError, match="--alpha"):
+            IteratedConfig(alpha, ((0.5, 1),))
+
+    @pytest.mark.parametrize("alpha, dim", [(30.0, None), (1e6, None), (1.0, 1030)])
+    def test_window_beyond_float_binomials(self, alpha, dim):
+        with pytest.raises(ValueError, match="--dim"):
+            CatalysisConfig(alpha, BeamSplitter(0.5), 1, dim)
+        with pytest.raises(ValueError, match="--dim"):
+            IteratedConfig(alpha, ((0.5, 1),), dim)
+
+    def test_largest_window_is_accepted(self):
+        assert CatalysisConfig(1.0, BeamSplitter(0.5), 1, 1029).dim == 1029

@@ -207,3 +207,54 @@ class TestTopLevel:
         assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestInputGates:
+    """Inputs that used to hang, exhaust memory or fail late exit 2 at once."""
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_optimize_rejects_tolerance(self, tmp_path, capsys, tol):
+        target = tmp_path / "t.json"
+        assert main(["state", "--alpha", "1", "--r2", "0.37",
+                     "--out", str(target)]) == 0
+        code, _, stderr = run(capsys, "optimize", "--target", str(target),
+                              "--stages", "1", "--k", "1", "--alpha", "1",
+                              "--tol", tol)
+        assert code == 2
+        assert "tol" in stderr
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_state_rejects_non_finite_alpha(self, capsys, alpha):
+        code, _, stderr = run(capsys, "state", f"--alpha={alpha}", "--r2", "0.5")
+        assert code == 2
+        assert "--alpha" in stderr
+
+    def test_joint_rejects_non_finite_alpha2(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "joint", "--alpha2", "nan", "--r2", "0.5",
+                              "--out", str(tmp_path / "j.csv"))
+        assert code == 2
+        assert "--alpha2" in stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "--alpha", "1e6", "--r2", "0.5"],
+        ["state", "--alpha", "30", "--r2", "0.5"],
+        ["state", "--alpha", "1", "--r2", "0.5", "--dim", "5000"],
+        ["joint", "--alpha2", "900", "--r2", "0.5", "--out", "unused.csv"],
+    ])
+    def test_oversized_window_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert "--dim" in stderr and "--alpha" in stderr
+        assert not (tmp_path / "unused.csv").exists()
+
+    def test_state_reports_wigner_coverage(self, capsys):
+        argv = ["state", "--alpha", "3.5", "--r2", "0.5"]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 0
+        assert stderr.startswith("warning: grid covers less than")
+        names = [line.split(" = ")[0] for line in stdout.strip().split("\n")]
+        assert names == ["success_prob", "var_x_db", "var_p_db", "g2",
+                         "wigner_min"]
+        code, _, stderr = run(capsys, "state", "--alpha", "1", "--r2", "0.5")
+        assert code == 0 and stderr == ""

@@ -13,8 +13,7 @@ from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         pcoc_oracle, pcoc_state)
 from photon_catalysis.design import (Axis, DesignProblem, SweepSpec, METRICS,
                                      optimize_reflectivities,
-                                     optimize_result_to_json, sweep,
-                                     worker_count)
+                                     optimize_result_to_json, sweep)
 from photon_catalysis.fock import fidelity, make_fock
 
 
@@ -112,25 +111,6 @@ class TestSweepMatchesOracle:
             assert row == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CATALYSIS_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.setenv("CATALYSIS_THREADS", "0")
-        assert worker_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("CATALYSIS_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("CATALYSIS_THREADS", raising=False)
-        assert worker_count() >= 1
-
-
 class TestDesignProblem:
     def make_target(self, r2=0.37):
         state, _ = pcoc_state(CatalysisConfig(1.0, BeamSplitter(r2), 1))
@@ -148,6 +128,13 @@ class TestDesignProblem:
         with pytest.raises(ValueError):
             DesignProblem(self.make_target(), stages=1, ks=(1,), alpha=1.0,
                           bounds=((0.8, 0.2),))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        """A zero or negative tol never ends the golden section; nan skips it."""
+        with pytest.raises(ValueError, match="tol"):
+            DesignProblem(self.make_target(), stages=1, ks=(1,), alpha=1.0,
+                          tol=tol)
 
 
 class TestOptimizer:
@@ -194,6 +181,49 @@ class TestOptimizer:
             DesignProblem(target, stages=1, ks=(1,), alpha=1.0, tol=1e-6,
                           bounds=((0.3, 0.3 + 1e-10),)))
         assert res.stagnated
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def pointwise_scan(problem, coords, stage, xs):
+    """The coarse line scan as one evaluation per probe."""
+    return [design._fidelity_at(
+        problem, [*coords[:stage], float(x), *coords[stage + 1:]])[0] for x in xs]
+
+
+class TestBatchedLineScan:
+    @pytest.mark.parametrize("ks", [(1,), (2, 1), (1, 2, 3)])
+    def test_scan_equals_pointwise_evaluations(self, ks):
+        target, _ = pcoc_state(CatalysisConfig(1.2, BeamSplitter(0.4), 1))
+        problem = DesignProblem(target, stages=len(ks), ks=ks, alpha=1.1)
+        coords = [0.3, 0.65, 0.45][:len(ks)]
+        xs = np.linspace(0.0, 1.0, 33)
+        for stage in range(len(ks)):
+            got = design._fidelity_scan(problem, coords, stage, xs)
+            assert bits(got) == bits(pointwise_scan(problem, coords, stage, xs))
+
+    def test_probes_that_cannot_herald_score_zero(self):
+        """With ks = (1, 1) and stage 2 balanced, the r2 = 1 probe of stage 1
+        leaves no photon number that stage 2 passes."""
+        target, _ = pcoc_state(CatalysisConfig(1.0, BeamSplitter(0.3), 1))
+        problem = DesignProblem(target, stages=2, ks=(1, 1), alpha=1.0)
+        xs = np.linspace(0.0, 1.0, 33)
+        got = design._fidelity_scan(problem, [0.2, 0.5], 0, xs)
+        assert got[-1] == 0.0 and min(got[:-1]) > 0.0
+        assert bits(got) == bits(pointwise_scan(problem, [0.2, 0.5], 0, xs))
+
+    @pytest.mark.parametrize("ks, alpha_bounds", [((1, 1), None),
+                                                  ((2,), (0.8, 1.4))])
+    def test_optimizer_result_unchanged_by_batching(self, ks, alpha_bounds,
+                                                    monkeypatch):
+        target, _ = pcoc_state(CatalysisConfig(1.1, BeamSplitter(0.6), 2))
+        problem = DesignProblem(target, stages=len(ks), ks=ks, alpha=1.0,
+                                tol=1e-6, alpha_bounds=alpha_bounds)
+        batched = optimize_reflectivities(problem)
+        monkeypatch.setattr(design, "_fidelity_scan", pointwise_scan)
+        assert optimize_reflectivities(problem) == batched
 
 
 class TestResultJson:
