@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (FockState, PhotonNumberDistribution, TAIL_GATE,
-                   TruncationError, UndefinedQuantityError, fmt9)
+                   TruncationError, UndefinedQuantityError, factorial_moments,
+                   fmt9)
 
 VACUUM_VARIANCE = 0.25
 
@@ -171,11 +172,9 @@ def locus_alpha_max(r2: float) -> float:
 
 def g2(d: PhotonNumberDistribution) -> float:
     """Second-order autocorrelation <n(n-1)> / <n>^2 at zero delay."""
-    n = np.arange(d.size, dtype=float)
-    m1 = float(np.dot(d.probabilities, n))
+    m1, m2 = factorial_moments(d.probabilities)
     if m1 <= 0.0:
         raise UndefinedQuantityError("g2 undefined for vacuum (zero mean)")
-    m2 = float(np.dot(d.probabilities, n * (n - 1.0)))
     return m2 / m1 ** 2
 
 

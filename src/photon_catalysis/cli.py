@@ -29,17 +29,12 @@ def _die(msg: str, code: int) -> int:
     return code
 
 
-def _parse_scan(text: str) -> list[float]:
-    """Either a single value "0.5" or an inclusive scan "lo:hi:steps"."""
+def _parse_axis(text: str) -> Axis:
+    """An inclusive scan "name:lo:hi:steps"."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise ValueError(f"scan spec {text!r}; expected value or lo:hi:steps")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if steps < 2:
-        raise ValueError("scan needs at least 2 steps")
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    if len(parts) != 4:
+        raise ValueError(f"axis spec {text!r}; expected name:lo:hi:steps")
+    return Axis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
 
 
 def _parse_grid(text: str) -> WignerGridSpec:
@@ -64,9 +59,10 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _warn_coverage(grid):
-    if grid.coverage_warning:
-        print(f"warning: {grid.coverage_warning}", file=sys.stderr)
+def _warn_coverage(*warnings: str | None):
+    """Each distinct Wigner coverage warning once, on stderr."""
+    for warning in dict.fromkeys(filter(None, warnings)):
+        print(f"warning: {warning}", file=sys.stderr)
 
 
 def cmd_state(args) -> int:
@@ -74,7 +70,7 @@ def cmd_state(args) -> int:
     stats = quadrature_variances(state)
     g2_val = g2(number_distribution(state))
     grid = wigner(state)
-    _warn_coverage(grid)
+    _warn_coverage(grid.coverage_warning)
     min_w, _ = wigner_negativity(grid)
     for name, value in (("success_prob", prob),
                         ("var_x_db", stats.squeeze_db_x),
@@ -88,16 +84,13 @@ def cmd_state(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    axes = []
-    for spec_text in args.axis:
-        parts = spec_text.split(":")
-        if len(parts) != 4:
-            raise ValueError(f"axis spec {spec_text!r}; expected name:lo:hi:steps")
-        axes.append(Axis(parts[0], float(parts[1]), float(parts[2]), int(parts[3])))
+    axes = [_parse_axis(spec_text) for spec_text in args.axis]
     target = state_from_json(_read_file(args.target)) if args.target else None
     spec = SweepSpec(tuple(axes), args.metric, alpha=args.alpha, r2=args.r2,
                      k=args.k, target=target)
-    rows = sweep(spec)
+    warnings = []
+    rows = sweep(spec, warnings.append)
+    _warn_coverage(*warnings)
     header = ",".join([a.name for a in axes] + [args.metric, "success_prob"])
     lines = [header]
     n_axes = len(axes)
@@ -116,7 +109,7 @@ def cmd_sweep(args) -> int:
 def cmd_wigner(args) -> int:
     state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
     grid = wigner(state, _parse_grid(args.grid))
-    _warn_coverage(grid)
+    _warn_coverage(grid.coverage_warning)
     print(f"integral = {fmt9(grid.integral())}")
     if args.format == "csv":
         _write_text(args.out, wigner_to_csv(grid))
@@ -128,8 +121,9 @@ def cmd_wigner(args) -> int:
 
 def cmd_joint(args) -> int:
     alpha = math.sqrt(args.alpha2)
+    r2s = _parse_axis(f"r2:{args.r2}").values() if ":" in args.r2 else [args.r2]
     lines = ["r2,i,j,p"]
-    for r2 in _parse_scan(args.r2):
+    for r2 in map(float, r2s):
         cfg = CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim)
         joint = joint_output_distribution(cfg, TMDConfig(args.eta1, args.bins),
                                           TMDConfig(args.eta2, args.bins))
@@ -145,10 +139,8 @@ def cmd_joint(args) -> int:
 def cmd_optimize(args) -> int:
     target = state_from_json(_read_file(args.target))
     ks = tuple(int(s) for s in args.k.split(","))
-    alpha_bounds = None
-    if args.alpha_bounds:
-        lo, hi = (float(s) for s in args.alpha_bounds.split(":"))
-        alpha_bounds = (lo, hi)
+    alpha_bounds = (tuple(float(s) for s in args.alpha_bounds.split(":"))
+                    if args.alpha_bounds else None)
     problem = DesignProblem(target=target, stages=args.stages, ks=ks,
                             alpha=args.alpha, tol=args.tol,
                             alpha_bounds=alpha_bounds)

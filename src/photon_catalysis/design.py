@@ -71,7 +71,7 @@ class SweepSpec:
             raise ValueError("duplicate sweep axes")
 
 
-def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
+def _evaluate_point(spec: SweepSpec, params: dict, warn) -> tuple[float, float]:
     """(metric value, success probability) at one grid point."""
     alpha = params.get("alpha", spec.alpha)
     r2 = params.get("r2", spec.r2)
@@ -101,17 +101,22 @@ def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
     if spec.metric == "fidelity_to_target":
         return fidelity(state, spec.target), prob
     if spec.metric == "wigner_min":
-        min_w, _ = wigner_negativity(wigner(state))
+        grid = wigner(state)
+        if warn and grid.coverage_warning:
+            warn(grid.coverage_warning)
+        min_w, _ = wigner_negativity(grid)
         return min_w, prob
     raise AssertionError(spec.metric)
 
 
-def sweep(spec: SweepSpec) -> list[tuple]:
-    """Row-major table over the declared axes: (*axis values, metric, success_prob)."""
+def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
+    """Row-major table over the declared axes: (*axis values, metric, success_prob).
+
+    ``warn``, if given, is called with each Wigner coverage warning."""
     grids = [a.values() for a in spec.axes]
     mesh = np.meshgrid(*grids, indexing="ij")
     names = [a.name for a in spec.axes]
-    return [combo + _evaluate_point(spec, dict(zip(names, combo)))
+    return [combo + _evaluate_point(spec, dict(zip(names, combo)), warn)
             for combo in zip(*(m.ravel() for m in mesh))]
 
 
@@ -132,6 +137,10 @@ class DesignProblem:
             raise ValueError("need at least one stage")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol={self.tol} must be finite and > 0")
+        if self.alpha_bounds is not None:
+            lo, hi = self.alpha_bounds
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"--alpha-bounds {lo}:{hi} must be finite with LO < HI")
         if len(self.ks) != self.stages:
             raise ValueError("one catalyst photon number per stage required")
         bounds = self.bounds or tuple((0.0, 1.0) for _ in range(self.stages))

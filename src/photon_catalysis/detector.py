@@ -1,21 +1,21 @@
 """Detection chain model: binomial loss plus time-multiplexed click counting.
 
 Photons are routed independently and uniformly into a fixed number of bins,
-each bin a non-number-resolving click detector.  All probabilities come from
-exact combinatorics (surjection counts), never sampling, so every consumer is
-deterministic.
+each bin a non-number-resolving click detector.  Every loss and click matrix
+comes from one chain that adds one photon at a time, never from sampling, so
+every consumer is deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .catalysis import CatalysisConfig, two_mode_output
-from .fock import PhotonNumberDistribution, UndefinedQuantityError, fmt9
+from .fock import (PhotonNumberDistribution, UndefinedQuantityError,
+                   factorial_moments, fmt9)
 
 __all__ = [
     "LossChannel", "TMDConfig", "ClickDistribution", "JointClickDistribution",
@@ -79,43 +79,35 @@ class JointClickDistribution:
         object.__setattr__(self, "probabilities", p)
 
 
-def _loss_matrix(n_max: int, eta: float) -> np.ndarray:
-    """L[n, m] = binom(n, m) eta^m (1-eta)^(n-m): m of n photons survive."""
-    out = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            out[n, m] = math.comb(n, m) * eta ** m * (1.0 - eta) ** (n - m)
-    return out
+def _photon_chain(n_max: int, stay: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """T[n, c] = P(outcome c | n photons), adding one photon at a time.
+
+    A photon leaves the outcome at c with probability stay[c] or moves it from
+    c - 1 to c with probability step[c]:
+    T[n+1, c] = T[n, c] stay[c] + T[n, c-1] step[c].  Every term is
+    nonnegative, so nothing cancels and nothing overflows at any n.
+    """
+    t = np.zeros((n_max + 1, stay.size))
+    t[0, 0] = 1.0
+    for n in range(n_max):
+        t[n + 1] = t[n] * stay
+        t[n + 1, 1:] += t[n, :-1] * step[1:]
+    return t
 
 
 def apply_loss(d: PhotonNumberDistribution,
                ch: LossChannel) -> PhotonNumberDistribution:
-    """Binomial thinning: p'_m = sum_n p_n binom(n, m) eta^m (1-eta)^(n-m)."""
-    return PhotonNumberDistribution(d.probabilities @ _loss_matrix(d.size - 1, ch.eta))
-
-
-def _surjections(n: int, c: int) -> int:
-    """Number of ways n distinguishable photons occupy exactly c given bins."""
-    return sum((-1) ** i * math.comb(c, i) * (c - i) ** n for i in range(c + 1))
-
-
-def _click_matrix(n_max: int, bins: int) -> np.ndarray:
-    """T[n, c] = P(c clicks | n photons) for ideal uniform routing."""
-    t = np.zeros((n_max + 1, bins + 1))
-    t[0, 0] = 1.0
-    for n in range(1, n_max + 1):
-        denom = float(bins) ** n
-        for c in range(1, min(n, bins) + 1):
-            t[n, c] = math.comb(bins, c) * _surjections(n, c) / denom
-    return t
+    """Binomial thinning: each photon survives (m -> m+1) with probability eta."""
+    n = d.size
+    loss = _photon_chain(n - 1, np.full(n, 1.0 - ch.eta), np.full(n, ch.eta))
+    return PhotonNumberDistribution(d.probabilities @ loss)
 
 
 def tmd_click_distribution(d: PhotonNumberDistribution,
                            cfg: TMDConfig) -> ClickDistribution:
     """Loss, then exact occupancy statistics of uniform routing into bins."""
-    lossy = apply_loss(d, LossChannel(cfg.eta))
-    t = _click_matrix(lossy.size - 1, cfg.bins)
-    return ClickDistribution(lossy.probabilities @ t, cfg.bins)
+    return ClickDistribution(
+        d.probabilities @ _loss_click_matrix(d.size - 1, cfg), cfg.bins)
 
 
 def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
@@ -134,12 +126,17 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
 
 @lru_cache(maxsize=64)
 def _loss_click_matrix(n_max: int, cfg: TMDConfig) -> np.ndarray:
-    """T[n, c] including the loss channel commuted in front of the binning.
+    """T[n, c] = P(c clicks | n photons) through loss eta and then the bins.
 
+    A photon is lost or lands in one of the c already clicked bins (stay), or
+    survives into one of the bins - c + 1 empty ones (step from c - 1).
     Cached, because a scan asks for the same matrix at every point; read-only,
     so no caller can change the cached copy.
     """
-    out = _loss_matrix(n_max, cfg.eta) @ _click_matrix(n_max, cfg.bins)
+    eta, bins = cfg.eta, cfg.bins
+    c = np.arange(bins + 1, dtype=float)
+    out = _photon_chain(n_max, (1.0 - eta) + eta * c / bins,
+                        eta * (bins - c + 1.0) / bins)
     out.flags.writeable = False
     return out
 
@@ -155,11 +152,9 @@ def g2_from_clicks(c: ClickDistribution, cfg: TMDConfig) -> float:
         raise ValueError("estimator needs at least 2 bins")
     if c.bins != cfg.bins:
         raise ValueError("click distribution and config disagree on bins")
-    m = np.arange(c.probabilities.size, dtype=float)
-    m1 = float(np.dot(c.probabilities, m))
+    m1, m2 = factorial_moments(c.probabilities)
     if m1 <= 0.0:
         raise UndefinedQuantityError("g2 undefined for zero mean click count")
-    m2 = float(np.dot(c.probabilities, m * (m - 1.0)))
     return (cfg.bins / (cfg.bins - 1.0)) * m2 / m1 ** 2
 
 

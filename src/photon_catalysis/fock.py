@@ -195,14 +195,17 @@ def number_distribution(s: FockState) -> PhotonNumberDistribution:
     return PhotonNumberDistribution(p / total)
 
 
+def factorial_moments(p: np.ndarray) -> tuple[float, float]:
+    """(<n>, <n(n-1)>) of probabilities p over n = 0, 1, 2, ..."""
+    n = np.arange(p.size, dtype=float)
+    return float(np.dot(p, n)), float(np.dot(p, n * (n - 1.0)))
+
+
 def distribution_moment(d: PhotonNumberDistribution, order: int) -> float:
     """First moment <n> or second factorial moment <n(n-1)>."""
-    n = np.arange(d.size, dtype=float)
-    if order == 1:
-        return float(np.dot(d.probabilities, n))
-    if order == 2:
-        return float(np.dot(d.probabilities, n * (n - 1.0)))
-    raise ValueError(f"unsupported moment order {order}; expected 1 or 2")
+    if order not in (1, 2):
+        raise ValueError(f"unsupported moment order {order}; expected 1 or 2")
+    return factorial_moments(d.probabilities)[order - 1]
 
 
 def fmt9(x: float) -> str:

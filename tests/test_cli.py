@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -144,6 +145,39 @@ class TestJoint:
         total = sum(float(r.split(",")[3]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_readme_command_bytes_are_pinned(self, tmp_path, capsys):
+        """The README joint command's CSV, hashed before the loss and click
+        matrices moved to the photon-by-photon chain."""
+        out = tmp_path / "joint.csv"
+        code, _, _ = run(capsys, "joint", "--alpha2", "1.11", "--r2", "0.3:0.7:41",
+                         "--eta1", "0.1", "--eta2", "0.1", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "23bc52f69a5aeea3b63b4149443b490d24b90d427657c464b90b793a33f885a7")
+
+    @pytest.mark.parametrize("alpha2, bins", [("80", "200"), ("200", "16")])
+    def test_many_photons_into_many_bins(self, tmp_path, capsys, alpha2, bins):
+        """float(bins) ** n overflowed inside the dim + k <= 1030 gate."""
+        out = tmp_path / "joint.csv"
+        code, _, stderr = run(capsys, "joint", "--alpha2", alpha2, "--r2", "0.5",
+                              "--bins", bins, "--out", str(out))
+        assert code == 0, stderr
+        rows = [r.split(",") for r in out.read_text().rstrip("\n").split("\n")[1:]]
+        assert len(rows) == (int(bins) + 1) ** 2
+        assert sum(float(r[3]) for r in rows) == pytest.approx(1.0, abs=1e-8)
+
+    def test_r2_scan_blocks_each_sum_to_one(self, tmp_path, capsys):
+        out = tmp_path / "joint.csv"
+        code, _, _ = run(capsys, "joint", "--alpha2", "200", "--r2", "0.2:0.8:3",
+                         "--bins", "16", "--out", str(out))
+        assert code == 0
+        totals = {}
+        for r in out.read_text().rstrip("\n").split("\n")[1:]:
+            r2, _, _, p = r.split(",")
+            totals[r2] = totals.get(r2, 0.0) + float(p)
+        assert list(totals) == ["2.00000000e-01", "5.00000000e-01", "8.00000000e-01"]
+        assert all(t == pytest.approx(1.0, abs=1e-8) for t in totals.values())
+
 
 class TestOptimize:
     def test_end_to_end(self, tmp_path, capsys):
@@ -223,6 +257,20 @@ class TestInputGates:
         assert code == 2
         assert "tol" in stderr
 
+    @pytest.mark.parametrize("bounds", ["2:1", "1:1", "nan:2", "1:inf"])
+    def test_optimize_rejects_alpha_bounds(self, tmp_path, capsys, bounds):
+        """Reversed bounds used to skip the golden section on alpha silently."""
+        target = tmp_path / "t.json"
+        assert main(["state", "--alpha", "1", "--r2", "0.37",
+                     "--out", str(target)]) == 0
+        capsys.readouterr()
+        code, stdout, stderr = run(capsys, "optimize", "--target", str(target),
+                                   "--stages", "1", "--k", "1", "--alpha", "1",
+                                   f"--alpha-bounds={bounds}")
+        assert code == 2
+        assert "--alpha-bounds" in stderr
+        assert stdout == ""
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_state_rejects_non_finite_alpha(self, capsys, alpha):
         code, _, stderr = run(capsys, "state", f"--alpha={alpha}", "--r2", "0.5")
@@ -257,4 +305,18 @@ class TestInputGates:
         assert names == ["success_prob", "var_x_db", "var_p_db", "g2",
                          "wigner_min"]
         code, _, stderr = run(capsys, "state", "--alpha", "1", "--r2", "0.5")
+        assert code == 0 and stderr == ""
+
+    def test_wigner_min_sweep_reports_coverage_once(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        code, _, stderr = run(capsys, "sweep", "--metric", "wigner_min",
+                              "--axis", "alpha:3:3.5:2", "--r2", "0.5",
+                              "--out", str(out))
+        assert code == 0
+        _, _, state_stderr = run(capsys, "state", "--alpha", "3.5", "--r2", "0.5")
+        assert stderr == state_stderr
+        assert stderr.count("\n") == 1
+        code, _, stderr = run(capsys, "sweep", "--metric", "wigner_min",
+                              "--axis", "alpha:0.5:1:2", "--r2", "0.5",
+                              "--out", str(out))
         assert code == 0 and stderr == ""

@@ -136,6 +136,15 @@ class TestDesignProblem:
             DesignProblem(self.make_target(), stages=1, ks=(1,), alpha=1.0,
                           tol=tol)
 
+    @pytest.mark.parametrize("alpha_bounds", [
+        (2.0, 1.0), (1.0, 1.0), (math.nan, 2.0), (0.5, math.nan),
+        (-math.inf, 1.0), (0.5, math.inf)])
+    def test_alpha_bounds_must_be_finite_and_increasing(self, alpha_bounds):
+        """Reversed bounds made _line_max return a coarse probe unrefined."""
+        with pytest.raises(ValueError, match="alpha-bounds"):
+            DesignProblem(self.make_target(), stages=1, ks=(1,), alpha=1.0,
+                          alpha_bounds=alpha_bounds)
+
 
 class TestOptimizer:
     def test_self_inversion(self):

@@ -2,9 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from photon_catalysis.analysis import g2
 from photon_catalysis import detector
@@ -248,3 +251,69 @@ class TestJointExports:
             JointClickDistribution(np.zeros(3))
         with pytest.raises(ValueError):
             TMDConfig(0.5, 0)
+
+
+@lru_cache(maxsize=None)
+def exact_surjections(n: int, c: int) -> int:
+    """Ways n distinguishable photons occupy exactly c given bins."""
+    return sum((-1) ** i * math.comb(c, i) * (c - i) ** n for i in range(c + 1))
+
+
+def exact_loss_click(n: int, c: int, eta: Fraction, bins: int) -> Fraction:
+    """P(c clicks | n photons) by inclusion-exclusion in exact rationals:
+    m of n photons survive, then exactly c of the bins are hit."""
+    return sum((math.comb(n, m) * eta ** m * (1 - eta) ** (n - m)
+                * math.comb(bins, c) * Fraction(exact_surjections(m, c), bins ** m)
+                for m in range(c, n + 1)), Fraction(0))
+
+
+ETA_DRAWS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestPhotonChain:
+    """The one-photon-at-a-time chain against exact combinatorics."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n_max=st.integers(0, 40), bins=st.integers(1, 20), eta=ETA_DRAWS)
+    @example(n_max=40, bins=20, eta=0.37)
+    @example(n_max=40, bins=1, eta=1.0)
+    @example(n_max=40, bins=20, eta=0.0)
+    def test_loss_click_matrix_equals_exact_oracle(self, n_max, bins, eta):
+        got = detector._loss_click_matrix(n_max, TMDConfig(eta, bins))
+        exact_eta = Fraction(eta)
+        for n in range(n_max + 1):
+            for c in range(bins + 1):
+                # the floor only forgives underflow into subnormals
+                assert math.isclose(
+                    got[n, c], float(exact_loss_click(n, c, exact_eta, bins)),
+                    rel_tol=1e-13, abs_tol=1e-300), (n, c)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n_max=st.integers(0, 40), eta=ETA_DRAWS)
+    def test_loss_equals_exact_binomial(self, n_max, eta):
+        p = np.zeros(n_max + 1)
+        p[n_max] = 1.0
+        got = apply_loss(PhotonNumberDistribution(tuple(p)), LossChannel(eta))
+        e = Fraction(eta)
+        for m in range(n_max + 1):
+            exact = math.comb(n_max, m) * e ** m * (1 - e) ** (n_max - m)
+            assert math.isclose(got.probabilities[m], float(exact),
+                                rel_tol=1e-13, abs_tol=1e-300), m
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.85, 1.0])
+    @pytest.mark.parametrize("bins", [1, 4, 16])
+    def test_loss_and_click_counting_compose(self, eta, bins):
+        """Lossy clicks equal loss first, then ideal unit-efficiency clicks."""
+        for d in (random_distribution(30), thermal(3.0, 60)):
+            direct = tmd_click_distribution(d, TMDConfig(eta, bins))
+            composed = tmd_click_distribution(apply_loss(d, LossChannel(eta)),
+                                              TMDConfig(1.0, bins))
+            np.testing.assert_allclose(direct.probabilities,
+                                       composed.probabilities,
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_large_photon_numbers_stay_finite(self):
+        """bins**n overflowed a float once n * log10(bins) passed 308."""
+        t = detector._loss_click_matrix(300, TMDConfig(0.9, 200))
+        assert np.all(np.isfinite(t))
+        np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=1e-12)
