@@ -14,8 +14,8 @@ from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
 from .analysis import (DomainError, PoleError, QuadratureStats, WignerGrid,
                        WignerGridSpec, g2, locus_alpha_max, locus_alpha_min,
                        quadrature_variances, variance_p_analytic,
-                       variance_x_analytic, wigner, wigner_negativity,
-                       wigner_to_csv, wigner_to_pgm)
+                       variance_x_analytic, wigner, wigner_grids,
+                       wigner_negativity, wigner_to_csv, wigner_to_pgm)
 from .detector import (ClickDistribution, JointClickDistribution, LossChannel,
                        TMDConfig, apply_loss, g2_from_clicks,
                        joint_output_distribution, joint_to_csv, joint_to_json,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +48,12 @@ class WignerGridSpec:
     np: int = 201
 
     def __post_init__(self):
+        # bounds every |2 (x + i p)|^2 on the grid; NaN or inf gives NaN cells
+        reach = 4.0 * sum(v * v for v in (self.x_min, self.x_max, self.p_min, self.p_max))
+        if not math.isfinite(reach):
+            raise ValueError(
+                f"--grid bounds x {self.x_min}:{self.x_max}, p {self.p_min}:"
+                f"{self.p_max} must be finite, with |2(x + ip)|^2 finite")
         if self.nx < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if self.x_max <= self.x_min or self.p_max <= self.p_min:
@@ -178,52 +185,151 @@ def g2(d: PhotonNumberDistribution) -> float:
     return m2 / m1 ** 2
 
 
-def _wigner_values(psi: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W on the grid via a stable two-index recurrence over Fock indices.
+_BLOCK = 4                  # states that share one recurrence
+_WIGNER_CELLS = 10 ** 6     # grid points; about 0.1 GiB of recurrence buffers
+_WIGNER_BUDGET = 2e9        # cell-steps nx * np * dim (dim + 1) / 2, about 10 s
 
-    Expands W = (2/pi) sum_{m,n} conj(c_m) c_n (-1)^n <m|D(2 beta)|n| with
-    beta = x + i p.  The off-diagonal weight Q_{n,d} = |<n+d|D|n>| obeys
+
+def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """W[state, ix, ip] for a block of states via a stable two-index recurrence.
+
+    ``psis`` holds one state's Fock amplitudes per row, shorter states padded
+    with zeros.  For each state, W = (2/pi) sum_{m,n} conj(c_m) c_n (-1)^n
+    <m|D(2 beta)|n> with beta = x + i p.  The off-diagonal weight
+    Q_{n,d} = |<n+d|D|n>| obeys
 
         Q_{n+1,d} = ((2n+1+d-y) Q_{n,d} - sqrt(n(n+d)) Q_{n-1,d})
                     / sqrt((n+1)(n+1+d)),   y = |2 beta|^2,
 
     seeded by Q_{0,d} = e^{-y/2} y^{d/2}/sqrt(d!); every Q is a unitary matrix
     element, so the recurrence never leaves [-1, 1] and no factorial ratios
-    appear.
+    appear.  Q does not depend on the state: each step is taken once for the
+    block in three rotating buffers, and each state with a nonzero coupling
+    conj(c_{n+d}) c_n adds its term to its own accumulator.  Every operation
+    on a state's values, and their order, is that of a one-state loop, so a
+    row is bitwise independent of the block it is computed in.
     """
-    n_dim = psi.size
+    n_states, n_dim = psis.shape
     x_grid, p_grid = np.meshgrid(xs, ps, indexing="ij")
     gamma = 2.0 * (x_grid + 1j * p_grid)
+    del x_grid, p_grid
     y = np.abs(gamma) ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(y > 0.0, gamma / np.where(y > 0.0, np.abs(gamma), 1.0), 1.0)
-    total = np.zeros_like(y)
+    del gamma
+    total = np.zeros((n_states,) + y.shape)
+    acc = np.empty_like(total)
     q_seed = np.exp(-y / 2.0)
-    phase = np.ones_like(gamma)
+    phase = np.ones_like(unit)
+    phase_re, q_prev, q_cur, spare, term = (np.empty_like(y) for _ in range(5))
+    product = None              # complex scratch, only for complex couplings
     for d in range(n_dim):
         if d > 0:
-            q_seed = q_seed * np.sqrt(y / d)
-            phase = phase * unit
+            np.divide(y, d, out=term)
+            q_seed *= np.sqrt(term, out=term)
+            phase *= unit
             if not np.any(q_seed):
                 break
-        coup = np.conj(psi[d:]) * psi[:n_dim - d]
-        if not np.any(coup):
+            np.copyto(phase_re, phase.real)
+        coup = np.conj(psis[:, d:]) * psis[:, :n_dim - d]
+        live = np.flatnonzero(coup.any(axis=0))
+        if not live.size:
             continue
-        acc = np.zeros_like(y)
-        q_prev = np.zeros_like(y)
-        q_cur = q_seed
+        steps = int(live[-1]) + 1
+        nonzero = (coup != 0).tolist()
+        real = (coup.imag == 0).tolist()
+        coup_re = coup.real.tolist()
+        active = [s for s in range(n_states) if any(nonzero[s])]
+        for s in active:
+            acc[s].fill(0.0)
+        np.copyto(q_cur, q_seed)
         sign = 1.0
-        for n in range(n_dim - d):
-            if d == 0:
-                acc += (sign * coup[n].real) * q_cur
-            else:
-                acc += sign * (coup[n] * phase).real * q_cur
+        for n in range(steps):
+            for s in active:
+                if not nonzero[s][n]:
+                    continue
+                if d == 0:
+                    np.multiply(q_cur, sign * coup_re[s][n], out=term)
+                elif real[s][n]:
+                    np.multiply(phase_re, sign * coup_re[s][n], out=term)
+                    term *= q_cur
+                else:
+                    if product is None:
+                        product = np.empty_like(phase)
+                    np.multiply(coup[s, n], phase, out=product)
+                    np.multiply(product.real, sign, out=term)
+                    term *= q_cur
+                acc[s] += term
             sign = -sign
-            q_next = ((2 * n + 1 + d - y) * q_cur
-                      - math.sqrt(n * (n + d)) * q_prev) / math.sqrt((n + 1) * (n + 1 + d))
-            q_prev, q_cur = q_cur, q_next
-        total += acc if d == 0 else 2.0 * acc
-    return (2.0 / math.pi) * total
+            if n + 1 == steps:
+                break
+            np.subtract(2 * n + 1 + d, y, out=spare)
+            spare *= q_cur
+            if n:               # Q_{-1,d} = 0, and x - 0 * 0 is x
+                q_prev *= math.sqrt(n * (n + d))
+                spare -= q_prev
+            spare /= math.sqrt((n + 1) * (n + 1 + d))
+            q_prev, q_cur, spare = q_cur, spare, q_prev
+        for s in active:
+            if d > 0:
+                acc[s] *= 2.0
+            total[s] += acc[s]
+    total *= 2.0 / math.pi
+    return total
+
+
+def _check_wigner_work(dim: int, spec: WignerGridSpec):
+    """Reject, before allocating, a grid whose buffers or recurrence would
+    run past the budget."""
+    cells = spec.nx * spec.np
+    work = cells * dim * (dim + 1) / 2
+    if cells > _WIGNER_CELLS or work > _WIGNER_BUDGET:
+        raise ValueError(
+            f"Wigner grid of {spec.nx}x{spec.np} points at dim {dim} needs "
+            f"{work:.2e} recurrence cell-steps; the budget is {_WIGNER_CELLS:.0e} "
+            f"points and {_WIGNER_BUDGET:.0e} cell-steps; lower --alpha/--dim or --grid")
+
+
+def _coverage_warning(s: FockState, spec: WignerGridSpec) -> str | None:
+    """A warning if the window covers less than 5 standard deviations of the
+    state's quadrature spread (no check once the tail is too heavy)."""
+    if s.tail_mass > TAIL_GATE:
+        return None
+    stats = quadrature_variances(s)
+    _, a1, _ = _ladder_moments(s)
+    sx, sp = math.sqrt(stats.var_x), math.sqrt(stats.var_p)
+    if (a1.real - 5 * sx < spec.x_min or a1.real + 5 * sx > spec.x_max
+            or a1.imag - 5 * sp < spec.p_min or a1.imag + 5 * sp > spec.p_max):
+        return "grid covers less than 5 standard deviations of the state"
+    return None
+
+
+def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerGrid]:
+    """Wigner functions of normalized states on one grid, yielded in order.
+
+    Every state is checked (normalization, work budget) before anything is
+    allocated; then blocks of states share one recurrence
+    (`_wigner_values`), and each grid is bitwise what a block of one gives.
+    """
+    if spec is None:
+        spec = WignerGridSpec()
+    states = list(states)
+    for s in states:
+        if abs(s.norm_squared() - 1.0) > 1e-10:
+            raise ValueError("state must be normalized")
+        _check_wigner_work(s.dim, spec)
+    return _wigner_blocks(states, spec)
+
+
+def _wigner_blocks(states: list[FockState], spec: WignerGridSpec) -> Iterator[WignerGrid]:
+    xs, ps = spec.x_axis(), spec.p_axis()
+    for start in range(0, len(states), _BLOCK):
+        block = states[start:start + _BLOCK]
+        psis = np.zeros((len(block), max(s.dim for s in block)), dtype=complex)
+        for row, s in zip(psis, block):
+            row[:s.dim] = s.amplitudes
+        for s, values in zip(block, _wigner_values(psis, xs, ps)):
+            yield WignerGrid(spec, values, _coverage_warning(s, spec))
 
 
 def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:
@@ -231,22 +337,11 @@ def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:
 
     Normalized so that the vacuum gives W(0,0) = 2/pi and the full-plane
     integral is 1.  If the window covers less than 5 standard deviations of
-    the state's quadrature spread a coverage warning is recorded.
+    the state's quadrature spread a coverage warning is recorded.  This is
+    the one-state case of `wigner_grids`.
     """
-    if spec is None:
-        spec = WignerGridSpec()
-    if abs(s.norm_squared() - 1.0) > 1e-10:
-        raise ValueError("state must be normalized")
-    values = _wigner_values(s.amplitudes, spec.x_axis(), spec.p_axis())
-    warning = None
-    stats = quadrature_variances(s) if s.tail_mass <= TAIL_GATE else None
-    if stats is not None:
-        _, a1, _ = _ladder_moments(s)
-        sx, sp = math.sqrt(stats.var_x), math.sqrt(stats.var_p)
-        if (a1.real - 5 * sx < spec.x_min or a1.real + 5 * sx > spec.x_max
-                or a1.imag - 5 * sp < spec.p_min or a1.imag + 5 * sp > spec.p_max):
-            warning = "grid covers less than 5 standard deviations of the state"
-    return WignerGrid(spec, values, warning)
+    [grid] = wigner_grids([s], spec)
+    return grid
 
 
 def wigner_negativity(w: WignerGrid) -> tuple[float, float]:
@@ -259,11 +354,11 @@ def wigner_negativity(w: WignerGrid) -> tuple[float, float]:
 
 def wigner_to_csv(w: WignerGrid) -> str:
     """Row-major CSV with header x,p,w; 9 significant digits."""
-    xs, ps = w.spec.x_axis(), w.spec.p_axis()
+    ps = [fmt9(p) for p in w.spec.p_axis()]
     lines = ["x,p,w"]
-    for i in range(w.spec.nx):
-        for j in range(w.spec.np):
-            lines.append(f"{fmt9(xs[i])},{fmt9(ps[j])},{fmt9(w.values[i, j])}")
+    for x, row in zip(w.spec.x_axis(), w.values):
+        x_cell = fmt9(x)
+        lines.extend(f"{x_cell},{p},{fmt9(v)}" for p, v in zip(ps, row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (quadrature_variances, variance_p_analytic,
-                       variance_x_analytic, g2, wigner, wigner_negativity,
-                       VACUUM_VARIANCE)
+                       variance_x_analytic, g2, wigner_grids,
+                       wigner_negativity, VACUUM_VARIANCE)
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
                         iterated_pcoc, iterated_pcoc_scan, pcoc_state,
                         success_probability_analytic)
@@ -71,8 +71,16 @@ class SweepSpec:
             raise ValueError("duplicate sweep axes")
 
 
-def _evaluate_point(spec: SweepSpec, params: dict, warn) -> tuple[float, float]:
-    """(metric value, success probability) at one grid point."""
+def _point_state(spec: SweepSpec, params: dict) -> tuple[FockState, float]:
+    """(heralded state, success probability) at one grid point."""
+    return pcoc_state(CatalysisConfig(params.get("alpha", spec.alpha),
+                                      BeamSplitter(params.get("r2", spec.r2)),
+                                      int(params.get("k", spec.k))))
+
+
+def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
+    """(metric value, success probability) at one grid point, for every
+    metric but wigner_min."""
     alpha = params.get("alpha", spec.alpha)
     r2 = params.get("r2", spec.r2)
     k = int(params.get("k", spec.k))
@@ -88,8 +96,7 @@ def _evaluate_point(spec: SweepSpec, params: dict, warn) -> tuple[float, float]:
         prob = success_probability_analytic(alpha, bs)
         return prob, prob
 
-    cfg = CatalysisConfig(alpha, bs, k)
-    state, prob = pcoc_state(cfg)
+    state, prob = _point_state(spec, params)
     if spec.metric in ("var_x_db", "var_p_db"):
         stats = quadrature_variances(state)
         var = stats.var_x if spec.metric == "var_x_db" else stats.var_p
@@ -100,24 +107,31 @@ def _evaluate_point(spec: SweepSpec, params: dict, warn) -> tuple[float, float]:
         return g2(number_distribution(state)), prob
     if spec.metric == "fidelity_to_target":
         return fidelity(state, spec.target), prob
-    if spec.metric == "wigner_min":
-        grid = wigner(state)
-        if warn and grid.coverage_warning:
-            warn(grid.coverage_warning)
-        min_w, _ = wigner_negativity(grid)
-        return min_w, prob
     raise AssertionError(spec.metric)
 
 
 def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     """Row-major table over the declared axes: (*axis values, metric, success_prob).
 
-    ``warn``, if given, is called with each Wigner coverage warning."""
+    ``warn``, if given, is called with each Wigner coverage warning.  The
+    wigner_min metric builds every point's state first, in row order, and
+    then takes all their Wigner grids in shared blocks (`wigner_grids`)."""
     grids = [a.values() for a in spec.axes]
     mesh = np.meshgrid(*grids, indexing="ij")
     names = [a.name for a in spec.axes]
-    return [combo + _evaluate_point(spec, dict(zip(names, combo)), warn)
-            for combo in zip(*(m.ravel() for m in mesh))]
+    combos = list(zip(*(m.ravel() for m in mesh)))
+    if spec.metric != "wigner_min":
+        return [combo + _evaluate_point(spec, dict(zip(names, combo)))
+                for combo in combos]
+    states, probs = zip(*(_point_state(spec, dict(zip(names, combo)))
+                          for combo in combos))
+    rows = []
+    for combo, prob, grid in zip(combos, probs, wigner_grids(states)):
+        if warn and grid.coverage_warning:
+            warn(grid.coverage_warning)
+        min_w, _ = wigner_negativity(grid)
+        rows.append(combo + (min_w, prob))
+    return rows
 
 
 @dataclass(frozen=True)

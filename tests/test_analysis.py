@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
@@ -12,14 +13,16 @@ from photon_catalysis.analysis import (DomainError, VACUUM_VARIANCE,
                                        locus_alpha_min, quadrature_variances,
                                        variance_p_analytic,
                                        variance_x_analytic, wigner,
-                                       wigner_negativity, wigner_to_csv,
-                                       wigner_to_pgm)
+                                       wigner_grids, wigner_negativity,
+                                       wigner_to_csv, wigner_to_pgm)
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         pcoc_state,
                                         success_probability_analytic)
 from photon_catalysis.fock import (FockState, PhotonNumberDistribution,
                                    UndefinedQuantityError, make_coherent,
                                    make_fock, number_distribution)
+
+from _wigner_oracle import wigner_values_one_state
 
 ALPHAS = np.linspace(0.3, 2.2, 5)
 R2S = np.linspace(0.05, 0.95, 5)
@@ -191,6 +194,80 @@ class TestWignerValues:
         assert w.integral() == pytest.approx(1.0, abs=1e-6)
         # real amplitudes give W(x, -p) = W(x, p); the p grid is symmetric
         assert np.abs(w.values - w.values[:, ::-1]).max() < 1e-12
+
+
+def _random_state(seed: int, dim: int, complex_amps: bool) -> FockState:
+    """Random normalized amplitudes, about a quarter of them exactly zero."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_amps else 0.0)
+    amps[rng.random(dim) < 0.25] = 0.0
+    if not amps.any():
+        amps[-1] = 1.0
+    return FockState(amps / np.linalg.norm(amps), 0.0)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+class TestWignerKernel:
+    """The block kernel reproduces the one-state recurrence bit for bit."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 40),
+           complex_amps=st.booleans(), nx=st.integers(2, 14),
+           n_p=st.integers(2, 14),
+           bounds=st.tuples(*(st.floats(0.5, 6.0) for _ in range(4))))
+    def test_matches_frozen_one_state_loop(self, seed, dim, complex_amps, nx,
+                                          n_p, bounds):
+        state = _random_state(seed, dim, complex_amps)
+        spec = WignerGridSpec(x_min=-bounds[0], x_max=bounds[1],
+                              p_min=-bounds[2], p_max=bounds[3], nx=nx, np=n_p)
+        want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
+                                       spec.p_axis())
+        got = wigner(state, spec).values
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_mixed_dim_blocks_equal_one_at_a_time(self):
+        """Six states in blocks of four and two, padded to the longest."""
+        states = [_random_state(i, dim, i % 2 == 1)
+                  for i, dim in enumerate((3, 17, 1, 25, 9, 12))]
+        states.append(make_coherent(2.5, dim=40))
+        spec = WignerGridSpec(x_min=-2.5, x_max=3.0, p_min=-3.5, p_max=2.0,
+                              nx=18, np=13)
+        grids = list(wigner_grids(states, spec))
+        assert len(grids) == len(states)
+        for state, grid in zip(states, grids):
+            alone = wigner(state, spec)
+            assert np.array_equal(_bits(grid.values), _bits(alone.values))
+            assert grid.coverage_warning == alone.coverage_warning
+        assert grids[-1].coverage_warning is not None
+
+    def test_every_state_checked_before_any_grid(self):
+        unnormalized = FockState(np.array([1.0, 1.0]), 0.0)
+        with pytest.raises(ValueError, match="normalized"):
+            wigner_grids([make_fock(0, 3), unnormalized])
+
+    def test_work_budget_names_the_flags(self):
+        """nx np dim (dim + 1) / 2 above 2e9 cell-steps is refused up front."""
+        spec = WignerGridSpec(nx=3, np=3)
+        with pytest.raises(ValueError, match="--alpha/--dim or --grid"):
+            wigner(make_fock(0, 21082), spec)
+        assert wigner(make_fock(0, 21081), spec).values.shape == (3, 3)
+
+    def test_grid_point_budget(self):
+        with pytest.raises(ValueError, match="--grid"):
+            wigner(make_fock(0, 1), WignerGridSpec(nx=1001, np=1000))
+
+    @pytest.mark.parametrize("bounds", [
+        (math.nan, 5.0), (-math.inf, math.inf), (-5.0, math.nan),
+        (-1e308, 1e308), (-1e200, 1e200)])
+    def test_grid_bounds_must_be_finite(self, bounds):
+        lo, hi = bounds
+        with pytest.raises(ValueError, match="--grid"):
+            WignerGridSpec(x_min=lo, x_max=hi, p_min=lo, p_max=hi, nx=21, np=21)
+        with pytest.raises(ValueError, match="--grid"):
+            WignerGridSpec(p_min=lo, p_max=hi)
 
 
 class TestNegativity:

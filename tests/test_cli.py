@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photon_catalysis
 from photon_catalysis.cli import main
 from photon_catalysis.fock import state_from_json
 
@@ -243,6 +247,28 @@ class TestTopLevel:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestWignerBytes:
+    """README Wigner commands and a padded-block wigner_min sweep, hashed
+    before the Wigner recurrence was shared across blocks of states."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["wigner", "--alpha", "1", "--r2", "0.332", "--grid", "201",
+          "--format", "csv"],
+         "0ce56d5146115079f4f4973b2b1c67da12dae8bab7e84612a89020ad3c9a1a41"),
+        (["wigner", "--alpha", "2", "--r2", "0.5", "--k", "2", "--grid=-5:5:201",
+          "--format", "pgm"],
+         "0e071d1a50bd2be098310819e746beba97c67a7573917de411ef42a8f658736a"),
+        (["sweep", "--metric", "wigner_min", "--axis", "alpha:0.5:2.5:9",
+          "--axis", "k:1:3:3", "--r2", "0.4"],
+         "eecafdf9b9899c786a369d306da2df4e10e899f495a5353f60d894f2c33d1099"),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestInputGates:
     """Inputs that used to hang, exhaust memory or fail late exit 2 at once."""
 
@@ -320,3 +346,26 @@ class TestInputGates:
                               "--axis", "alpha:0.5:1:2", "--r2", "0.5",
                               "--out", str(out))
         assert code == 0 and stderr == ""
+
+    @pytest.mark.parametrize("grid", ["nan:5:21", "-inf:inf:21", "-5:nan:21"])
+    def test_wigner_rejects_non_finite_grid(self, tmp_path, capsys, grid):
+        """Each used to exit 0 with integral = nan and a CSV of nan."""
+        out = tmp_path / "w.csv"
+        code, stdout, stderr = run(capsys, "wigner", "--alpha", "1", "--r2", "0.5",
+                                   f"--grid={grid}", "--out", str(out))
+        assert code == 2
+        assert "--grid" in stderr
+        assert stdout == "" and not out.exists()
+
+    def test_state_over_the_wigner_budget_exits_at_once(self, tmp_path):
+        """dim 1015 inside the window gate: the 201^2 recurrence ran past 20 s."""
+        src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "photon_catalysis.cli", "state", "--alpha", "28",
+             "--r2", "0.5"], env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=10)
+        assert proc.returncode == 2
+        assert "--alpha/--dim or --grid" in proc.stderr
+        assert proc.stdout == ""

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from photon_catalysis.analysis import VACUUM_VARIANCE, variance_x_analytic
+from photon_catalysis.analysis import (VACUUM_VARIANCE, variance_x_analytic,
+                                       wigner, wigner_negativity)
 from photon_catalysis import design
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         IteratedConfig, iterated_pcoc,
@@ -14,7 +15,7 @@ from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
 from photon_catalysis.design import (Axis, DesignProblem, SweepSpec, METRICS,
                                      optimize_reflectivities,
                                      optimize_result_to_json, sweep)
-from photon_catalysis.fock import fidelity, make_fock
+from photon_catalysis.fock import UndefinedQuantityError, fidelity, make_fock
 
 
 class TestAxes:
@@ -109,6 +110,36 @@ class TestSweepMatchesOracle:
         want = sweep(spec)
         for row, ref in zip(got, want):
             assert row == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+class TestWignerMinBlocks:
+    def test_alpha_by_k_sweep_equals_per_point_wigner(self):
+        """Nine points in blocks of 4, 4 and 1 whose states differ in dim."""
+        spec = SweepSpec((Axis("alpha", 0.5, 3.5, 3), Axis("k", 1, 3, 3)),
+                         "wigner_min", r2=0.4)
+        warnings = []
+        rows = sweep(spec, warnings.append)
+        want_rows, want_warnings = [], []
+        for alpha in (0.5, 2.0, 3.5):
+            for k in (1, 2, 3):
+                state, prob = pcoc_state(CatalysisConfig(alpha, BeamSplitter(0.4), k))
+                grid = wigner(state)
+                if grid.coverage_warning:
+                    want_warnings.append(grid.coverage_warning)
+                want_rows.append((alpha, k, wigner_negativity(grid)[0], prob))
+        assert rows == want_rows
+        assert warnings == want_warnings and warnings
+
+    def test_first_failing_point_raises(self):
+        """States are built in row order before any grid, so the error is
+        the first point's, as it was when each point built its own grid."""
+        spec = SweepSpec((Axis("k", -1, 1, 3),), "wigner_min", alpha=0.0,
+                         r2=1.0)
+        with pytest.raises(ValueError):
+            sweep(spec)
+        with pytest.raises(UndefinedQuantityError):
+            sweep(SweepSpec((Axis("k", 0, 1, 2),), "wigner_min", alpha=0.0,
+                            r2=1.0))
 
 
 class TestDesignProblem:
