@@ -45,13 +45,18 @@ def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
     """dim, or default_dim(alpha, k) when None, checked before anything is allocated."""
     if not cmath.isfinite(alpha):
         raise ValueError(f"--alpha/--alpha2 must be finite, got {alpha}")
-    if dim is None:
-        dim = default_dim(alpha, k)
-    if dim + k > _MAX_WINDOW:
-        raise ValueError(
-            f"dim + k = {dim + k} exceeds {_MAX_WINDOW}, the largest window whose "
-            f"binomials fit a float; lower --alpha/--alpha2, --k or --dim")
-    return dim
+    # A mean photon number |alpha|^2 above the largest window fits no window,
+    # and default_dim overflows on it once |alpha| passes 1e154.
+    if abs(alpha) > math.sqrt(_MAX_WINDOW):
+        size = f"|alpha|^2 = ({abs(alpha):.6g})^2"
+    else:
+        dim = default_dim(alpha, k) if dim is None else dim
+        if dim + k <= _MAX_WINDOW:
+            return dim
+        size = f"dim + k = {dim + k}"
+    raise ValueError(
+        f"{size} exceeds {_MAX_WINDOW}, the largest window whose "
+        f"binomials fit a float; lower --alpha/--alpha2, --k or --dim")
 
 
 @dataclass(frozen=True)
@@ -233,33 +238,72 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
     The returned probability is the joint success probability of all stage
     heralds, which for a cascade factorizes through the product coefficients.
     """
-    result, = iterated_pcoc_scan(cfg, 0, (cfg.stages[0][0],))
+    result, = iterated_pcoc_scan(cfg, None)
     if result is None:
         raise UndefinedQuantityError("herald outcome has zero probability")
     return result
 
 
-def iterated_pcoc_scan(cfg: IteratedConfig, stage: int,
-                       r2s) -> list[tuple[FockState, float] | None]:
-    """iterated_pcoc at every r2 in r2s for one stage, the others as in cfg.
+def iterated_pcoc_scan(cfg: IteratedConfig, stage: int | None,
+                       r2s=()) -> list[tuple[FockState, float] | None]:
+    """iterated_pcoc at every r2 in r2s for one stage, the others as in cfg;
+    with stage None, the one entry of the cascade as declared.
 
     Each entry is bitwise what iterated_pcoc returns for that cascade, or None
-    where the heralds cannot all fire.  The stage products are taken in
-    declaration order, as the one-point cascade takes them.
+    where the heralds cannot all fire.
     """
-    if not 0 <= stage < len(cfg.stages):
+    prod = _stage_product(cfg, stage, r2s)
+    u_amps, tail = _coherent(cfg.alpha, cfg.dim)
+    return [None if h is None else (FockState(h[0], tail), h[1])
+            for h in (_heralded(u_amps, row) for row in prod)]
+
+
+@lru_cache(maxsize=1024)
+def _coefficient_row(r2: float, k: int, dim: int) -> np.ndarray:
+    """catalysis_coefficients((r2,), k, dim)[0], which no batch changes.  Read-only."""
+    row = catalysis_coefficients((r2,), k, dim)[0]
+    row.flags.writeable = False
+    return row
+
+
+@lru_cache(maxsize=64)
+def _window(alpha: float, dim: int) -> tuple[np.ndarray, float]:
+    """coherent_window(alpha, dim) for a real alpha.  Read-only."""
+    amps, tail = coherent_window(alpha, dim)
+    amps.flags.writeable = False
+    return amps, tail
+
+
+def _coherent(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
+    """coherent_window(alpha, dim), cached for a real alpha.  A complex alpha
+    skips the cache: 0.8j and -0+0.8j are one key but differ in zero signs."""
+    if isinstance(alpha, complex):
+        return coherent_window(alpha, dim)
+    return _window(alpha, dim)
+
+
+def _stage_product(cfg: IteratedConfig, stage: int | None, r2s) -> np.ndarray:
+    """Rows of the product of the stage coefficients, taken in declaration
+    order.  Stage None gives the one row of the cascade as declared; otherwise
+    one row per r2 in r2s at that stage.  Fixed stages come from the row cache.
+    """
+    if stage is not None and not 0 <= stage < len(cfg.stages):
         raise ValueError(f"stage {stage} out of range for {len(cfg.stages)} stages")
-    u_amps, tail = coherent_window(cfg.alpha, cfg.dim)
-    prod = np.ones((len(r2s), cfg.dim))
+    prod = np.ones((1 if stage is None else len(r2s), cfg.dim))
     for s, (r2, k) in enumerate(cfg.stages):
-        prod *= catalysis_coefficients(r2s if s == stage else (r2,), k, cfg.dim)
-    results = []
-    for row in prod:
-        raw = u_amps * row
-        prob = float(np.vdot(raw, raw).real)
-        results.append(None if prob < 1e-300
-                       else (FockState(raw, tail).normalized(), prob))
-    return results
+        prod *= (catalysis_coefficients(r2s, k, cfg.dim) if s == stage
+                 else _coefficient_row(r2, k, cfg.dim))
+    return prod
+
+
+def _heralded(u_amps: np.ndarray, prod: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(normalized amplitudes, herald probability) through one stage-product
+    row, as FockState.normalized() takes them; None if the heralds cannot fire."""
+    raw = u_amps * prod
+    prob = float(np.vdot(raw, raw).real)
+    if prob < 1e-300:
+        return None
+    return raw / math.sqrt(prob), prob
 
 
 @lru_cache(maxsize=16)

@@ -29,23 +29,28 @@ def _die(msg: str, code: int) -> int:
     return code
 
 
-def _parse_axis(text: str) -> Axis:
+def _parse_axis(text: str, flag: str = "--axis") -> Axis:
     """An inclusive scan "name:lo:hi:steps"."""
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ValueError(f"axis spec {text!r}; expected name:lo:hi:steps")
-    return Axis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
+    try:
+        name, lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise ValueError(f"{flag} spec {text!r}; expected name:lo:hi:steps "
+                         f"with integer steps") from None
+    return Axis(name, lo, hi, steps)
 
 
 def _parse_grid(text: str) -> WignerGridSpec:
     """Either a point count "201" or an extent spec "min:max:n"."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        n = int(parts[0])
+    *extent, n = text.split(":")
+    try:
+        n = int(n)
+        lo, hi = map(float, extent) if extent else (None, None)
+    except ValueError:
+        raise ValueError(f"--grid spec {text!r}; expected n or min:max:n "
+                         f"with integer n") from None
+    if lo is None:
         return WignerGridSpec(nx=n, np=n)
-    if len(parts) != 3:
-        raise ValueError(f"grid spec {text!r}; expected n or min:max:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     return WignerGridSpec(x_min=lo, x_max=hi, p_min=lo, p_max=hi, nx=n, np=n)
 
 
@@ -120,8 +125,11 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_joint(args) -> int:
+    if args.alpha2 < 0:  # a non-finite one is refused by the window check
+        raise ValueError(f"--alpha2 must be >= 0, got {args.alpha2}")
     alpha = math.sqrt(args.alpha2)
-    r2s = _parse_axis(f"r2:{args.r2}").values() if ":" in args.r2 else [args.r2]
+    r2s = (_parse_axis(f"r2:{args.r2}", "--r2").values() if ":" in args.r2
+           else [args.r2])
     lines = ["r2,i,j,p"]
     for r2 in map(float, r2s):
         cfg = CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim)

@@ -11,10 +11,9 @@ from .analysis import (quadrature_variances, variance_p_analytic,
                        variance_x_analytic, g2, wigner_grids,
                        wigner_negativity, VACUUM_VARIANCE)
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
-                        iterated_pcoc, iterated_pcoc_scan, pcoc_state,
+                        _coherent, _heralded, _stage_product, pcoc_state,
                         success_probability_analytic)
-from .fock import (FockState, UndefinedQuantityError, fidelity, fmt17,
-                   number_distribution)
+from .fock import FockState, _overlap, fidelity, fmt17, number_distribution
 
 __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
@@ -178,12 +177,15 @@ class OptimizeResult:
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to parameter tolerance tol."""
+    """Golden-section maximization on [lo, hi] to parameter tolerance tol,
+    or until rounding stops a step from narrowing the bracket."""
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -239,18 +241,25 @@ def _cascade(problem: DesignProblem, coords) -> IteratedConfig:
 def _fidelity_at(problem: DesignProblem, coords) -> tuple[float, float]:
     """(fidelity, success probability) at one point; a probe whose heralds
     cannot all fire scores (0, 0)."""
-    try:
-        state, prob = iterated_pcoc(_cascade(problem, coords))
-    except UndefinedQuantityError:
-        return 0.0, 0.0
-    return fidelity(state, problem.target), prob
+    return _scores(problem, coords, None, ())[0]
 
 
 def _fidelity_scan(problem: DesignProblem, coords, stage: int, xs) -> list[float]:
     """Fidelity with stage ``stage`` at each of xs: bitwise _fidelity_at's,
     from one batched cascade."""
-    results = iterated_pcoc_scan(_cascade(problem, coords), stage, xs)
-    return [0.0 if r is None else fidelity(r[0], problem.target) for r in results]
+    return [fid for fid, _ in _scores(problem, coords, stage, xs)]
+
+
+def _scores(problem: DesignProblem, coords, stage: int | None,
+            xs) -> list[tuple[float, float]]:
+    """(fidelity, success probability) per row of _stage_product, bitwise what
+    fidelity gives on iterated_pcoc_scan's states, without building them."""
+    cfg = _cascade(problem, coords)
+    prod = _stage_product(cfg, stage, xs)
+    u_amps, _ = _coherent(cfg.alpha, cfg.dim)
+    target = problem.target.amplitudes
+    return [(0.0, 0.0) if h is None else (_overlap(h[0], target), h[1])
+            for h in (_heralded(u_amps, row) for row in prod)]
 
 
 def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:

@@ -177,14 +177,23 @@ def make_css(alpha: float, beta: float, dim: int | None = None,
 
 def inner_product(a: FockState, b: FockState) -> complex:
     """<a|b> with zero padding when dimensions differ."""
-    n = min(a.dim, b.dim)
-    # Amplitudes beyond the shorter window pair with zeros and drop out.
-    return complex(np.vdot(a.amplitudes[:n], b.amplitudes[:n]))
+    return _inner(a.amplitudes, b.amplitudes)
 
 
 def fidelity(a: FockState, b: FockState) -> float:
     """|<a|b>|^2 for pure states."""
-    return abs(inner_product(a, b)) ** 2
+    return _overlap(a.amplitudes, b.amplitudes)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> complex:
+    n = min(a.size, b.size)
+    # Amplitudes beyond the shorter window pair with zeros and drop out.
+    return complex(np.vdot(a[:n], b[:n]))
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two amplitude vectors, as fidelity takes it."""
+    return abs(_inner(a, b)) ** 2
 
 
 def number_distribution(s: FockState) -> PhotonNumberDistribution:

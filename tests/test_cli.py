@@ -322,6 +322,57 @@ class TestInputGates:
         assert "--dim" in stderr and "--alpha" in stderr
         assert not (tmp_path / "unused.csv").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["wigner", "--alpha", "1", "--r2", "0.5", "--grid", "201.5"], "--grid"),
+        (["sweep", "--metric", "g2", "--axis", "alpha:1:2:2.5"], "--axis"),
+        (["joint", "--alpha2", "-1", "--r2", "0.5"], "--alpha2"),
+    ])
+    def test_malformed_numbers_are_named(self, tmp_path, capsys, argv, flag):
+        """Each printed Python's bare int() or math domain error."""
+        out = tmp_path / "out"
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert flag in stderr and "int()" not in stderr and "domain" not in stderr
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "--alpha", "1e200", "--r2", "0.5"],
+        ["state", "--alpha", "1e200", "--r2", "0.5", "--dim", "30"],
+        ["optimize", "--stages", "1", "--k", "1", "--alpha", "1",
+         "--alpha-bounds", "1e-300:1e300"],
+    ])
+    def test_overflowing_alpha_is_a_usage_error(self, tmp_path, capsys, argv):
+        """|alpha|^2 overflowed default_dim and exited 3 "(34, 'Numerical
+        result out of range')"."""
+        target = tmp_path / "t.json"
+        assert main(["state", "--alpha", "1", "--r2", "0.37",
+                     "--out", str(target)]) == 0
+        capsys.readouterr()
+        if argv[0] == "optimize":
+            argv = argv + ["--target", str(target)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert "--alpha" in stderr and "1030" in stderr
+        assert stdout == ""
+
+    def test_tolerance_below_rounding_finishes(self, tmp_path):
+        """The golden section looped forever once its bracket was a few ulps
+        wide and still wider than --tol 1e-17."""
+        src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        cli = [sys.executable, "-m", "photon_catalysis.cli"]
+        subprocess.run(cli + ["state", "--alpha", "1", "--r2", "0.37", "--k", "1",
+                              "--out", "st.json"], env=env, cwd=tmp_path,
+                       capture_output=True, check=True, timeout=10)
+        proc = subprocess.run(
+            cli + ["optimize", "--target", "st.json", "--stages", "1", "--k", "1",
+                   "--alpha", "1", "--tol", "1e-17"], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["stages"][0] == pytest.approx(0.37, abs=1e-6)
+
     def test_state_reports_wigner_coverage(self, capsys):
         argv = ["state", "--alpha", "3.5", "--r2", "0.5"]
         code, stdout, stderr = run(capsys, *argv)
@@ -369,3 +420,28 @@ class TestInputGates:
         assert proc.returncode == 2
         assert "--alpha/--dim or --grid" in proc.stderr
         assert proc.stdout == ""
+
+
+class TestOptimizeBytes:
+    """fit.json of the README target, hashed before optimizer probes took
+    their fixed stage rows and coherent windows from caches."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--stages", "2", "--k", "1,1", "--alpha", "1.0"],
+         "9d39df7f1b3a0c748d0427d872b95bb16a812c32ed9df12188d4a6f3456f7739"),
+        (["--stages", "3", "--k", "1,2,1", "--alpha", "1.0",
+          "--alpha-bounds", "0.5:2", "--tol", "1e-4"],
+         "5b621944e0059abe585d6230a06ad06535f8d813d62ab45753389953dd4207e8"),
+        (["--stages", "2", "--k", "2,3", "--alpha", "1.4", "--tol", "1e-8"],
+         "c9b0dc903b9fbc0e7452691da6c9a9ba2e3d3e9a0f4f9b1b28602a7c6096016c"),
+    ])
+    def test_readme_target_fits_are_pinned(self, tmp_path, capsys, argv, digest):
+        target, out = tmp_path / "state.json", tmp_path / "fit.json"
+        assert main(["state", "--alpha", "1.35", "--r2", "0.77", "--k", "1",
+                     "--out", str(target)]) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "23d5e0eab9135ae2297cbca1f16bd90487fedd7f8fb756473c71dca91d37a3fb")
+        code, _, _ = run(capsys, "optimize", "--target", str(target), *argv,
+                         "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

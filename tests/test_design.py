@@ -5,17 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from photon_catalysis.analysis import (VACUUM_VARIANCE, variance_x_analytic,
                                        wigner, wigner_negativity)
-from photon_catalysis import design
+from photon_catalysis import catalysis, design
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
-                                        IteratedConfig, iterated_pcoc,
-                                        pcoc_oracle, pcoc_state)
+                                        IteratedConfig, catalysis_coefficients,
+                                        iterated_pcoc, pcoc_oracle, pcoc_state)
 from photon_catalysis.design import (Axis, DesignProblem, SweepSpec, METRICS,
                                      optimize_reflectivities,
                                      optimize_result_to_json, sweep)
-from photon_catalysis.fock import UndefinedQuantityError, fidelity, make_fock
+from photon_catalysis.fock import (UndefinedQuantityError, coherent_window,
+                                   fidelity, make_fock)
 
 
 class TestAxes:
@@ -264,6 +266,104 @@ class TestBatchedLineScan:
         batched = optimize_reflectivities(problem)
         monkeypatch.setattr(design, "_fidelity_scan", pointwise_scan)
         assert optimize_reflectivities(problem) == batched
+
+
+def reference_scores(problem, coords, stage, xs):
+    """(fidelity, success probability) per probe, straight from
+    catalysis_coefficients and coherent_window with no cache in between."""
+    cfg = IteratedConfig(problem.alpha, tuple(zip(coords, problem.ks)))
+    u_amps, _ = coherent_window(cfg.alpha, cfg.dim)
+    prod = np.ones((len(xs), cfg.dim))
+    for s, (r2, k) in enumerate(cfg.stages):
+        prod *= catalysis_coefficients(xs if s == stage else (r2,), k, cfg.dim)
+    target = problem.target.amplitudes
+    scores = []
+    for row in prod:
+        raw = u_amps * row
+        prob = float(np.vdot(raw, raw).real)
+        if prob < 1e-300:
+            scores.append((0.0, 0.0))
+            continue
+        amps = raw / math.sqrt(prob)
+        n = min(amps.size, target.size)
+        scores.append((abs(complex(np.vdot(amps[:n], target[:n]))) ** 2, prob))
+    return scores
+
+
+PROBE_R2 = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+TARGETS = [pcoc_state(CatalysisConfig(1.35, BeamSplitter(0.77), 1))[0],
+           pcoc_state(CatalysisConfig(0.4, BeamSplitter(0.3), 3))[0]]
+
+
+class TestProbeCaches:
+    """Optimizer probes take fixed stage rows and coherent windows from
+    bounded, read-only caches; every score stays bitwise the uncached one."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           alpha=st.floats(0.3, 2.5), target=st.sampled_from(TARGETS),
+           r2s=st.lists(PROBE_R2, min_size=3, max_size=3),
+           xs=st.lists(PROBE_R2, min_size=1, max_size=6), data=st.data())
+    @example(ks=[1, 1], alpha=1.0, target=TARGETS[0], r2s=[1.0, 0.5, 0.0],
+             xs=[0.0, 1.0, 0.5], data=None)  # a dead herald among the probes
+    def test_scores_equal_uncached_reference_bit_for_bit(self, ks, alpha, target,
+                                                         r2s, xs, data):
+        problem = DesignProblem(target, stages=len(ks), ks=tuple(ks), alpha=alpha)
+        coords = r2s[:len(ks)]
+        stage = data.draw(st.integers(0, len(ks) - 1)) if data else 0
+        ref = reference_scores(problem, coords, stage, xs)
+        for _ in range(2):  # cold, then warm caches
+            got = design._fidelity_scan(problem, coords, stage, xs)
+            assert bits(got) == bits([fid for fid, _ in ref])
+            for x, want in zip(xs, ref):
+                trial = [*coords[:stage], x, *coords[stage + 1:]]
+                assert bits(design._fidelity_at(problem, trial)) == bits(want)
+        assert bits(design._fidelity_at(problem, coords)) == \
+            bits(reference_scores(problem, coords, None, [None])[0])
+
+    def test_cached_arrays_are_read_only(self):
+        row = catalysis._coefficient_row(0.3, 2, 30)
+        amps, _ = catalysis._window(1.1, 30)
+        for array in (row, amps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_caches_stay_within_their_bounds(self):
+        problem = DesignProblem(TARGETS[0], stages=2, ks=(1, 2), alpha=1.0,
+                                tol=1e-3, alpha_bounds=(0.6, 1.6))
+        optimize_reflectivities(problem)
+        for alpha in np.linspace(0.5, 2.0, 100):  # more windows than the bound
+            design._fidelity_at(problem, [0.3, 0.6, float(alpha)])
+        for cache, bound in ((catalysis._coefficient_row, 1024),
+                             (catalysis._window, 64)):
+            info = cache.cache_info()
+            assert info.maxsize == bound
+            assert 0 < info.currsize <= bound
+
+    def test_dead_herald_probe_scores_zero_with_warm_caches(self):
+        """r2 = 1 passes only |1> through a k = 1 stage; a balanced second
+        k = 1 stage cancels it (C_1 = t^2 - r^2 = 0)."""
+        problem = DesignProblem(TARGETS[0], stages=2, ks=(1, 1), alpha=1.0)
+        for _ in range(2):
+            assert design._fidelity_at(problem, [1.0, 0.5]) == (0.0, 0.0)
+        assert design._fidelity_at(problem, [0.9, 0.5])[0] > 0.0
+
+    def test_complex_alphas_with_signed_zero_parts_keep_their_bits(self):
+        """0.8j and -0+0.8j are equal keys whose windows differ in the sign of
+        zero parts, which an r2 = 1 stage leaves in the state; so a complex
+        alpha does not go through the window cache."""
+        for alpha in (complex(0.0, 0.8), complex(-0.0, 0.8)):
+            state, _ = iterated_pcoc(IteratedConfig(alpha, ((1.0, 1),)))
+            u_amps, _ = coherent_window(alpha, state.dim)
+            raw = u_amps * catalysis_coefficients((1.0,), 1, state.dim)[0]
+            want = raw / math.sqrt(float(np.vdot(raw, raw).real))
+            assert bits(state.amplitudes.view(float)) == bits(want.view(float))
+
+    def test_golden_section_stops_when_rounding_stalls_the_bracket(self):
+        """A tol below the spacing of floats near the optimum used to loop
+        forever; the search now ends at the narrowest bracket it can reach."""
+        x, v = design._golden_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0, 1e-300)
+        assert x == pytest.approx(0.37, abs=1e-7) and v <= 0.0
 
 
 class TestResultJson:
