@@ -5,6 +5,9 @@ Exit codes: 0 success, 2 usage or validation failure (including the
 truncation gate, which means a user-chosen --dim was too small), 3 numerical
 gate failure (pole in a closed form, zero-probability herald, overflow).
 Identical flags produce byte-identical output files.
+
+Each command imports the modules it runs, so --help and usage errors finish
+before numpy loads.
 """
 
 from __future__ import annotations
@@ -13,15 +16,9 @@ import argparse
 import math
 import sys
 
-from .analysis import (DomainError, PoleError, WignerGridSpec, g2,
-                       quadrature_variances, wigner, wigner_negativity,
-                       wigner_to_csv, wigner_to_pgm)
-from .catalysis import BeamSplitter, CatalysisConfig, pcoc_state
-from .design import (Axis, DesignProblem, SweepSpec, optimize_reflectivities,
-                     optimize_result_to_json, sweep, METRICS)
-from .detector import TMDConfig, joint_output_distribution
-from .fock import (FockState, TruncationError, UndefinedQuantityError, fmt9,
-                   number_distribution, state_from_json, state_to_json)
+from . import METRICS
+
+_MAX_BINS = 999  # (bins + 1)^2 joint cells per r2 point, the Wigner grid cap
 
 
 def _die(msg: str, code: int) -> int:
@@ -29,19 +26,23 @@ def _die(msg: str, code: int) -> int:
     return code
 
 
-def _parse_axis(text: str, flag: str = "--axis") -> Axis:
+def _parse_axis(text: str) -> Axis:
     """An inclusive scan "name:lo:hi:steps"."""
+    from .design import Axis
+
     try:
         name, lo, hi, steps = text.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
-        raise ValueError(f"{flag} spec {text!r}; expected name:lo:hi:steps "
+        raise ValueError(f"--axis spec {text!r}; expected name:lo:hi:steps "
                          f"with integer steps") from None
     return Axis(name, lo, hi, steps)
 
 
 def _parse_grid(text: str) -> WignerGridSpec:
     """Either a point count "201" or an extent spec "min:max:n"."""
+    from .analysis import WignerGridSpec
+
     *extent, n = text.split(":")
     try:
         n = int(n)
@@ -56,6 +57,8 @@ def _parse_grid(text: str) -> WignerGridSpec:
 
 def _build_state(alpha: float, r2: float, k: int,
                  dim: int | None) -> tuple[FockState, float]:
+    from .catalysis import BeamSplitter, CatalysisConfig, pcoc_state
+
     return pcoc_state(CatalysisConfig(alpha, BeamSplitter(r2), k, dim))
 
 
@@ -71,6 +74,9 @@ def _warn_coverage(*warnings: str | None):
 
 
 def cmd_state(args) -> int:
+    from .analysis import g2, quadrature_variances, wigner, wigner_negativity
+    from .fock import fmt9, number_distribution, state_to_json
+
     state, prob = _build_state(args.alpha, args.r2, args.k, args.dim)
     stats = quadrature_variances(state)
     g2_val = g2(number_distribution(state))
@@ -89,6 +95,9 @@ def cmd_state(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .design import SweepSpec, sweep
+    from .fock import fmt9, state_from_json
+
     axes = [_parse_axis(spec_text) for spec_text in args.axis]
     target = state_from_json(_read_file(args.target)) if args.target else None
     spec = SweepSpec(tuple(axes), args.metric, alpha=args.alpha, r2=args.r2,
@@ -112,6 +121,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    from .analysis import wigner, wigner_to_csv, wigner_to_pgm
+    from .fock import fmt9
+
     state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
     grid = wigner(state, _parse_grid(args.grid))
     _warn_coverage(grid.coverage_warning)
@@ -124,14 +136,35 @@ def cmd_wigner(args) -> int:
     return 0
 
 
+def _parse_r2(text: str) -> list[float]:
+    """joint's --r2: one value "0.5" or an inclusive scan "lo:hi:steps"."""
+    try:
+        if ":" not in text:
+            return [float(text)]
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise ValueError(f"--r2 spec {text!r}; expected VALUE|LO:HI:STEPS "
+                         f"with integer STEPS") from None
+    from .design import Axis  # only a scan loads design
+
+    return [float(r2) for r2 in Axis("r2", lo, hi, steps).values()]
+
+
 def cmd_joint(args) -> int:
+    from .catalysis import BeamSplitter, CatalysisConfig
+    from .detector import TMDConfig, joint_output_distribution
+    from .fock import fmt9
+
     if args.alpha2 < 0:  # a non-finite one is refused by the window check
         raise ValueError(f"--alpha2 must be >= 0, got {args.alpha2}")
+    if args.bins > _MAX_BINS:
+        raise ValueError(f"--bins {args.bins} exceeds {_MAX_BINS}: the joint "
+                         f"table has (bins + 1)^2 cells per r2 point, at "
+                         f"most 10^6")
     alpha = math.sqrt(args.alpha2)
-    r2s = (_parse_axis(f"r2:{args.r2}", "--r2").values() if ":" in args.r2
-           else [args.r2])
     lines = ["r2,i,j,p"]
-    for r2 in map(float, r2s):
+    for r2 in _parse_r2(args.r2):
         cfg = CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim)
         joint = joint_output_distribution(cfg, TMDConfig(args.eta1, args.bins),
                                           TMDConfig(args.eta2, args.bins))
@@ -145,10 +178,24 @@ def cmd_joint(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .design import (DesignProblem, optimize_reflectivities,
+                         optimize_result_to_json)
+    from .fock import state_from_json
+
     target = state_from_json(_read_file(args.target))
-    ks = tuple(int(s) for s in args.k.split(","))
-    alpha_bounds = (tuple(float(s) for s in args.alpha_bounds.split(":"))
-                    if args.alpha_bounds else None)
+    try:
+        ks = tuple(int(s) for s in args.k.split(","))
+    except ValueError:
+        raise ValueError(f"--k spec {args.k!r}; expected K1,K2,... with "
+                         f"integer K") from None
+    alpha_bounds = None
+    if args.alpha_bounds:
+        try:
+            lo, hi = map(float, args.alpha_bounds.split(":"))
+        except ValueError:
+            raise ValueError(f"--alpha-bounds spec {args.alpha_bounds!r}; "
+                             f"expected LO:HI") from None
+        alpha_bounds = (lo, hi)
     problem = DesignProblem(target=target, stages=args.stages, ks=ks,
                             alpha=args.alpha, tol=args.tol,
                             alpha_bounds=alpha_bounds)
@@ -235,6 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .analysis import DomainError, PoleError
+    from .fock import TruncationError, UndefinedQuantityError
+
     try:
         return args.func(args)
     except TruncationError as exc:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import METRICS
 from .analysis import (quadrature_variances, variance_p_analytic,
                        variance_x_analytic, g2, wigner_grids,
                        wigner_negativity, VACUUM_VARIANCE)
@@ -19,9 +20,6 @@ __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
     "sweep", "optimize_reflectivities", "optimize_result_to_json", "METRICS",
 ]
-
-METRICS = ("var_x_db", "var_p_db", "success_prob", "g2",
-           "fidelity_to_target", "wigner_min")
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -421,6 +421,54 @@ class TestInputGates:
         assert "--alpha/--dim or --grid" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv, spec", [
+        (["optimize", "--stages", "1", "--k", "x", "--alpha", "1"],
+         "--k spec 'x'; expected K1,K2,..."),
+        (["optimize", "--stages", "1", "--k", "1", "--alpha", "1",
+          "--alpha-bounds", "1:2:3"], "--alpha-bounds spec '1:2:3'; expected LO:HI"),
+        (["optimize", "--stages", "1", "--k", "1", "--alpha", "1",
+          "--alpha-bounds", "a:2"], "--alpha-bounds spec 'a:2'; expected LO:HI"),
+        (["joint", "--alpha2", "1", "--r2", "abc"],
+         "--r2 spec 'abc'; expected VALUE|LO:HI:STEPS"),
+        (["joint", "--alpha2", "1", "--r2", "0.1:0.5"],
+         "--r2 spec '0.1:0.5'; expected VALUE|LO:HI:STEPS"),
+    ])
+    def test_parse_errors_name_flag_and_form(self, tmp_path, capsys, argv, spec):
+        """Each printed Python's bare int(), float() or unpacking error, and
+        a malformed --r2 scan quoted an internal 'r2:' prefix."""
+        target, out = tmp_path / "t.json", tmp_path / "out"
+        if argv[0] == "optimize":
+            assert main(["state", "--alpha", "1", "--r2", "0.37",
+                         "--out", str(target)]) == 0
+            capsys.readouterr()
+            argv = argv + ["--target", str(target)]
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert spec in stderr and "'r2:" not in stderr
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("bins", ["1000", "100000"])
+    def test_joint_refuses_bins_before_allocating(self, tmp_path, bins):
+        """--bins 100000 exited 1 with numpy's traceback for a 74.5 GiB
+        (bins + 1)^2 table; run under a 2 GiB address-space cap."""
+        resource = pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "photon_catalysis.cli", "joint", "--alpha2",
+             "1", "--r2", "0.5:0.6:2", "--bins", bins, "--out", "j.csv"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"error: --bins {bins} exceeds 999: the joint table "
+                               f"has (bins + 1)^2 cells per r2 point, at most 10^6\n")
+        assert proc.stdout == "" and not (tmp_path / "j.csv").exists()
+
 
 class TestOptimizeBytes:
     """fit.json of the README target, hashed before optimizer probes took
@@ -445,3 +493,27 @@ class TestOptimizeBytes:
                          "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestHelpText:
+    """`catalysis [<command>] --help` at 80 columns, hashed while the parser
+    still took the sweep metrics from `design`."""
+
+    @pytest.mark.parametrize("command, digest", [
+        ([], "89b580f751b191a967ed441ba444d0815988841c7ba3c6ddb7f1eb083158a43a"),
+        (["state"], "c71fecc5e53e7929f46c703a444994ebdbc0bad33c1e63fb58e75b9465715038"),
+        (["sweep"], "b3b1a339c5be783c97d915974dfafb81822c2747039206fbe9ee882732b9f7c3"),
+        (["wigner"], "b67e631fa34901acd45f2b361e48acdbfb4e18ba421e0cce8af7027cec3e7ca2"),
+        (["joint"], "f5bbeb59845fdbf4e470e9ad0cd4c2b26f72017922610ae4ed5f626961c5cf2d"),
+        (["optimize"], "8441e06b8f550bb8430323b2b61efbb3b6307dd6f43a44e1261f5992b7827ea3"),
+    ])
+    def test_help_text_is_pinned(self, command, digest):
+        src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "photon_catalysis.cli", *command, "--help"],
+            env=env, capture_output=True, timeout=30)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
