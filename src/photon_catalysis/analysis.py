@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fock import (FockState, PhotonNumberDistribution, TAIL_GATE,
+from .fock import (FMT9, FockState, PhotonNumberDistribution, TAIL_GATE,
                    TruncationError, UndefinedQuantityError, factorial_moments,
                    fmt9)
 
@@ -190,6 +190,27 @@ _WIGNER_CELLS = 10 ** 6     # grid points; about 0.1 GiB of recurrence buffers
 _WIGNER_BUDGET = 2e9        # cell-steps nx * np * dim (dim + 1) / 2, about 10 s
 
 
+def _cell_rows(xs: np.ndarray, ps: np.ndarray):
+    """The grid's cells as R rows of m, ``cells[r] = (ix, ip)``, laid out so
+    that y = |2(x + ip)|^2 is bitwise equal down each column; returns
+    (cells, gamma, y) with gamma = 2(x + ip) per cell and y of row 0.
+
+    |.| is a hypot, which is symmetric, so on a grid whose axes are bitwise
+    equal row 0 is the upper triangle i <= j and row 1 its transpose (the
+    diagonal sits in both).  Any other grid, or one where the rows' y differ
+    after all, is one row of every cell."""
+    for square in (np.array_equal(xs, ps), False):
+        if square:
+            iu, ju = np.triu_indices(xs.size)
+            cells = np.array(((iu, ju), (ju, iu)))
+        else:
+            cells = np.indices((xs.size, ps.size)).reshape(1, 2, -1)
+        gamma = 2.0 * (xs[cells[:, 0]] + 1j * ps[cells[:, 1]])
+        y = np.abs(gamma) ** 2
+        if all(np.array_equal(y[0], row) for row in y[1:]):
+            return cells, gamma, y
+
+
 def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """W[state, ix, ip] for a block of states via a stable two-index recurrence.
 
@@ -203,30 +224,32 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
 
     seeded by Q_{0,d} = e^{-y/2} y^{d/2}/sqrt(d!); every Q is a unitary matrix
     element, so the recurrence never leaves [-1, 1] and no factorial ratios
-    appear.  Q does not depend on the state: each step is taken once for the
-    block in three rotating buffers, and each state with a nonzero coupling
+    appear.  Q depends on neither the state nor the cell beyond y: each step
+    is taken once for the block, and once for all rows of `_cell_rows`, in
+    three rotating buffers, and each state with a nonzero coupling
     conj(c_{n+d}) c_n adds its term to its own accumulator.  Every operation
-    on a state's values, and their order, is that of a one-state loop, so a
-    row is bitwise independent of the block it is computed in.
+    on a cell's values, and their order, is that of a one-state loop over
+    the whole grid, so a value is bitwise independent of the block and of
+    the row it is computed in.
     """
     n_states, n_dim = psis.shape
-    x_grid, p_grid = np.meshgrid(xs, ps, indexing="ij")
-    gamma = 2.0 * (x_grid + 1j * p_grid)
-    del x_grid, p_grid
-    y = np.abs(gamma) ** 2
+    cells, gamma, y_rows = _cell_rows(xs, ps)
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(y > 0.0, gamma / np.where(y > 0.0, np.abs(gamma), 1.0), 1.0)
-    del gamma
-    total = np.zeros((n_states,) + y.shape)
+        unit = np.where(y_rows > 0.0,
+                        gamma / np.where(y_rows > 0.0, np.abs(gamma), 1.0), 1.0)
+    y = y_rows[0].copy()
+    del gamma, y_rows
+    total = np.zeros((n_states,) + unit.shape)
     acc = np.empty_like(total)
     q_seed = np.exp(-y / 2.0)
     phase = np.ones_like(unit)
-    phase_re, q_prev, q_cur, spare, term = (np.empty_like(y) for _ in range(5))
+    q_prev, q_cur, spare = (np.empty_like(y) for _ in range(3))
+    phase_re, term = np.empty(unit.shape), np.empty(unit.shape)
     product = None              # complex scratch, only for complex couplings
     for d in range(n_dim):
         if d > 0:
-            np.divide(y, d, out=term)
-            q_seed *= np.sqrt(term, out=term)
+            np.divide(y, d, out=spare)
+            q_seed *= np.sqrt(spare, out=spare)
             phase *= unit
             if not np.any(q_seed):
                 break
@@ -274,8 +297,13 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
             if d > 0:
                 acc[s] *= 2.0
             total[s] += acc[s]
+    # the loop buffers go before the scatter allocates the output grids
+    del acc, unit, phase, phase_re, product, term, q_seed, q_prev, q_cur, spare
     total *= 2.0 / math.pi
-    return total
+    grids = np.empty((n_states, xs.size, ps.size))
+    for row, (ix, ip) in enumerate(cells):
+        grids[:, ix, ip] = total[:, row]
+    return grids
 
 
 def _check_wigner_work(dim: int, spec: WignerGridSpec):
@@ -353,13 +381,16 @@ def wigner_negativity(w: WignerGrid) -> tuple[float, float]:
 
 
 def wigner_to_csv(w: WignerGrid) -> str:
-    """Row-major CSV with header x,p,w; 9 significant digits."""
+    """Row-major CSV with header x,p,w; 9 significant digits.
+
+    Each x row is one %-template with its x and p cells already in place."""
     ps = [fmt9(p) for p in w.spec.p_axis()]
-    lines = ["x,p,w"]
+    parts = ["x,p,w\n"]
     for x, row in zip(w.spec.x_axis(), w.values):
         x_cell = fmt9(x)
-        lines.extend(f"{x_cell},{p},{fmt9(v)}" for p, v in zip(ps, row.tolist()))
-    return "\n".join(lines) + "\n"
+        template = "".join(f"{x_cell},{p},%{FMT9}\n" for p in ps)
+        parts.append(template % tuple(row.tolist()))
+    return "".join(parts)
 
 
 def wigner_to_pgm(w: WignerGrid) -> bytes:

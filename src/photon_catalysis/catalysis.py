@@ -343,13 +343,15 @@ def _block_unitary(r2: float, n_total: int) -> np.ndarray:
 
     Basis |m, N-m> for m = 0..N.  Generator K = a^+ b - b^+ a, U = exp(theta K)
     with theta = arcsin(r); this convention gives U a^+ U^+ = t a^+ - r b^+ and
-    U b^+ U^+ = r a^+ + t b^+, which reproduces C_n exactly.
+    U b^+ U^+ = r a^+ + t b^+, which reproduces C_n exactly.  theta is taken
+    as atan2(r, t): asin(sqrt(r2)) loses t near r2 = 1 (at r2 = 1 - 1.1e-16
+    it gives t = 1.5e-8 for 1.05e-8).
     """
     from scipy.linalg import expm
 
     if n_total == 0:
         return np.ones((1, 1))
-    theta = math.asin(min(1.0, math.sqrt(r2)))
+    theta = math.atan2(math.sqrt(r2), math.sqrt(1.0 - r2))
     size = n_total + 1
     gen = np.zeros((size, size))
     for m in range(n_total):

@@ -19,11 +19,22 @@ import sys
 from . import METRICS
 
 _MAX_BINS = 999  # (bins + 1)^2 joint cells per r2 point, the Wigner grid cap
+# An r2 scan prints steps (bins + 1)^2 cells, about 1 us each, and builds a
+# (dim + k)^2 two-mode table in k + 1 passes per step, up to 0.13 us a cell
+# (2-core VM); steps (bins + 1)^2 alone lets a large window run for minutes.
+_MAX_JOINT_CELLS = 2 * 10 ** 6
+_MAX_JOINT_WORK = 10 ** 8
 
 
 def _die(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
+
+
+def _check_steps(flag: str, text: str, steps: int):
+    if steps < 2:
+        raise ValueError(f"{flag} spec {text!r} has {steps} steps; a scan "
+                         f"needs integer steps >= 2")
 
 
 def _parse_axis(text: str) -> Axis:
@@ -36,6 +47,7 @@ def _parse_axis(text: str) -> Axis:
     except ValueError:
         raise ValueError(f"--axis spec {text!r}; expected name:lo:hi:steps "
                          f"with integer steps") from None
+    _check_steps("--axis", text, steps)
     return Axis(name, lo, hi, steps)
 
 
@@ -146,6 +158,7 @@ def _parse_r2(text: str) -> list[float]:
     except ValueError:
         raise ValueError(f"--r2 spec {text!r}; expected VALUE|LO:HI:STEPS "
                          f"with integer STEPS") from None
+    _check_steps("--r2", text, steps)
     from .design import Axis  # only a scan loads design
 
     return [float(r2) for r2 in Axis("r2", lo, hi, steps).values()]
@@ -162,9 +175,23 @@ def cmd_joint(args) -> int:
         raise ValueError(f"--bins {args.bins} exceeds {_MAX_BINS}: the joint "
                          f"table has (bins + 1)^2 cells per r2 point, at "
                          f"most 10^6")
+    for flag, eta in (("--eta1", args.eta1), ("--eta2", args.eta2)):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"{flag} {eta} outside [0, 1]; expected a "
+                             f"detector efficiency")
     alpha = math.sqrt(args.alpha2)
+    r2s = _parse_r2(args.r2)
+    cfg = CatalysisConfig(alpha, BeamSplitter(r2s[0]), args.k, args.dim)
+    cells = len(r2s) * (args.bins + 1) ** 2
+    work = len(r2s) * (args.k + 1) * (cfg.dim + args.k) ** 2
+    if len(r2s) > 1 and (cells > _MAX_JOINT_CELLS or work > _MAX_JOINT_WORK):
+        raise ValueError(
+            f"--r2 scan of {len(r2s)} steps prints {cells:.2e} cells and builds "
+            f"{work:.2e} two-mode cells; the budget is {_MAX_JOINT_CELLS:.0e} "
+            f"and {_MAX_JOINT_WORK:.0e}; use fewer --r2 steps or lower --bins, "
+            f"--k, --alpha2 or --dim")
     lines = ["r2,i,j,p"]
-    for r2 in _parse_r2(args.r2):
+    for r2 in r2s:
         cfg = CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim)
         joint = joint_output_distribution(cfg, TMDConfig(args.eta1, args.bins),
                                           TMDConfig(args.eta2, args.bins))

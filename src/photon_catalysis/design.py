@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import METRICS
-from .analysis import (quadrature_variances, variance_p_analytic,
-                       variance_x_analytic, g2, wigner_grids,
-                       wigner_negativity, VACUUM_VARIANCE)
+from .analysis import (WignerGridSpec, quadrature_variances,
+                       variance_p_analytic, variance_x_analytic, g2,
+                       wigner_grids, wigner_negativity, VACUUM_VARIANCE)
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
                         _coherent, _heralded, _stage_product, pcoc_state,
                         success_probability_analytic)
@@ -22,6 +22,10 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Scan budgets, measured on a 2-core VM: 10^4 points of the costliest state
+# (k = 480, dim 520) took 13 s; 10^10 Wigner cell-steps take 9-11 s.
+_MAX_POINTS = 10 ** 4
+_MAX_WIGNER_WORK = 1e10
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,41 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("duplicate sweep axes")
+        points = math.prod(a.steps for a in self.axes)
+        if points > _MAX_POINTS:
+            raise ValueError(f"--axis scan of {points} points exceeds the "
+                             f"budget of {_MAX_POINTS}; use fewer steps")
+
+
+def _point_config(spec: SweepSpec, params: dict) -> CatalysisConfig:
+    return CatalysisConfig(params.get("alpha", spec.alpha),
+                           BeamSplitter(params.get("r2", spec.r2)),
+                           int(params.get("k", spec.k)))
 
 
 def _point_state(spec: SweepSpec, params: dict) -> tuple[FockState, float]:
     """(heralded state, success probability) at one grid point."""
-    return pcoc_state(CatalysisConfig(params.get("alpha", spec.alpha),
-                                      BeamSplitter(params.get("r2", spec.r2)),
-                                      int(params.get("k", spec.k))))
+    return pcoc_state(_point_config(spec, params))
+
+
+def _check_wigner_sweep(spec: SweepSpec, points: list[dict]):
+    """Refuse, before any state is built, a wigner_min sweep whose grids add
+    up to more than the budget of recurrence cell-steps.  A point whose
+    config is refused adds none: its state fails when it is built."""
+    grid = WignerGridSpec()
+    steps = 0
+    for params in points:
+        try:
+            dim = _point_config(spec, params).dim
+        except ValueError:
+            continue
+        steps += dim * (dim + 1) // 2
+    work = grid.nx * grid.np * steps
+    if work > _MAX_WIGNER_WORK:
+        raise ValueError(f"wigner_min sweep of {len(points)} points needs "
+                         f"{work:.2e} Wigner cell-steps; the budget is "
+                         f"{_MAX_WIGNER_WORK:.0e}; use fewer --axis steps or "
+                         f"lower --alpha or --k")
 
 
 def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
@@ -117,11 +149,12 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     mesh = np.meshgrid(*grids, indexing="ij")
     names = [a.name for a in spec.axes]
     combos = list(zip(*(m.ravel() for m in mesh)))
+    points = [dict(zip(names, combo)) for combo in combos]
     if spec.metric != "wigner_min":
-        return [combo + _evaluate_point(spec, dict(zip(names, combo)))
-                for combo in combos]
-    states, probs = zip(*(_point_state(spec, dict(zip(names, combo)))
-                          for combo in combos))
+        return [combo + _evaluate_point(spec, params)
+                for combo, params in zip(combos, points)]
+    _check_wigner_sweep(spec, points)
+    states, probs = zip(*(_point_state(spec, params) for params in points))
     rows = []
     for combo, prob, grid in zip(combos, probs, wigner_grids(states)):
         if warn and grid.coverage_warning:
@@ -145,7 +178,7 @@ class DesignProblem:
 
     def __post_init__(self):
         if self.stages < 1:
-            raise ValueError("need at least one stage")
+            raise ValueError(f"--stages {self.stages} must be an integer >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol={self.tol} must be finite and > 0")
         if self.alpha_bounds is not None:
@@ -153,7 +186,9 @@ class DesignProblem:
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"--alpha-bounds {lo}:{hi} must be finite with LO < HI")
         if len(self.ks) != self.stages:
-            raise ValueError("one catalyst photon number per stage required")
+            raise ValueError(f"--k has {len(self.ks)} entries for --stages "
+                             f"{self.stages}; expected K1,K2,... with one "
+                             f"catalyst photon number per stage")
         bounds = self.bounds or tuple((0.0, 1.0) for _ in range(self.stages))
         if len(bounds) != self.stages:
             raise ValueError("one bounds pair per stage required")

@@ -43,7 +43,7 @@ class TMDConfig:
 
     def __post_init__(self):
         if self.bins < 1:
-            raise ValueError("bins must be >= 1")
+            raise ValueError(f"--bins {self.bins} must be an integer >= 1")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta={self.eta} outside [0, 1]")
 

@@ -217,9 +217,12 @@ def distribution_moment(d: PhotonNumberDistribution, order: int) -> float:
     return factorial_moments(d.probabilities)[order - 1]
 
 
+FMT9 = ".8e"  # the 9-digit format spec; "%" + FMT9 formats a float to the same bytes
+
+
 def fmt9(x: float) -> str:
     """Scientific notation with 9 significant digits: CSV cells and summary lines."""
-    return f"{x:.8e}"
+    return format(x, FMT9)
 
 
 def fmt17(x: float) -> str:

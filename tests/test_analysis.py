@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from photon_catalysis.analysis import (DomainError, VACUUM_VARIANCE,
-                                       WignerGridSpec, g2, locus_alpha_max,
+                                       WignerGridSpec, _cell_rows, g2,
+                                       locus_alpha_max,
                                        locus_alpha_min, quadrature_variances,
                                        variance_p_analytic,
                                        variance_x_analytic, wigner,
@@ -268,6 +269,65 @@ class TestWignerKernel:
             WignerGridSpec(x_min=lo, x_max=hi, p_min=lo, p_max=hi, nx=21, np=21)
         with pytest.raises(ValueError, match="--grid"):
             WignerGridSpec(p_min=lo, p_max=hi)
+
+
+class TestWignerRowLayout:
+    """On a square grid each Q_{n,d}(y) is computed once for the upper
+    triangle and its transpose; every cell keeps the frozen loop's bits."""
+
+    @staticmethod
+    def _square(lo: float, hi: float, n: int) -> WignerGridSpec:
+        return WignerGridSpec(x_min=lo, x_max=hi, p_min=lo, p_max=hi, nx=n, np=n)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 40),
+           complex_amps=st.booleans(), n=st.integers(2, 24),
+           extents=st.tuples(st.floats(0.5, 6.0), st.floats(0.5, 6.0)),
+           symmetric=st.booleans())
+    @example(seed=1, dim=40, complex_amps=True, n=21, extents=(5.0, 5.0),
+             symmetric=True)
+    def test_matches_frozen_one_state_loop(self, seed, dim, complex_amps, n,
+                                          extents, symmetric):
+        lo, hi = -extents[0], extents[0] if symmetric else extents[1]
+        spec = self._square(lo, hi, n)
+        xs, ps = spec.x_axis(), spec.p_axis()
+        cells, _, _ = _cell_rows(xs, ps)
+        assert cells.shape == (2, 2, n * (n + 1) // 2)
+        state = _random_state(seed, dim, complex_amps)
+        want = wigner_values_one_state(state.amplitudes, xs, ps)
+        assert np.array_equal(_bits(wigner(state, spec).values), _bits(want))
+
+    @pytest.mark.parametrize("n", [21, 201])
+    def test_centre_cell_at_the_origin(self, n):
+        """An odd symmetric grid puts its centre cell at y = 0 exactly, where
+        the phase falls back to 1."""
+        spec = self._square(-5.0, 5.0, n)
+        assert spec.x_axis()[n // 2] == 0.0
+        state = _random_state(n, 30, True)
+        want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
+                                       spec.p_axis())
+        assert np.array_equal(_bits(wigner(state, spec).values), _bits(want))
+
+    def test_mixed_dim_blocks(self):
+        """Nine states of dim 1..40, real and complex, in blocks of 4, 4, 1."""
+        rng = np.random.default_rng(17)
+        states = [_random_state(i, int(rng.integers(1, 41)), i % 3 == 0)
+                  for i in range(9)]
+        spec = self._square(-3.7, 2.9, 30)
+        for state, grid in zip(states, wigner_grids(states, spec)):
+            want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
+                                           spec.p_axis())
+            assert np.array_equal(_bits(grid.values), _bits(want))
+
+    def test_rectangular_grid_is_one_row(self):
+        spec = WignerGridSpec(x_min=-2.0, x_max=3.0, p_min=-2.0, p_max=3.0,
+                              nx=11, np=12)
+        cells, _, _ = _cell_rows(spec.x_axis(), spec.p_axis())
+        assert cells.shape == (1, 2, 11 * 12)
+        state = _random_state(3, 22, True)
+        want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
+                                       spec.p_axis())
+        assert np.array_equal(_bits(wigner(state, spec).values), _bits(want))
 
 
 class TestNegativity:

@@ -411,3 +411,34 @@ class TestOracleProperty:
         raw = math.sqrt(prob) * state.amplitudes
         want_raw = math.sqrt(want_prob) * want.amplitudes
         assert np.abs(raw - want_raw).max() <= 1e-11
+
+
+class TestHeraldMarginal:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(modulus=st.floats(0.0, 2.7), phase=st.floats(0.0, 2 * math.pi),
+           r2=R2_DRAWS, k=st.integers(0, 5))
+    def test_mode_b_marginal_holds_the_herald_probability(self, modulus, phase,
+                                                          r2, k):
+        """The photon-number marginal of the catalyst mode is a sub-probability
+        (the window drops the coherent tail), and its l = k entry is the
+        success probability that pcoc_state reports."""
+        cfg = CatalysisConfig(cmath.rect(modulus, phase), BeamSplitter(r2), k)
+        marginal = (np.abs(two_mode_output(cfg).amplitudes) ** 2).sum(axis=0)
+        assert marginal.sum() <= 1.0 + 1e-12
+        try:
+            _, prob = pcoc_state(cfg)
+        except UndefinedQuantityError:
+            prob = 0.0
+        assert marginal[k] == pytest.approx(prob, rel=1e-12, abs=0.0)
+
+
+class TestOracleNearFullReflection:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_oracle_keeps_t_near_full_reflection(self, k):
+        """At r2 = 1 - 1.1e-16 the oracle took t from cos(asin(sqrt(r2))),
+        1.5e-8 for 1.05e-8, and missed the closed form by 2.6e-9."""
+        cfg = CatalysisConfig(1.0, BeamSplitter(0.9999999999999999), k)
+        (state, prob), (want, want_prob) = pcoc_state(cfg), pcoc_oracle(cfg)
+        raw = math.sqrt(prob) * state.amplitudes
+        want_raw = math.sqrt(want_prob) * want.amplitudes
+        assert np.abs(raw - want_raw).max() <= 1e-11

@@ -470,6 +470,75 @@ class TestInputGates:
         assert proc.stdout == "" and not (tmp_path / "j.csv").exists()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["joint", "--alpha2", "1", "--r2", "0.5", "--bins", "0"],
+         "--bins 0 must be an integer >= 1"),
+        (["joint", "--alpha2", "1", "--r2", "0.5", "--eta1", "2"],
+         "--eta1 2.0 outside [0, 1]"),
+        (["joint", "--alpha2", "1", "--r2", "0.5", "--eta2", "2"],
+         "--eta2 2.0 outside [0, 1]"),
+        (["joint", "--alpha2", "1", "--r2", "0.5", "--eta2", "nan"],
+         "--eta2 nan outside [0, 1]"),
+        (["sweep", "--metric", "g2", "--axis", "r2:0:1:1"],
+         "--axis spec 'r2:0:1:1' has 1 steps; a scan needs integer steps >= 2"),
+        (["joint", "--alpha2", "1", "--r2", "0.5:0.6:1"],
+         "--r2 spec '0.5:0.6:1' has 1 steps; a scan needs integer steps >= 2"),
+        (["optimize", "--stages", "2", "--k", "1", "--alpha", "1"],
+         "--k has 1 entries for --stages 2; expected K1,K2,..."),
+        (["optimize", "--stages", "0", "--k", "1", "--alpha", "1"],
+         "--stages 0 must be an integer >= 1"),
+    ])
+    def test_message_names_flag_and_form(self, tmp_path, capsys, argv, message):
+        """The engine's checks printed "bins must be >= 1", "eta=2.0 outside
+        [0, 1]" for either arm, "each axis needs at least 2 steps" and "one
+        catalyst photon number per stage required"."""
+        target, out = tmp_path / "t.json", tmp_path / "out"
+        if argv[0] == "optimize":
+            assert main(["state", "--alpha", "1", "--r2", "0.37",
+                         "--out", str(target)]) == 0
+            capsys.readouterr()
+            argv = argv + ["--target", str(target)]
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert message in stderr
+        assert stdout == "" and not out.exists()
+
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--metric", "g2", "--axis", "r2:0:1:2000000"], "--axis"),
+        (["sweep", "--metric", "g2", "--axis", "r2:0:1:101",
+          "--axis", "alpha:0:1:100"], "--axis"),
+        (["sweep", "--metric", "wigner_min", "--axis", "r2:0.01:0.99:800"],
+         "--axis"),
+        (["sweep", "--metric", "wigner_min", "--axis", "alpha:13:13.9:6",
+          "--r2", "0.5"], "--axis"),
+        (["joint", "--alpha2", "1", "--r2", "0.5:0.6:100000"], "--r2"),
+        (["joint", "--alpha2", "1", "--r2", "0.5:0.6:3", "--bins", "999"],
+         "--r2"),
+        (["joint", "--alpha2", "700", "--r2", "0.1:0.9:100"], "--r2"),
+        (["joint", "--alpha2", "1", "--k", "400", "--r2", "0.1:0.9:2"], "--r2"),
+    ])
+    def test_oversized_scan_refused_before_building(self, tmp_path, argv, flag):
+        """The first sweep and the first joint scan ran past a 10 s timeout."""
+        src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "photon_catalysis.cli", *argv, "--out", "o.csv"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {flag} scan of ") or \
+            proc.stderr.startswith("error: wigner_min sweep of ")
+        assert flag in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "o.csv").exists()
+
+    def test_single_joint_value_is_not_a_scan(self, tmp_path, capsys):
+        out = tmp_path / "j.csv"
+        code, _, _ = run(capsys, "joint", "--alpha2", "1", "--k", "120",
+                         "--r2", "0.5", "--out", str(out))
+        assert code == 0 and out.exists()
+
+
 class TestOptimizeBytes:
     """fit.json of the README target, hashed before optimizer probes took
     their fixed stage rows and coherent windows from caches."""

@@ -144,6 +144,28 @@ class TestWignerMinBlocks:
                             r2=1.0))
 
 
+class TestScanBudget:
+    def test_points_boundary(self):
+        SweepSpec((Axis("r2", 0, 1, 100), Axis("alpha", 0, 1, 100)), "g2")
+        with pytest.raises(ValueError, match="--axis scan of 10100 points"):
+            SweepSpec((Axis("r2", 0, 1, 101), Axis("alpha", 0, 1, 100)), "g2")
+
+    def test_wigner_work_boundary(self):
+        """dim 25 costs 201^2 * 25 * 26 / 2 = 1.31e7 cell-steps a point, so
+        761 points fit 1e10 and 762 do not."""
+        spec = SweepSpec((Axis("r2", 0.01, 0.99, 2),), "wigner_min", alpha=1.0)
+        design._check_wigner_sweep(spec, [{"r2": 0.5}] * 761)
+        with pytest.raises(ValueError, match="--axis"):
+            design._check_wigner_sweep(spec, [{"r2": 0.5}] * 762)
+
+    def test_refused_points_add_no_work(self):
+        """A point whose config fails keeps its own error when built."""
+        spec = SweepSpec((Axis("r2", 0.5, 2.0, 2),), "wigner_min", alpha=1.0)
+        design._check_wigner_sweep(spec, [{"r2": 2.0}] * 10 ** 4)
+        with pytest.raises(ValueError, match="r2=2.0 outside"):
+            sweep(spec)
+
+
 class TestDesignProblem:
     def make_target(self, r2=0.37):
         state, _ = pcoc_state(CatalysisConfig(1.0, BeamSplitter(r2), 1))
