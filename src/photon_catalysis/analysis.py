@@ -187,65 +187,41 @@ def g2(d: PhotonNumberDistribution) -> float:
 
 _BLOCK = 4                  # states that share one recurrence
 _WIGNER_CELLS = 10 ** 6     # grid points; about 0.1 GiB of recurrence buffers
-_WIGNER_BUDGET = 2e9        # cell-steps nx * np * dim (dim + 1) / 2, about 10 s
-
-
-def _cell_rows(xs: np.ndarray, ps: np.ndarray):
-    """The grid's cells as R rows of m, ``cells[r] = (ix, ip)``, laid out so
-    that y = |2(x + ip)|^2 is bitwise equal down each column; returns
-    (cells, gamma, y) with gamma = 2(x + ip) per cell and y of row 0.
-
-    |.| is a hypot, which is symmetric, so on a grid whose axes are bitwise
-    equal row 0 is the upper triangle i <= j and row 1 its transpose (the
-    diagonal sits in both).  Any other grid, or one where the rows' y differ
-    after all, is one row of every cell."""
-    for square in (np.array_equal(xs, ps), False):
-        if square:
-            iu, ju = np.triu_indices(xs.size)
-            cells = np.array(((iu, ju), (ju, iu)))
-        else:
-            cells = np.indices((xs.size, ps.size)).reshape(1, 2, -1)
-        gamma = 2.0 * (xs[cells[:, 0]] + 1j * ps[cells[:, 1]])
-        y = np.abs(gamma) ** 2
-        if all(np.array_equal(y[0], row) for row in y[1:]):
-            return cells, gamma, y
+_WIGNER_BUDGET = 2e9        # cell-steps nx * np * dim (dim + 1) / 2, about 2 s
 
 
 def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W[state, ix, ip] for a block of states via a stable two-index recurrence.
+    """W[state, ix, ip] for a block of states (one row of Fock amplitudes
+    each, shorter ones padded with zeros), summed over the grid's distinct
+    radii.  With gamma = 2(x + ip), y = |gamma|^2 and u = gamma / |gamma|,
 
-    ``psis`` holds one state's Fock amplitudes per row, shorter states padded
-    with zeros.  For each state, W = (2/pi) sum_{m,n} conj(c_m) c_n (-1)^n
-    <m|D(2 beta)|n> with beta = x + i p.  The off-diagonal weight
-    Q_{n,d} = |<n+d|D|n>| obeys
+        W = (2/pi) sum_d w_d Re(u^d S_d(y)),   w_0 = 1, w_{d>0} = 2,
+        S_d(y) = sum_n (-1)^n conj(c_{n+d}) c_n Q_{n,d}(y),
+
+    where Q_{n,d} = |<n+d|D(gamma)|n>| obeys the stable recurrence
 
         Q_{n+1,d} = ((2n+1+d-y) Q_{n,d} - sqrt(n(n+d)) Q_{n-1,d})
-                    / sqrt((n+1)(n+1+d)),   y = |2 beta|^2,
+                    / sqrt((n+1)(n+1+d)),
 
     seeded by Q_{0,d} = e^{-y/2} y^{d/2}/sqrt(d!); every Q is a unitary matrix
-    element, so the recurrence never leaves [-1, 1] and no factorial ratios
-    appear.  Q depends on neither the state nor the cell beyond y: each step
-    is taken once for the block, and once for all rows of `_cell_rows`, in
-    three rotating buffers, and each state with a nonzero coupling
-    conj(c_{n+d}) c_n adds its term to its own accumulator.  Every operation
-    on a cell's values, and their order, is that of a one-state loop over
-    the whole grid, so a value is bitwise independent of the block and of
-    the row it is computed in.
+    element, so no factorial ratios appear.  S_d depends on a cell only
+    through y, so the recurrence and the sums run once per distinct y (about
+    a fifth of a square grid's cells), and only u^d is applied per cell.
+    Each step is taken once for the block, in three rotating buffers; each
+    state keeps real sums of its own for the real and the imaginary part of
+    its couplings, so a grid is bitwise independent of its block.
     """
     n_states, n_dim = psis.shape
-    cells, gamma, y_rows = _cell_rows(xs, ps)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(y_rows > 0.0,
-                        gamma / np.where(y_rows > 0.0, np.abs(gamma), 1.0), 1.0)
-    y = y_rows[0].copy()
-    del gamma, y_rows
-    total = np.zeros((n_states,) + unit.shape)
-    acc = np.empty_like(total)
+    gamma = 2.0 * (xs[:, None] + 1j * ps[None, :]).ravel()
+    r = np.abs(gamma)
+    unit = np.ones_like(gamma)
+    np.divide(gamma, r, out=unit, where=r > 0.0)
+    y, radius = np.unique(r ** 2, return_inverse=True)
+    del gamma, r
+    total = np.zeros((n_states, unit.size))
+    cell, phase_re, phase = np.empty(unit.size), np.empty(unit.size), np.ones_like(unit)
     q_seed = np.exp(-y / 2.0)
-    phase = np.ones_like(unit)
-    q_prev, q_cur, spare = (np.empty_like(y) for _ in range(3))
-    phase_re, term = np.empty(unit.shape), np.empty(unit.shape)
-    product = None              # complex scratch, only for complex couplings
+    q_prev, q_cur, spare, term = (np.empty_like(y) for _ in range(4))
     for d in range(n_dim):
         if d > 0:
             np.divide(y, d, out=spare)
@@ -254,36 +230,22 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
             if not np.any(q_seed):
                 break
             np.copyto(phase_re, phase.real)
-        coup = np.conj(psis[:, d:]) * psis[:, :n_dim - d]
-        live = np.flatnonzero(coup.any(axis=0))
-        if not live.size:
+        coup = np.conj(psis[:, d:]) * psis[:, :n_dim - d] * (2.0 if d else 1.0)
+        coup[:, 1::2] *= -1.0
+        # (state, imaginary?, couplings, sum); Re(u^d i s) = -Im(u^d) s
+        rows = [(s, imaginary, part.tolist(), np.zeros_like(y))
+                for s in range(n_states)
+                for imaginary, part in enumerate((coup[s].real, -coup[s].imag))
+                if part.any()]
+        if not rows:
             continue
-        steps = int(live[-1]) + 1
-        nonzero = (coup != 0).tolist()
-        real = (coup.imag == 0).tolist()
-        coup_re = coup.real.tolist()
-        active = [s for s in range(n_states) if any(nonzero[s])]
-        for s in active:
-            acc[s].fill(0.0)
+        steps = int(np.flatnonzero(coup.any(axis=0))[-1]) + 1
         np.copyto(q_cur, q_seed)
-        sign = 1.0
         for n in range(steps):
-            for s in active:
-                if not nonzero[s][n]:
-                    continue
-                if d == 0:
-                    np.multiply(q_cur, sign * coup_re[s][n], out=term)
-                elif real[s][n]:
-                    np.multiply(phase_re, sign * coup_re[s][n], out=term)
-                    term *= q_cur
-                else:
-                    if product is None:
-                        product = np.empty_like(phase)
-                    np.multiply(coup[s, n], phase, out=product)
-                    np.multiply(product.real, sign, out=term)
-                    term *= q_cur
-                acc[s] += term
-            sign = -sign
+            for _, _, a, acc in rows:
+                if a[n]:
+                    np.multiply(q_cur, a[n], out=term)
+                    acc += term
             if n + 1 == steps:
                 break
             np.subtract(2 * n + 1 + d, y, out=spare)
@@ -293,17 +255,14 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
                 spare -= q_prev
             spare /= math.sqrt((n + 1) * (n + 1 + d))
             q_prev, q_cur, spare = q_cur, spare, q_prev
-        for s in active:
+        for s, imaginary, _, acc in rows:
+            # every index is in range; "wrap" only skips the bounds check
+            np.take(acc, radius, out=cell, mode="wrap")
             if d > 0:
-                acc[s] *= 2.0
-            total[s] += acc[s]
-    # the loop buffers go before the scatter allocates the output grids
-    del acc, unit, phase, phase_re, product, term, q_seed, q_prev, q_cur, spare
+                cell *= phase.imag if imaginary else phase_re
+            total[s] += cell
     total *= 2.0 / math.pi
-    grids = np.empty((n_states, xs.size, ps.size))
-    for row, (ix, ip) in enumerate(cells):
-        grids[:, ix, ip] = total[:, row]
-    return grids
+    return total.reshape(n_states, xs.size, ps.size)
 
 
 def _check_wigner_work(dim: int, spec: WignerGridSpec):

@@ -108,10 +108,10 @@ def cmd_state(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .design import SweepSpec, sweep
-    from .fock import fmt9, state_from_json
+    from .fock import fmt9
 
     axes = [_parse_axis(spec_text) for spec_text in args.axis]
-    target = state_from_json(_read_file(args.target)) if args.target else None
+    target = _read_target(args.target) if args.target else None
     spec = SweepSpec(tuple(axes), args.metric, alpha=args.alpha, r2=args.r2,
                      k=args.k, target=target)
     warnings = []
@@ -207,9 +207,8 @@ def cmd_joint(args) -> int:
 def cmd_optimize(args) -> int:
     from .design import (DesignProblem, optimize_reflectivities,
                          optimize_result_to_json)
-    from .fock import state_from_json
 
-    target = state_from_json(_read_file(args.target))
+    target = _read_target(args.target)
     try:
         ks = tuple(int(s) for s in args.k.split(","))
     except ValueError:
@@ -240,6 +239,17 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
+
+
+def _read_target(path: str) -> FockState:
+    """The --target state; a malformed file is a usage error naming it."""
+    from .fock import state_from_json
+
+    text = _read_file(path)
+    try:
+        return state_from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"--target {path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

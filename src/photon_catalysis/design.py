@@ -23,7 +23,7 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Scan budgets, measured on a 2-core VM: 10^4 points of the costliest state
-# (k = 480, dim 520) took 13 s; 10^10 Wigner cell-steps take 9-11 s.
+# (k = 480, dim 520) took 13 s; 10^10 Wigner cell-steps take 4.5-8 s.
 _MAX_POINTS = 10 ** 4
 _MAX_WIGNER_WORK = 1e10
 

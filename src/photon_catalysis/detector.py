@@ -23,6 +23,11 @@ __all__ = [
     "g2_from_clicks", "joint_to_csv", "joint_to_json",
 ]
 
+
+class CancellationError(ArithmeticError):
+    """The two-mode output table lost its normalization to cancellation."""
+
+
 @dataclass(frozen=True)
 class LossChannel:
     """Each photon independently survives with probability eta."""
@@ -119,6 +124,11 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
     2 the mode the catalyst was injected into.
     """
     q = np.abs(two_mode_output(cfg).amplitudes) ** 2
+    if abs(q.sum() - 1.0) > 1e-10:
+        raise CancellationError(
+            f"two-mode probabilities sum to {q.sum():.12g}: the alternating-sign "
+            f"amplitude sums lost their precision to cancellation; lower "
+            f"--alpha2 or --k")
     n_max = q.shape[0] - 1
     return JointClickDistribution(
         _loss_click_matrix(n_max, cfg1).T @ q @ _loss_click_matrix(n_max, cfg2))

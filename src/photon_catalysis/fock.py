@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,10 +240,25 @@ def state_to_json(s: FockState) -> str:
 
 
 def state_from_json(text: str) -> FockState:
+    """Parse the `state_to_json` schema (a missing tail_mass reads 0); any
+    other document raises a ValueError that says what is wrong."""
     import json
 
-    doc = json.loads(text)
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    if len(amps) != doc["dim"]:
-        raise ValueError("dim does not match amplitude count")
-    return FockState(amps, float(doc.get("tail_mass", 0.0)))
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object {dim, amplitudes, tail_mass}")
+    dim, pairs = doc.get("dim"), doc.get("amplitudes")
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if (not isinstance(pairs, list) or len(pairs) != dim
+            or not all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ValueError(f"amplitudes must be a list of dim = {dim} [re, im] pairs")
+    values = [v for pair in pairs for v in pair] + [doc.get("tail_mass", 0.0)]
+    # JSON numbers, not bools, within the float range
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError("amplitudes and tail_mass must be finite numbers")
+    return FockState(np.array(values[:-1], dtype=float).view(complex),
+                     float(values[-1]))

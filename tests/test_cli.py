@@ -248,13 +248,16 @@ class TestTopLevel:
 
 
 class TestWignerBytes:
-    """README Wigner commands and a padded-block wigner_min sweep, hashed
-    before the Wigner recurrence was shared across blocks of states."""
+    """README Wigner commands and a padded-block wigner_min sweep.  The PGM
+    and the sweep keep the hashes of the per-cell recurrence.  The CSV was
+    re-hashed when the sums moved onto the grid's distinct radii: 11,257 of
+    its 40,401 cells print differently, each by at most 1e-16, all of them
+    below 3e-8 in magnitude."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["wigner", "--alpha", "1", "--r2", "0.332", "--grid", "201",
           "--format", "csv"],
-         "0ce56d5146115079f4f4973b2b1c67da12dae8bab7e84612a89020ad3c9a1a41"),
+         "e0c3406829005d61b47f3e65b87c6d99e0b7b72752c458b48049984e05e29549"),
         (["wigner", "--alpha", "2", "--r2", "0.5", "--k", "2", "--grid=-5:5:201",
           "--format", "pgm"],
          "0e071d1a50bd2be098310819e746beba97c67a7573917de411ef42a8f658736a"),
@@ -537,6 +540,56 @@ class TestInputGates:
         code, _, _ = run(capsys, "joint", "--alpha2", "1", "--k", "120",
                          "--r2", "0.5", "--out", str(out))
         assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    @pytest.mark.parametrize("text, problem", [
+        ('{"amplitudes": [1, 2]}', "dim must be an integer >= 1, got None"),
+        ('{"amplitudes": []}', "dim must be an integer >= 1"),
+        ('{"amplitudes": [[1,0],[1,0]]}', "dim must be an integer >= 1"),
+        ('{"amplitudes": [[NaN,0]]}', "dim must be an integer >= 1"),
+        ("[1,2]", "expected a JSON object"),
+        ('{"amplitudes": [["a",0]]}', "dim must be an integer >= 1"),
+        ("", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"dim": true, "amplitudes": [[1,0]]}', "got True"),
+        ('{"dim": 2, "amplitudes": [[1,0]]}', "a list of dim = 2 [re, im] pairs"),
+        ('{"dim": 1, "amplitudes": [1]}', "a list of dim = 1 [re, im] pairs"),
+        ('{"dim": 1, "amplitudes": [[NaN,0]]}', "must be finite numbers"),
+        ('{"dim": 1, "amplitudes": [["a",0]]}', "must be finite numbers"),
+        ('{"dim": 1, "amplitudes": [[1e999,0]]}', "must be finite numbers"),
+        ('{"dim": 1, "amplitudes": [[1' + "0" * 400 + ',0]]}',
+         "must be finite numbers"),
+        ('{"dim": 1, "amplitudes": [[1,0]], "tail_mass": "0"}',
+         "must be finite numbers"),
+    ])
+    def test_malformed_target_names_flag_and_file(self, tmp_path, capsys,
+                                                  command, text, problem):
+        """Each exited 1 with a TypeError or KeyError traceback, or 2 with
+        json's bare message."""
+        target, out = tmp_path / "t.json", tmp_path / "out"
+        target.write_text(text)
+        argv = (["optimize", "--stages", "1", "--k", "1", "--alpha", "1"]
+                if command == "optimize" else
+                ["sweep", "--metric", "fidelity_to_target", "--axis",
+                 "r2:0.1:0.9:3"])
+        code, stdout, stderr = run(capsys, *argv, "--target", str(target),
+                                   "--out", str(out))
+        assert code == 2
+        assert stderr.startswith(f"error: --target {target}: ")
+        assert problem in stderr
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("alpha2, k", [("300", "30"), ("400", "100")])
+    def test_joint_cancellation_is_a_numerical_gate(self, tmp_path, capsys,
+                                                    alpha2, k):
+        """The two-mode sums cancel to garbage here; this exited 2 as if
+        the flags were malformed."""
+        out = tmp_path / "j.csv"
+        code, stdout, stderr = run(capsys, "joint", "--alpha2", alpha2, "--k", k,
+                                   "--r2", "0.5", "--out", str(out))
+        assert code == 3
+        assert stderr.startswith("error: numerical gate: two-mode probabilities")
+        assert "cancellation" in stderr and "--alpha2 or --k" in stderr
+        assert stdout == "" and not out.exists()
 
 
 class TestOptimizeBytes:

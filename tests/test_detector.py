@@ -192,6 +192,19 @@ class TestJoint:
             TMDConfig(0.7), TMDConfig(0.4))
         assert float(j.probabilities.sum()) == pytest.approx(1.0, abs=1e-10)
 
+    def test_cancelled_two_mode_table_is_a_numerical_failure(self):
+        """At |alpha|^2 = 300, k = 30 the two-mode table sums to 3.6e10; the
+        check runs before the detector matrices, as an ArithmeticError."""
+        with pytest.raises(detector.CancellationError, match="--alpha2 or --k"):
+            joint_output_distribution(
+                CatalysisConfig(math.sqrt(300), BeamSplitter(0.5), 30),
+                TMDConfig(1.0), TMDConfig(1.0))
+        assert issubclass(detector.CancellationError, ArithmeticError)
+
+    def test_caller_built_distribution_keeps_value_error(self):
+        with pytest.raises(ValueError, match="sum to 2"):
+            JointClickDistribution(np.eye(2))
+
     def test_single_photon_suppression_dip(self):
         vals = {}
         for r2 in (0.45, 0.5, 0.55):

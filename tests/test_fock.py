@@ -159,6 +159,27 @@ class TestJson:
         assert np.array_equal(back.amplitudes, s.amplitudes)
         assert back.tail_mass == s.tail_mass
 
+    @pytest.mark.parametrize("text, problem", [
+        ("{", "not JSON"),
+        ('"state"', "expected a JSON object"),
+        ('{"dim": 0, "amplitudes": []}', "dim must be an integer >= 1"),
+        ('{"dim": 1.0, "amplitudes": [[1, 0]]}', "dim must be an integer >= 1"),
+        ('{"dim": 1}', "a list of dim = 1 [re, im] pairs"),
+        ('{"dim": 1, "amplitudes": [[1, 0, 0]]}', "a list of dim = 1 [re, im] pairs"),
+        ('{"dim": 1, "amplitudes": [[true, 0]]}', "must be finite numbers"),
+        ('{"dim": 1, "amplitudes": [[1, -Infinity]]}', "must be finite numbers"),
+        ('{"dim": 1, "amplitudes": [[1, 0]], "tail_mass": NaN}',
+         "must be finite numbers"),
+    ])
+    def test_malformed_documents_say_what_is_wrong(self, text, problem):
+        with pytest.raises(ValueError, match=problem.replace("[", r"\[")):
+            state_from_json(text)
+
+    def test_tail_mass_defaults_to_zero(self):
+        s = state_from_json('{"dim": 2, "amplitudes": [[0.6, 0], [0, 0.8]]}')
+        assert s.tail_mass == 0.0
+        assert np.array_equal(s.amplitudes, [0.6, 0.8j])
+
     def test_schema(self):
         doc = json.loads(state_to_json(make_fock(1, 3)))
         assert set(doc) == {"dim", "amplitudes", "tail_mass"}
