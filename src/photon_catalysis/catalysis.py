@@ -26,9 +26,8 @@ from .fock import FockState, UndefinedQuantityError, coherent_window, default_di
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
     "catalysis_coefficient", "catalysis_coefficients", "pcoc_state",
-    "success_probability_analytic", "iterated_pcoc", "iterated_pcoc_scan",
-    "two_mode_output", "bs_transform", "herald",
-    "pcoc_oracle", "oracle_discrepancy",
+    "success_probability_analytic", "iterated_pcoc", "two_mode_output",
+    "bs_transform", "herald", "pcoc_oracle", "oracle_discrepancy",
 ]
 
 # Exact integer binomials up to this total order; log-gamma beyond.  Keeps the
@@ -237,25 +236,15 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
 
     The returned probability is the joint success probability of all stage
     heralds, which for a cascade factorizes through the product coefficients.
+    It runs _stage_product and then _heralded, as the optimizer's probes do, so
+    both see bitwise the same state.
     """
-    result, = iterated_pcoc_scan(cfg, None)
-    if result is None:
-        raise UndefinedQuantityError("herald outcome has zero probability")
-    return result
-
-
-def iterated_pcoc_scan(cfg: IteratedConfig, stage: int | None,
-                       r2s=()) -> list[tuple[FockState, float] | None]:
-    """iterated_pcoc at every r2 in r2s for one stage, the others as in cfg;
-    with stage None, the one entry of the cascade as declared.
-
-    Each entry is bitwise what iterated_pcoc returns for that cascade, or None
-    where the heralds cannot all fire.
-    """
-    prod = _stage_product(cfg, stage, r2s)
     u_amps, tail = _coherent(cfg.alpha, cfg.dim)
-    return [None if h is None else (FockState(h[0], tail), h[1])
-            for h in (_heralded(u_amps, row) for row in prod)]
+    heralded = _heralded(u_amps, _stage_product(cfg, None, ())[0])
+    if heralded is None:
+        raise UndefinedQuantityError("herald outcome has zero probability")
+    amps, prob = heralded
+    return FockState(amps, tail), prob
 
 
 @lru_cache(maxsize=1024)

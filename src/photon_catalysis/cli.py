@@ -159,9 +159,9 @@ def _parse_r2(text: str) -> list[float]:
         raise ValueError(f"--r2 spec {text!r}; expected VALUE|LO:HI:STEPS "
                          f"with integer STEPS") from None
     _check_steps("--r2", text, steps)
-    from .design import Axis  # only a scan loads design
+    import numpy as np
 
-    return [float(r2) for r2 in Axis("r2", lo, hi, steps).values()]
+    return [float(r2) for r2 in np.linspace(lo, hi, steps)]
 
 
 def cmd_joint(args) -> int:
@@ -319,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .analysis import DomainError, PoleError
     from .fock import TruncationError, UndefinedQuantityError
 
     try:
         return args.func(args)
     except TruncationError as exc:
         return _die(f"truncation gate: {exc}", 2)
-    except (PoleError, UndefinedQuantityError, ArithmeticError,
-            OverflowError) as exc:
+    # PoleError, OverflowError and CancellationError are ArithmeticErrors;
+    # DomainError is a ValueError.
+    except (UndefinedQuantityError, ArithmeticError) as exc:
         return _die(f"numerical gate: {exc}", 3)
-    except (ValueError, DomainError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _die(str(exc), 2)
 
 

@@ -8,12 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import METRICS
-from .analysis import (WignerGridSpec, quadrature_variances,
-                       variance_p_analytic, variance_x_analytic, g2,
+from .analysis import (WignerGridSpec, quadrature_variances, g2,
                        wigner_grids, wigner_negativity, VACUUM_VARIANCE)
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
-                        _coherent, _heralded, _stage_product, pcoc_state,
-                        success_probability_analytic)
+                        _coherent, _heralded, _stage_product, pcoc_state)
 from .fock import FockState, _overlap, fidelity, fmt17, number_distribution
 
 __all__ = [
@@ -108,23 +106,8 @@ def _check_wigner_sweep(spec: SweepSpec, points: list[dict]):
 
 
 def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
-    """(metric value, success probability) at one grid point, for every
-    metric but wigner_min."""
-    alpha = params.get("alpha", spec.alpha)
-    r2 = params.get("r2", spec.r2)
-    k = int(params.get("k", spec.k))
-    bs = BeamSplitter(r2)
-
-    if spec.metric in ("var_x_db", "var_p_db") and k == 1:
-        # closed-form path, no state construction
-        prob = success_probability_analytic(alpha, bs)
-        var = variance_x_analytic(alpha, r2) if spec.metric == "var_x_db" \
-            else variance_p_analytic(alpha, r2)
-        return 10.0 * math.log10(var / VACUUM_VARIANCE), prob
-    if spec.metric == "success_prob" and k == 1:
-        prob = success_probability_analytic(alpha, bs)
-        return prob, prob
-
+    """(metric value, success probability) of the heralded state at one grid
+    point, for every metric but wigner_min."""
     state, prob = _point_state(spec, params)
     if spec.metric in ("var_x_db", "var_p_db"):
         stats = quadrature_variances(state)
@@ -286,7 +269,7 @@ def _fidelity_scan(problem: DesignProblem, coords, stage: int, xs) -> list[float
 def _scores(problem: DesignProblem, coords, stage: int | None,
             xs) -> list[tuple[float, float]]:
     """(fidelity, success probability) per row of _stage_product, bitwise what
-    fidelity gives on iterated_pcoc_scan's states, without building them."""
+    fidelity gives on iterated_pcoc's state for that row, without building it."""
     cfg = _cascade(problem, coords)
     prod = _stage_product(cfg, stage, xs)
     u_amps, _ = _coherent(cfg.alpha, cfg.dim)

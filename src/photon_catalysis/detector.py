@@ -14,8 +14,9 @@ from functools import lru_cache
 import numpy as np
 
 from .catalysis import CatalysisConfig, two_mode_output
-from .fock import (PhotonNumberDistribution, UndefinedQuantityError,
-                   factorial_moments, fmt9)
+from .fock import (PhotonNumberDistribution, TruncationError,
+                   UndefinedQuantityError, coherent_window, factorial_moments,
+                   fmt9)
 
 __all__ = [
     "LossChannel", "TMDConfig", "ClickDistribution", "JointClickDistribution",
@@ -121,10 +122,17 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
 
     The joint state is built from the closed-form two-mode amplitudes;
     detector 1 sees the mode carrying the transformed coherent input, detector
-    2 the mode the catalyst was injected into.
+    2 the mode the catalyst was injected into.  A table that misses its norm
+    by more than 1e-10 is refused: as a TruncationError when the input window
+    alone leaves that much outside, else as a CancellationError.
     """
     q = np.abs(two_mode_output(cfg).amplitudes) ** 2
     if abs(q.sum() - 1.0) > 1e-10:
+        _, tail = coherent_window(cfg.alpha, cfg.dim)
+        if tail > 1e-10:
+            raise TruncationError(
+                f"coherent tail mass {tail:.3e} beyond --dim {cfg.dim} exceeds "
+                f"1e-10, the two-mode table's norm tolerance; raise --dim")
         raise CancellationError(
             f"two-mode probabilities sum to {q.sum():.12g}: the alternating-sign "
             f"amplitude sums lost their precision to cancellation; lower "

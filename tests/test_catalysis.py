@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         IteratedConfig, TwoModeState,
+                                        _coherent, _heralded, _stage_product,
                                         bs_transform, catalysis_coefficient,
                                         catalysis_coefficients, herald,
-                                        iterated_pcoc, iterated_pcoc_scan,
-                                        oracle_discrepancy, pcoc_oracle,
-                                        pcoc_state,
+                                        iterated_pcoc, oracle_discrepancy,
+                                        pcoc_oracle, pcoc_state,
                                         success_probability_analytic,
                                         two_mode_output)
 from photon_catalysis.fock import (UndefinedQuantityError, coherent_amplitudes,
@@ -321,28 +321,13 @@ class TestBatchedCoefficients:
 
 
 class TestIteratedScan:
-    @pytest.mark.parametrize("stages", [((0.3, 1),),
-                                        ((0.3, 1), (0.6, 2)),
-                                        ((0.2, 2), (0.5, 1), (0.8, 3))])
-    def test_rows_are_pointwise_cascades_bit_for_bit(self, stages):
-        xs = np.linspace(0.0, 1.0, 33)
-        cfg = IteratedConfig(1.1, stages)
-        for stage in range(len(stages)):
-            rows = iterated_pcoc_scan(cfg, stage, xs)
-            for x, row in zip(xs, rows):
-                trial = list(stages)
-                trial[stage] = (float(x), stages[stage][1])
-                state, prob = iterated_pcoc(IteratedConfig(1.1, tuple(trial)))
-                assert bits(row[1]) == bits(prob)
-                assert bits(row[0].amplitudes.view(float)) == \
-                    bits(state.amplitudes.view(float))
-                assert row[0].tail_mass == state.tail_mass
-
     def test_rows_whose_heralds_cannot_fire_are_none(self):
         """At r2 = 1 a k=1 stage passes only |1>, which a balanced k=1 stage
         cancels exactly (C_1 = t^2 - r^2 = 0)."""
         cfg = IteratedConfig(1.0, ((0.4, 1), (0.5, 1)))
-        rows = iterated_pcoc_scan(cfg, 0, [0.4, 1.0])
+        u_amps, _ = _coherent(cfg.alpha, cfg.dim)
+        rows = [_heralded(u_amps, row)
+                for row in _stage_product(cfg, 0, [0.4, 1.0])]
         assert rows[0] is not None and rows[1] is None
         with pytest.raises(UndefinedQuantityError):
             iterated_pcoc(IteratedConfig(1.0, ((1.0, 1), (0.5, 1))))
@@ -350,8 +335,8 @@ class TestIteratedScan:
     @pytest.mark.parametrize("stage", [-1, 2])
     def test_stage_index_checked(self, stage):
         with pytest.raises(ValueError, match="stage"):
-            iterated_pcoc_scan(IteratedConfig(1.0, ((0.4, 1), (0.5, 1))),
-                               stage, [0.3])
+            _stage_product(IteratedConfig(1.0, ((0.4, 1), (0.5, 1))),
+                           stage, [0.3])
 
 
 class TestConfigValidation:

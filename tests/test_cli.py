@@ -95,6 +95,26 @@ class TestSweep:
         assert code == 2
         assert "axis" in stderr
 
+    @pytest.mark.parametrize("metric", ["var_x_db", "var_p_db", "success_prob"])
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--alpha", "40", "--axis", "r2:0.1:0.9:3"], 2,
+         "|alpha|^2 = (40)^2 exceeds 1030"),
+        (["--alpha", "27", "--axis", "r2:0.1:0.99:3"], 3,
+         "herald outcome has zero probability"),
+    ])
+    def test_k1_metrics_follow_the_state_path_contract(self, tmp_path, capsys,
+                                                       metric, flags, code,
+                                                       message):
+        """These came from k = 1 closed forms and exited 0 where g2 is refused,
+        printing variances next to success_prob = 0."""
+        out = tmp_path / "s.csv"
+        argv = ["sweep", *flags, "--k", "1", "--out", str(out)]
+        g2_code, _, g2_stderr = run(capsys, *argv, "--metric", "g2")
+        got, stdout, stderr = run(capsys, *argv, "--metric", metric)
+        assert got == g2_code == code
+        assert stderr == g2_stderr and message in stderr
+        assert stdout == "" and not out.exists()
+
     def test_fidelity_needs_target(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--metric", "fidelity_to_target",
                          "--axis", "r2:0:1:3", "--out", str(tmp_path / "x.csv"))
@@ -590,6 +610,38 @@ class TestInputGates:
         assert stderr.startswith("error: numerical gate: two-mode probabilities")
         assert "cancellation" in stderr and "--alpha2 or --k" in stderr
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--alpha2", "1.11", "--dim", "12"], 2,
+         "truncation gate: coherent tail mass 2.630e-09 exceeds 1e-09"),
+        (["--alpha2", "1.11", "--dim", "13"], 2,
+         "truncation gate: coherent tail mass 2.231e-10 beyond --dim 13 "
+         "exceeds 1e-10"),
+        (["--alpha2", "300", "--k", "30"], 3,
+         "numerical gate: two-mode probabilities sum to 35947178424.3"),
+        (["--alpha2", "400", "--k", "100"], 3,
+         "numerical gate: two-mode probabilities sum to 2.74760882134e+78"),
+    ])
+    def test_joint_tail_and_cancellation_are_told_apart(self, tmp_path, capsys,
+                                                        flags, code, message):
+        """At --dim 13 the input tail, 2.2e-10, passes the 1e-9 coherent gate
+        but not the table's 1e-10 norm check; it exited 3 as cancellation."""
+        out = tmp_path / "j.csv"
+        got, stdout, stderr = run(capsys, "joint", *flags, "--r2", "0.5",
+                                  "--out", str(out))
+        assert got == code
+        assert stderr.startswith(f"error: {message}")
+        assert stdout == "" and not out.exists()
+
+    def test_joint_window_past_the_tail_is_unchanged(self, tmp_path, capsys):
+        """--dim 14 keeps the tail under 1e-10; its CSV is hashed from before
+        the tail was told apart from cancellation."""
+        out = tmp_path / "j.csv"
+        code, _, stderr = run(capsys, "joint", "--alpha2", "1.11", "--r2", "0.5",
+                              "--dim", "14", "--out", str(out))
+        assert code == 0, stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "eb0a618956dd69fb9b0197c2261a8ea8efdf89c844356f767489dc507da03fe1")
 
 
 class TestOptimizeBytes:

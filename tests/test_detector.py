@@ -18,8 +18,8 @@ from photon_catalysis.detector import (ClickDistribution,
                                        TMDConfig, apply_loss, g2_from_clicks,
                                        joint_output_distribution, joint_to_csv,
                                        joint_to_json, tmd_click_distribution)
-from photon_catalysis.fock import (PhotonNumberDistribution, coherent_amplitudes,
-                                   make_coherent,
+from photon_catalysis.fock import (PhotonNumberDistribution, TruncationError,
+                                   coherent_amplitudes, make_coherent,
                                    number_distribution)
 
 RNG = np.random.default_rng(20230817)
@@ -200,6 +200,14 @@ class TestJoint:
                 CatalysisConfig(math.sqrt(300), BeamSplitter(0.5), 30),
                 TMDConfig(1.0), TMDConfig(1.0))
         assert issubclass(detector.CancellationError, ArithmeticError)
+
+    def test_window_tail_above_the_norm_tolerance_is_truncation(self):
+        """The 1e-9 coherent gate passes a tail of 2.2e-10 at dim 13, which
+        the 1e-10 norm check then refused as cancellation."""
+        with pytest.raises(TruncationError, match="--dim 13"):
+            joint_output_distribution(
+                CatalysisConfig(math.sqrt(1.11), BeamSplitter(0.5), 1, 13),
+                TMDConfig(1.0), TMDConfig(1.0))
 
     def test_caller_built_distribution_keeps_value_error(self):
         with pytest.raises(ValueError, match="sum to 2"):

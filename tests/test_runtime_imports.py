@@ -7,6 +7,7 @@ keeps numpy off `catalysis --help` and usage errors.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -82,7 +83,8 @@ PACKAGE = ["photon_catalysis", "photon_catalysis.cli"]
 STATE = PACKAGE + ["photon_catalysis.analysis", "photon_catalysis.catalysis",
                    "photon_catalysis.fock", "numpy"]
 DESIGN = STATE + ["photon_catalysis.design"]
-DETECTOR = STATE + ["photon_catalysis.detector"]
+JOINT = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
+                   "photon_catalysis.fock", "numpy"]
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -99,9 +101,9 @@ DETECTOR = STATE + ["photon_catalysis.detector"]
      0, DESIGN),
     (["optimize", "--target", "t.json", "--stages", "1", "--k", "2",
       "--alpha", "1.2", "--tol", "1e-4"], 0, DESIGN),
-    (["joint", "--alpha2", "1.11", "--r2", "0.5", "--out", "j.csv"], 0, DETECTOR),
+    (["joint", "--alpha2", "1.11", "--r2", "0.5", "--out", "j.csv"], 0, JOINT),
     (["joint", "--alpha2", "1.11", "--r2", "0.3:0.7:3", "--out", "j.csv"],
-     0, DETECTOR + ["photon_catalysis.design"]),
+     0, JOINT),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, loaded):
     env = _env()
@@ -188,3 +190,21 @@ def test_star_import_loads_every_name_on_demand():
     proc = subprocess.run([sys.executable, "-c", IMPORT_ALL], env=_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench", "spans.py")
+
+
+def test_benchmark_traced_names_resolve():
+    """The traced benchmark run reports a per-layer metric as null once every
+    function behind its span is gone, so deleting a traced name fails here
+    first."""
+    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for home, fname, _, _ in spans.LAYERS:
+        module = importlib.import_module(spans.PACKAGE + home)
+        assert callable(getattr(module, fname, None)), f"{home[1:]}.{fname}"
+    module = importlib.import_module(spans.PACKAGE + spans.CACHE[0])
+    assert hasattr(getattr(module, spans.CACHE[1]), "cache_info")
