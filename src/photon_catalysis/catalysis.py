@@ -118,8 +118,15 @@ class IteratedConfig:
                            tuple((float(r2), int(k)) for r2, k in self.stages))
         kmax = max(k for _, k in self.stages)
         object.__setattr__(self, "dim", _window_dim(self.alpha, self.dim, kmax))
+        # CatalysisConfig's checks per stage, without its window check: every
+        # dim + k is at most the dim + kmax just checked.
         for r2, k in self.stages:
-            CatalysisConfig(self.alpha, BeamSplitter(r2), k, self.dim)
+            if not 0.0 <= r2 <= 1.0:
+                raise ValueError(f"r2={r2} outside [0, 1]")
+            if k < 0:
+                raise ValueError("k must be non-negative")
+            if k >= self.dim:
+                raise ValueError(f"k={k} must be below dim={self.dim}")
 
 
 @dataclass(frozen=True, eq=False)

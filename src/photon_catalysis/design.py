@@ -1,4 +1,7 @@
-"""Parameter sweeps and derivative-free inverse design of stage reflectivities."""
+"""Parameter sweeps and derivative-free inverse design of stage reflectivities.
+
+`analysis` is imported by the sweep helpers that use it, so `optimize` and
+the success_prob and fidelity_to_target sweeps run without loading it."""
 
 from __future__ import annotations
 
@@ -8,8 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import METRICS
-from .analysis import (WignerGridSpec, quadrature_variances, g2,
-                       wigner_grids, wigner_negativity, VACUUM_VARIANCE)
 from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
                         _coherent, _heralded, _stage_product, pcoc_state)
 from .fock import FockState, _overlap, fidelity, fmt17, number_distribution
@@ -89,6 +90,8 @@ def _check_wigner_sweep(spec: SweepSpec, points: list[dict]):
     """Refuse, before any state is built, a wigner_min sweep whose grids add
     up to more than the budget of recurrence cell-steps.  A point whose
     config is refused adds none: its state fails when it is built."""
+    from .analysis import WignerGridSpec
+
     grid = WignerGridSpec()
     steps = 0
     for params in points:
@@ -109,16 +112,18 @@ def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
     """(metric value, success probability) of the heralded state at one grid
     point, for every metric but wigner_min."""
     state, prob = _point_state(spec, params)
+    if spec.metric == "success_prob":
+        return prob, prob
+    if spec.metric == "fidelity_to_target":
+        return fidelity(state, spec.target), prob
+    from .analysis import VACUUM_VARIANCE, g2, quadrature_variances
+
     if spec.metric in ("var_x_db", "var_p_db"):
         stats = quadrature_variances(state)
         var = stats.var_x if spec.metric == "var_x_db" else stats.var_p
         return 10.0 * math.log10(var / VACUUM_VARIANCE), prob
-    if spec.metric == "success_prob":
-        return prob, prob
     if spec.metric == "g2":
         return g2(number_distribution(state)), prob
-    if spec.metric == "fidelity_to_target":
-        return fidelity(state, spec.target), prob
     raise AssertionError(spec.metric)
 
 
@@ -136,6 +141,8 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     if spec.metric != "wigner_min":
         return [combo + _evaluate_point(spec, params)
                 for combo, params in zip(combos, points)]
+    from .analysis import wigner_grids, wigner_negativity
+
     _check_wigner_sweep(spec, points)
     states, probs = zip(*(_point_state(spec, params) for params in points))
     rows = []

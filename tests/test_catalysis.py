@@ -371,6 +371,22 @@ class TestConfigValidation:
     def test_largest_window_is_accepted(self):
         assert CatalysisConfig(1.0, BeamSplitter(0.5), 1, 1029).dim == 1029
 
+    @pytest.mark.parametrize("stages, dim", [
+        (((1.5, 1),), None),
+        (((0.4, 1), (math.nan, 1)), None),
+        (((0.5, -1),), 10),
+        (((0.5, 1), (0.5, 30)), 10),
+    ])
+    def test_cascade_refuses_a_stage_as_a_single_stage_would(self, stages, dim):
+        """IteratedConfig checks its stages without building a CatalysisConfig
+        for each, and keeps CatalysisConfig's messages."""
+        r2, k = stages[-1]
+        with pytest.raises(ValueError) as want:
+            CatalysisConfig(1.0, BeamSplitter(r2), k, dim)
+        with pytest.raises(ValueError) as got:
+            IteratedConfig(1.0, stages, dim)
+        assert str(got.value) == str(want.value)
+
 
 class TestOracleProperty:
     @settings(max_examples=200, deadline=None, database=None)

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import ast
+import gc
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,14 +14,23 @@ import numpy as np
 import pytest
 
 import photon_catalysis
+from photon_catalysis import cli
 from photon_catalysis.cli import main
 from photon_catalysis.fock import state_from_json
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _env() -> dict:
+    src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 class TestState:
@@ -274,6 +287,7 @@ class TestWignerBytes:
     its 40,401 cells print differently, each by at most 1e-16, all of them
     below 3e-8 in magnitude."""
 
+    @pytest.mark.parametrize("entry", ["main", "process"])
     @pytest.mark.parametrize("argv, digest", [
         (["wigner", "--alpha", "1", "--r2", "0.332", "--grid", "201",
           "--format", "csv"],
@@ -285,9 +299,16 @@ class TestWignerBytes:
           "--axis", "k:1:3:3", "--r2", "0.4"],
          "eecafdf9b9899c786a369d306da2df4e10e899f495a5353f60d894f2c33d1099"),
     ])
-    def test_output_bytes_are_pinned(self, tmp_path, capsys, argv, digest):
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, argv, digest, entry):
+        """Through `main` in process, and through the process entry as
+        `python -m photon_catalysis.cli`."""
         out = tmp_path / "out"
-        code, _, _ = run(capsys, *argv, "--out", str(out))
+        if entry == "main":
+            code, _, _ = run(capsys, *argv, "--out", str(out))
+        else:
+            code = subprocess.run(
+                [sys.executable, "-m", "photon_catalysis.cli", *argv, "--out",
+                 str(out)], env=_env(), capture_output=True, timeout=120).returncode
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -691,3 +712,93 @@ class TestHelpText:
             env=env, capture_output=True, timeout=30)
         assert proc.returncode == 0 and proc.stderr == b""
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# Runs argv lists in one fresh interpreter with the cyclic collector off, and
+# prints how many objects gc.collect() finds after each.
+GARBAGE = r"""
+import gc
+import json
+import sys
+
+gc.disable()
+from photon_catalysis.cli import main
+
+counts = []
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    counts.append(gc.collect())
+print(json.dumps(counts))
+"""
+
+
+class TestProcessEntry:
+    """`run` is the process entry; `main` in process leaves the collector as
+    it found it."""
+
+    def test_script_and_module_run_name_the_same_entry(self):
+        with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+            script = re.search(r'^catalysis = "photon_catalysis\.cli:(\w+)"$',
+                               fh.read(), re.M)
+        assert script and callable(getattr(cli, script.group(1)))
+        tree = ast.parse(inspect.getsource(cli))
+        blocks = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(blocks) == 1
+        assert [ast.unparse(s) for s in blocks[0].body] == [f"{script.group(1)}()"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["state", "--alpha", "1", "--r2", "0.37"], 0),
+        (["sweep", "--metric", "g2", "--axis", "r2:0.1:0.9:5"], 0),
+        (["wigner", "--alpha", "1", "--r2", "0.37", "--grid", "21"], 0),
+        (["joint", "--alpha2", "1.11", "--r2", "0.3:0.7:3"], 0),
+        (["optimize", "--stages", "1", "--k", "1", "--alpha", "1",
+          "--tol", "1e-4"], 0),
+        (["state", "--alpha", "2", "--r2", "0.3", "--dim", "4"], 2),
+        (["state", "--alpha", "0", "--r2", "1"], 3),
+    ])
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys, argv,
+                                                 code):
+        if argv[0] == "optimize":
+            target = tmp_path / "t.json"
+            assert main(["state", "--alpha", "1", "--r2", "0.37",
+                         "--out", str(target)]) == 0
+            argv = argv + ["--target", str(target)]
+        elif argv[0] in ("sweep", "wigner", "joint"):
+            argv = argv + ["--out", str(tmp_path / "out")]
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        assert run(capsys, *argv)[0] == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+    @pytest.mark.parametrize("small, large", [
+        (["state", "--alpha", "1", "--r2", "0.3"],
+         ["state", "--alpha", "2.7", "--r2", "0.3", "--k", "3"]),
+        (["sweep", "--metric", "g2", "--axis", "r2:0.01:0.99:3", "--alpha",
+          "2.7", "--k", "3", "--out", "s.csv"],
+         ["sweep", "--metric", "g2", "--axis", "r2:0.01:0.99:99", "--alpha",
+          "2.7", "--k", "3", "--out", "s.csv"]),
+        (["wigner", "--alpha", "2", "--r2", "0.3", "--k", "2", "--grid", "21",
+          "--out", "w.csv"],
+         ["wigner", "--alpha", "2", "--r2", "0.3", "--k", "2", "--grid", "201",
+          "--out", "w.csv"]),
+        (["joint", "--alpha2", "5", "--r2", "0.1:0.8:3", "--k", "2", "--out",
+          "j.csv"],
+         ["joint", "--alpha2", "5", "--r2", "0.1:0.8:41", "--k", "2", "--out",
+          "j.csv"]),
+        (["optimize", "--target", "t.json", "--stages", "1", "--k", "1",
+          "--alpha", "1"],
+         ["optimize", "--target", "t.json", "--stages", "3", "--k", "1,1,1",
+          "--alpha", "1"]),
+    ])
+    def test_garbage_does_not_grow_with_the_work(self, tmp_path, small, large):
+        """What the process entry leaves uncollected is the same for a small
+        and a large run: nothing the work does makes cycles."""
+        warm_up = [["state", "--alpha", "1.35", "--r2", "0.77", "--out",
+                    "t.json"], small]
+        proc = subprocess.run(
+            [sys.executable, "-c", GARBAGE, json.dumps(warm_up + [small, large])],
+            env=_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        assert counts[-2] == counts[-1]

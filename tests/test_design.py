@@ -1,5 +1,6 @@
 """Unit tests for parameter sweeps and the reflectivity optimizer."""
 
+import hashlib
 import json
 import math
 
@@ -89,6 +90,35 @@ class TestSweep:
         rows = sweep(spec)
         assert rows[1][1] == pytest.approx(1.0, abs=1e-12)
         assert rows[0][1] < 1.0
+
+    @pytest.mark.parametrize("metric, digest", [
+        ("success_prob",
+         "a619398940bc9900e48efdf16719c3c3609dabddf5b4aca736d6ae35e85febb6"),
+        ("var_x_db",
+         "fda304052db4d602fd74ec6899bb7bb42e2b8c29328d1425e7fa5d9d781464d8"),
+        ("fidelity_to_target",
+         "40ce60adc122c9f30b580af66b1b71f3949f01db9c16f5e4f2243d55852582c5"),
+    ])
+    def test_each_point_resolves_its_window_at_most_twice(self, monkeypatch,
+                                                          metric, digest):
+        """Once for the point's CatalysisConfig and once for the cascade
+        pcoc_state runs; the cascade used to check each stage through a
+        CatalysisConfig of its own.  The rows are hashed from before."""
+        target, _ = pcoc_state(CatalysisConfig(1.5, BeamSplitter(0.4), 1))
+        spec = SweepSpec((Axis("r2", 0.01, 0.99, 99),), metric, alpha=2.7, k=3,
+                         target=target)
+        calls = []
+        window_dim = catalysis._window_dim
+
+        def counted(*args):
+            calls.append(args)
+            return window_dim(*args)
+
+        monkeypatch.setattr(catalysis, "_window_dim", counted)
+        rows = sweep(spec)
+        assert len(rows) == 99
+        assert len(calls) <= 2 * 99
+        assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == digest
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         spec = SweepSpec((Axis("r2", 0.1, 0.9, 7),), "g2")

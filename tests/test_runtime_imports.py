@@ -83,6 +83,8 @@ PACKAGE = ["photon_catalysis", "photon_catalysis.cli"]
 STATE = PACKAGE + ["photon_catalysis.analysis", "photon_catalysis.catalysis",
                    "photon_catalysis.fock", "numpy"]
 DESIGN = STATE + ["photon_catalysis.design"]
+OPTIMIZE = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.design",
+                      "photon_catalysis.fock", "numpy"]
 JOINT = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
                    "photon_catalysis.fock", "numpy"]
 
@@ -100,7 +102,7 @@ JOINT = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
     (["sweep", "--metric", "g2", "--axis", "r2:0.1:0.9:5", "--out", "s.csv"],
      0, DESIGN),
     (["optimize", "--target", "t.json", "--stages", "1", "--k", "2",
-      "--alpha", "1.2", "--tol", "1e-4"], 0, DESIGN),
+      "--alpha", "1.2", "--tol", "1e-4"], 0, OPTIMIZE),
     (["joint", "--alpha2", "1.11", "--r2", "0.5", "--out", "j.csv"], 0, JOINT),
     (["joint", "--alpha2", "1.11", "--r2", "0.3:0.7:3", "--out", "j.csv"],
      0, JOINT),
