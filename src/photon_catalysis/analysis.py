@@ -12,11 +12,10 @@ from typing import Iterator
 
 import numpy as np
 
+from .core import VACUUM_VARIANCE
 from .fock import (FMT9, FockState, PhotonNumberDistribution, TAIL_GATE,
                    TruncationError, UndefinedQuantityError, factorial_moments,
                    fmt9)
-
-VACUUM_VARIANCE = 0.25
 
 
 class PoleError(ArithmeticError):

@@ -14,14 +14,14 @@ closed forms are tested against; it alone needs scipy, imported on first use.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockState, UndefinedQuantityError, coherent_window, default_dim
+from .core import HERALD_CUTOFF, UndefinedQuantityError, _window_dim
+from .fock import FockState, coherent_window
 
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
@@ -34,29 +34,6 @@ __all__ = [
 # alternating sum free of cancellation noise at the photon numbers in range
 # here.
 _EXACT_BINOM_LIMIT = 64
-
-# Largest two-mode window side dim + k: sqrt(binom(n, i)) is taken from a float
-# binomial, and binom(n, n/2) overflows a double beyond n = 1029.
-_MAX_WINDOW = 1030
-
-
-def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
-    """dim, or default_dim(alpha, k) when None, checked before anything is allocated."""
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"--alpha/--alpha2 must be finite, got {alpha}")
-    # A mean photon number |alpha|^2 above the largest window fits no window,
-    # and default_dim overflows on it once |alpha| passes 1e154.
-    if abs(alpha) > math.sqrt(_MAX_WINDOW):
-        size = f"|alpha|^2 = ({abs(alpha):.6g})^2"
-    else:
-        dim = default_dim(alpha, k) if dim is None else dim
-        if dim + k <= _MAX_WINDOW:
-            return dim
-        size = f"dim + k = {dim + k}"
-    raise ValueError(
-        f"{size} exceeds {_MAX_WINDOW}, the largest window whose "
-        f"binomials fit a float; lower --alpha/--alpha2, --k or --dim")
-
 
 @dataclass(frozen=True)
 class BeamSplitter:
@@ -227,8 +204,11 @@ def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
     The success probability is sum_n |a_n|^2 with the coherent Poisson weights
     included (the r2=0 limit gives exactly 1 and the r2=1 limit the Poisson
     weight of |k> in the input, both confirmed by the brute-force oracle).
+    It takes the stage's cached row directly, bitwise the one-stage product,
+    so the window that ``cfg`` checked is not checked again.
     """
-    return iterated_pcoc(IteratedConfig(cfg.alpha, ((cfg.bs.r2, cfg.k),), cfg.dim))
+    return _herald_state(cfg.alpha, cfg.dim,
+                         _coefficient_row(cfg.bs.r2, int(cfg.k), cfg.dim))
 
 
 def success_probability_analytic(alpha: complex, bs: BeamSplitter) -> float:
@@ -246,8 +226,13 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
     It runs _stage_product and then _heralded, as the optimizer's probes do, so
     both see bitwise the same state.
     """
-    u_amps, tail = _coherent(cfg.alpha, cfg.dim)
-    heralded = _heralded(u_amps, _stage_product(cfg, None, ())[0])
+    return _herald_state(cfg.alpha, cfg.dim, _stage_product(cfg, None, ())[0])
+
+
+def _herald_state(alpha: complex, dim: int, prod: np.ndarray) -> tuple[FockState, float]:
+    """(heralded state, probability) through one stage-product row."""
+    u_amps, tail = _coherent(alpha, dim)
+    heralded = _heralded(u_amps, prod)
     if heralded is None:
         raise UndefinedQuantityError("herald outcome has zero probability")
     amps, prob = heralded
@@ -297,7 +282,7 @@ def _heralded(u_amps: np.ndarray, prod: np.ndarray) -> tuple[np.ndarray, float] 
     row, as FockState.normalized() takes them; None if the heralds cannot fire."""
     raw = u_amps * prod
     prob = float(np.vdot(raw, raw).real)
-    if prob < 1e-300:
+    if prob < HERALD_CUTOFF:
         return None
     return raw / math.sqrt(prob), prob
 
@@ -395,7 +380,7 @@ def herald(s: TwoModeState, herald_mode: int, k: int) -> tuple[FockState | None,
         raise ValueError(f"herald photon number k={k} out of range for dim={dim_h}")
     column = s.amplitudes[k, :] if herald_mode == 0 else s.amplitudes[:, k]
     prob = float(np.vdot(column, column).real)
-    if prob < 1e-300:
+    if prob < HERALD_CUTOFF:
         return None, 0.0
     return FockState(column, 0.0).normalized(), prob
 

@@ -87,20 +87,20 @@ def _warn_coverage(*warnings: str | None):
 
 
 def cmd_state(args) -> int:
-    from .analysis import g2, quadrature_variances, wigner, wigner_negativity
-    from .fock import fmt9, number_distribution, state_to_json
+    """The first four summary lines come from the displaced-frame kernel,
+    untruncated; the windowed state gives the JSON and the Wigner line."""
+    from .analysis import wigner, wigner_negativity
+    from .core import fmt9
+    from .fock import state_to_json
+    from .frame import state_metrics
 
-    state, prob = _build_state(args.alpha, args.r2, args.k, args.dim)
-    stats = quadrature_variances(state)
-    g2_val = g2(number_distribution(state))
+    state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
+    summary = state_metrics(args.alpha, args.r2, args.k)
     grid = wigner(state)
     _warn_coverage(grid.coverage_warning)
     min_w, _ = wigner_negativity(grid)
-    for name, value in (("success_prob", prob),
-                        ("var_x_db", stats.squeeze_db_x),
-                        ("var_p_db", stats.squeeze_db_p),
-                        ("g2", g2_val),
-                        ("wigner_min", min_w)):
+    for name, value in zip(("success_prob", "var_x_db", "var_p_db", "g2",
+                            "wigner_min"), (*summary, min_w)):
         print(f"{name} = {fmt9(value)}")
     if args.out:
         _write_text(args.out, state_to_json(state))
@@ -108,11 +108,11 @@ def cmd_state(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .core import _parse_state, fmt9
     from .design import SweepSpec, sweep
-    from .fock import fmt9
 
     axes = [_parse_axis(spec_text) for spec_text in args.axis]
-    target = _read_target(args.target) if args.target else None
+    target = _read_target(args.target, _parse_state)[0] if args.target else None
     spec = SweepSpec(tuple(axes), args.metric, alpha=args.alpha, r2=args.r2,
                      k=args.k, target=target)
     warnings = []
@@ -208,8 +208,9 @@ def cmd_joint(args) -> int:
 def cmd_optimize(args) -> int:
     from .design import (DesignProblem, optimize_reflectivities,
                          optimize_result_to_json)
+    from .fock import state_from_json
 
-    target = _read_target(args.target)
+    target = _read_target(args.target, state_from_json)
     try:
         ks = tuple(int(s) for s in args.k.split(","))
     except ValueError:
@@ -242,13 +243,12 @@ def _read_file(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
 
 
-def _read_target(path: str) -> FockState:
-    """The --target state; a malformed file is a usage error naming it."""
-    from .fock import state_from_json
-
+def _read_target(path: str, parse):
+    """The --target state as ``parse`` reads it; a malformed file is a usage
+    error naming it."""
     text = _read_file(path)
     try:
-        return state_from_json(text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"--target {path}: {exc}") from None
 
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .fock import TruncationError, UndefinedQuantityError
+    from .core import TruncationError, UndefinedQuantityError
 
     try:
         return args.func(args)

@@ -1,0 +1,94 @@
+"""Standard-library core that every command shares: the error classes, the
+truncation window, number formats and state-JSON validation.  The numpy
+modules import these from here, so the numpy-free sweeps (`frame`) can use
+them too."""
+
+from __future__ import annotations
+
+import cmath
+import math
+import sys
+
+# Probability allowed to fall outside the truncation window before a
+# constructor refuses to build the state.
+TAIL_GATE = 1e-9
+# A herald whose probability is below this cannot fire.
+HERALD_CUTOFF = 1e-300
+# Largest two-mode window side dim + k: sqrt(binom(n, i)) is taken from a float
+# binomial, and binom(n, n/2) overflows a double beyond n = 1029.
+_MAX_WINDOW = 1030
+VACUUM_VARIANCE = 0.25
+
+
+class TruncationError(ValueError):
+    """The requested dimension leaves more than TAIL_GATE probability outside."""
+
+
+class UndefinedQuantityError(ValueError):
+    """A requested statistic is undefined for the given input (e.g. g2 of vacuum)."""
+
+
+def default_dim(alpha: complex, k: int = 0) -> int:
+    """Truncation large enough for a mean photon number |alpha|^2 plus k extra photons.
+
+    Keeps the Poisson tail below TAIL_GATE for every parameter set used in
+    practice (|alpha| <= 2.7, k <= 6), with a floor of 25.
+    """
+    u = abs(alpha) ** 2
+    return max(25, math.ceil(u + 8.0 * math.sqrt(u + 1.0) + k + 5))
+
+
+def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
+    """dim, or default_dim(alpha, k) when None, checked before anything is allocated."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"--alpha/--alpha2 must be finite, got {alpha}")
+    # A mean photon number |alpha|^2 above the largest window fits no window,
+    # and default_dim overflows on it once |alpha| passes 1e154.
+    if abs(alpha) > math.sqrt(_MAX_WINDOW):
+        size = f"|alpha|^2 = ({abs(alpha):.6g})^2"
+    else:
+        dim = default_dim(alpha, k) if dim is None else dim
+        if dim + k <= _MAX_WINDOW:
+            return dim
+        size = f"dim + k = {dim + k}"
+    raise ValueError(
+        f"{size} exceeds {_MAX_WINDOW}, the largest window whose "
+        f"binomials fit a float; lower --alpha/--alpha2, --k or --dim")
+
+
+FMT9 = ".8e"  # the 9-digit format spec; "%" + FMT9 formats a float to the same bytes
+
+
+def fmt9(x: float) -> str:
+    """Scientific notation with 9 significant digits: CSV cells and summary lines."""
+    return format(x, FMT9)
+
+
+def fmt17(x: float) -> str:
+    """Scientific notation with 17 significant digits, round-trippable."""
+    return f"{x:.16e}"
+
+
+def _parse_state(text: str) -> tuple[list[complex], float]:
+    """(amplitudes, tail_mass) of a `state_to_json` document (a missing
+    tail_mass reads 0); any other document raises a ValueError that says
+    what is wrong."""
+    import json
+
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object {dim, amplitudes, tail_mass}")
+    dim, pairs = doc.get("dim"), doc.get("amplitudes")
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if (not isinstance(pairs, list) or len(pairs) != dim
+            or not all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ValueError(f"amplitudes must be a list of dim = {dim} [re, im] pairs")
+    values = [v for pair in pairs for v in pair] + [doc.get("tail_mass", 0.0)]
+    # JSON numbers, not bools, within the float range
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError("amplitudes and tail_mass must be finite numbers")
+    return [complex(re, im) for re, im in pairs], float(values[-1])

@@ -1,19 +1,19 @@
 """Parameter sweeps and derivative-free inverse design of stage reflectivities.
 
-`analysis` is imported by the sweep helpers that use it, so `optimize` and
-the success_prob and fidelity_to_target sweeps run without loading it."""
+Every sweep metric but wigner_min comes from the displaced-frame kernel in
+`frame`, so those sweeps load no numpy.  Each path imports what it runs when
+it runs: `frame` for those sweeps, the numpy modules for wigner_min and the
+optimizer."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import METRICS
-from .catalysis import (BeamSplitter, CatalysisConfig, IteratedConfig,
-                        _coherent, _heralded, _stage_product, pcoc_state)
-from .fock import FockState, _overlap, fidelity, fmt17, number_distribution
+from .core import fmt17
 
 __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
@@ -22,7 +22,7 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Scan budgets, measured on a 2-core VM: 10^4 points of the costliest state
-# (k = 480, dim 520) took 13 s; 10^10 Wigner cell-steps take 4.5-8 s.
+# (k = 508) take 9 s for g2; 10^10 Wigner cell-steps take 4.5-8 s.
 _MAX_POINTS = 10 ** 4
 _MAX_WIGNER_WORK = 1e10
 
@@ -42,21 +42,34 @@ class Axis:
         if self.steps < 2:
             raise ValueError("each axis needs at least 2 steps")
 
-    def values(self) -> np.ndarray:
-        vals = np.linspace(self.lo, self.hi, self.steps)
+    def values(self) -> list[float]:
+        """np.linspace(lo, hi, steps) bit for bit, as Python floats: i * step
+        + lo, or (i / div) * delta + lo where the step rounds to 0, with the
+        last value hi.  A k axis is rounded half to even, as np.round does."""
+        lo, hi, div = float(self.lo), float(self.hi), self.steps - 1
+        delta = hi - lo
+        step = delta / div
+        if step == 0:
+            vals = [i / div * delta + lo for i in range(self.steps)]
+        else:
+            vals = [i * step + lo for i in range(self.steps)]
+        vals[-1] = hi
         if self.name == "k":
-            vals = np.round(vals)
+            vals = [round(v, 0) for v in vals]
         return vals
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """``target``, for fidelity_to_target, is a FockState or a sequence of
+    its amplitudes."""
+
     axes: tuple[Axis, ...]
     metric: str
     alpha: float = 1.0
     r2: float = 0.5
     k: int = 1
-    target: FockState | None = None
+    target: FockState | list[complex] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -75,56 +88,31 @@ class SweepSpec:
                              f"budget of {_MAX_POINTS}; use fewer steps")
 
 
-def _point_config(spec: SweepSpec, params: dict) -> CatalysisConfig:
-    return CatalysisConfig(params.get("alpha", spec.alpha),
-                           BeamSplitter(params.get("r2", spec.r2)),
-                           int(params.get("k", spec.k)))
-
-
-def _point_state(spec: SweepSpec, params: dict) -> tuple[FockState, float]:
-    """(heralded state, success probability) at one grid point."""
-    return pcoc_state(_point_config(spec, params))
-
-
-def _check_wigner_sweep(spec: SweepSpec, points: list[dict]):
-    """Refuse, before any state is built, a wigner_min sweep whose grids add
-    up to more than the budget of recurrence cell-steps.  A point whose
-    config is refused adds none: its state fails when it is built."""
+def _check_wigner_sweep(spec: SweepSpec, points: list[dict]) -> list:
+    """Each point's CatalysisConfig, or the ValueError that refused it, once
+    the configs that were accepted are checked to need no more than the
+    budget of Wigner recurrence cell-steps; a refused point adds none."""
     from .analysis import WignerGridSpec
+    from .catalysis import BeamSplitter, CatalysisConfig
 
-    grid = WignerGridSpec()
-    steps = 0
+    configs = []
     for params in points:
         try:
-            dim = _point_config(spec, params).dim
-        except ValueError:
-            continue
-        steps += dim * (dim + 1) // 2
+            configs.append(CatalysisConfig(params.get("alpha", spec.alpha),
+                                           BeamSplitter(params.get("r2", spec.r2)),
+                                           int(params.get("k", spec.k))))
+        except ValueError as exc:
+            configs.append(exc)
+    grid = WignerGridSpec()
+    steps = sum(c.dim * (c.dim + 1) // 2 for c in configs
+                if not isinstance(c, ValueError))
     work = grid.nx * grid.np * steps
     if work > _MAX_WIGNER_WORK:
         raise ValueError(f"wigner_min sweep of {len(points)} points needs "
                          f"{work:.2e} Wigner cell-steps; the budget is "
                          f"{_MAX_WIGNER_WORK:.0e}; use fewer --axis steps or "
                          f"lower --alpha or --k")
-
-
-def _evaluate_point(spec: SweepSpec, params: dict) -> tuple[float, float]:
-    """(metric value, success probability) of the heralded state at one grid
-    point, for every metric but wigner_min."""
-    state, prob = _point_state(spec, params)
-    if spec.metric == "success_prob":
-        return prob, prob
-    if spec.metric == "fidelity_to_target":
-        return fidelity(state, spec.target), prob
-    from .analysis import VACUUM_VARIANCE, g2, quadrature_variances
-
-    if spec.metric in ("var_x_db", "var_p_db"):
-        stats = quadrature_variances(state)
-        var = stats.var_x if spec.metric == "var_x_db" else stats.var_p
-        return 10.0 * math.log10(var / VACUUM_VARIANCE), prob
-    if spec.metric == "g2":
-        return g2(number_distribution(state)), prob
-    raise AssertionError(spec.metric)
+    return configs
 
 
 def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
@@ -133,18 +121,29 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     ``warn``, if given, is called with each Wigner coverage warning.  The
     wigner_min metric builds every point's state first, in row order, and
     then takes all their Wigner grids in shared blocks (`wigner_grids`)."""
-    grids = [a.values() for a in spec.axes]
-    mesh = np.meshgrid(*grids, indexing="ij")
     names = [a.name for a in spec.axes]
-    combos = list(zip(*(m.ravel() for m in mesh)))
+    combos = list(itertools.product(*(a.values() for a in spec.axes)))
     points = [dict(zip(names, combo)) for combo in combos]
     if spec.metric != "wigner_min":
-        return [combo + _evaluate_point(spec, params)
+        from .frame import sweep_point
+
+        target = spec.target
+        if target is not None:
+            target = [complex(a) for a in getattr(target, "amplitudes", target)]
+        return [combo + sweep_point(spec.metric, params.get("alpha", spec.alpha),
+                                    params.get("r2", spec.r2),
+                                    params.get("k", spec.k), target)
                 for combo, params in zip(combos, points)]
     from .analysis import wigner_grids, wigner_negativity
+    from .catalysis import pcoc_state
 
-    _check_wigner_sweep(spec, points)
-    states, probs = zip(*(_point_state(spec, params) for params in points))
+    states, probs = [], []
+    for cfg in _check_wigner_sweep(spec, points):
+        if isinstance(cfg, ValueError):
+            raise cfg
+        state, prob = pcoc_state(cfg)
+        states.append(state)
+        probs.append(prob)
     rows = []
     for combo, prob, grid in zip(combos, probs, wigner_grids(states)):
         if warn and grid.coverage_warning:
@@ -228,6 +227,8 @@ def _line_max(f, scan, lo: float, hi: float, tol: float) -> tuple[float, float]:
     over the full interval is not safe; 33 stratified probes locate the basin.
     ``scan`` maps the probe array to the values f would give, in one call.
     """
+    import numpy as np
+
     xs = np.linspace(lo, hi, 33)
     vals = scan(xs)
     i = int(np.argmax(vals))
@@ -256,11 +257,6 @@ def _start_points(problem: DesignProblem) -> list[list[float]]:
     return starts
 
 
-def _cascade(problem: DesignProblem, coords) -> IteratedConfig:
-    alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
-    return IteratedConfig(alpha, tuple(zip(coords[:problem.stages], problem.ks)))
-
-
 def _fidelity_at(problem: DesignProblem, coords) -> tuple[float, float]:
     """(fidelity, success probability) at one point; a probe whose heralds
     cannot all fire scores (0, 0)."""
@@ -277,12 +273,24 @@ def _scores(problem: DesignProblem, coords, stage: int | None,
             xs) -> list[tuple[float, float]]:
     """(fidelity, success probability) per row of _stage_product, bitwise what
     fidelity gives on iterated_pcoc's state for that row, without building it."""
-    cfg = _cascade(problem, coords)
-    prod = _stage_product(cfg, stage, xs)
-    u_amps, _ = _coherent(cfg.alpha, cfg.dim)
+    catalysis, fock = _engine()
+    alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
+    cfg = catalysis.IteratedConfig(alpha, tuple(zip(coords[:problem.stages],
+                                                    problem.ks)))
+    prod = catalysis._stage_product(cfg, stage, xs)
+    u_amps, _ = catalysis._coherent(cfg.alpha, cfg.dim)
     target = problem.target.amplitudes
-    return [(0.0, 0.0) if h is None else (_overlap(h[0], target), h[1])
-            for h in (_heralded(u_amps, row) for row in prod)]
+    return [(0.0, 0.0) if h is None else (fock._overlap(h[0], target), h[1])
+            for h in (catalysis._heralded(u_amps, row) for row in prod)]
+
+
+@functools.cache
+def _engine():
+    """The numpy modules the optimizer runs, imported on its first probe: an
+    import statement in `_scores` itself would cost about a tenth of a probe."""
+    from . import catalysis, fock
+
+    return catalysis, fock
 
 
 def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:

@@ -3,22 +3,12 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-# Probability allowed to fall outside the truncation window before a
-# constructor refuses to build the state.
-TAIL_GATE = 1e-9
-
-
-class TruncationError(ValueError):
-    """The requested dimension leaves more than TAIL_GATE probability outside."""
-
-
-class UndefinedQuantityError(ValueError):
-    """A requested statistic is undefined for the given input (e.g. g2 of vacuum)."""
+from .core import (FMT9, TAIL_GATE, TruncationError, UndefinedQuantityError,
+                   _parse_state, default_dim, fmt9, fmt17)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,16 +61,6 @@ class PhotonNumberDistribution:
     @property
     def size(self) -> int:
         return self.probabilities.size
-
-
-def default_dim(alpha: complex, k: int = 0) -> int:
-    """Truncation large enough for a mean photon number |alpha|^2 plus k extra photons.
-
-    Keeps the Poisson tail below TAIL_GATE for every parameter set used in
-    practice (|alpha| <= 2.7, k <= 6), with a floor of 25.
-    """
-    u = abs(alpha) ** 2
-    return max(25, math.ceil(u + 8.0 * math.sqrt(u + 1.0) + k + 5))
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -218,19 +198,6 @@ def distribution_moment(d: PhotonNumberDistribution, order: int) -> float:
     return factorial_moments(d.probabilities)[order - 1]
 
 
-FMT9 = ".8e"  # the 9-digit format spec; "%" + FMT9 formats a float to the same bytes
-
-
-def fmt9(x: float) -> str:
-    """Scientific notation with 9 significant digits: CSV cells and summary lines."""
-    return format(x, FMT9)
-
-
-def fmt17(x: float) -> str:
-    """Scientific notation with 17 significant digits, round-trippable."""
-    return f"{x:.16e}"
-
-
 def state_to_json(s: FockState) -> str:
     """Serialize to the fixed schema {dim, amplitudes: [[re, im], ...], tail_mass}."""
     rows = ",".join(
@@ -242,23 +209,5 @@ def state_to_json(s: FockState) -> str:
 def state_from_json(text: str) -> FockState:
     """Parse the `state_to_json` schema (a missing tail_mass reads 0); any
     other document raises a ValueError that says what is wrong."""
-    import json
-
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object {dim, amplitudes, tail_mass}")
-    dim, pairs = doc.get("dim"), doc.get("amplitudes")
-    if type(dim) is not int or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-    if (not isinstance(pairs, list) or len(pairs) != dim
-            or not all(isinstance(p, list) and len(p) == 2 for p in pairs)):
-        raise ValueError(f"amplitudes must be a list of dim = {dim} [re, im] pairs")
-    values = [v for pair in pairs for v in pair] + [doc.get("tail_mass", 0.0)]
-    # JSON numbers, not bools, within the float range
-    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
-        raise ValueError("amplitudes and tail_mass must be finite numbers")
-    return FockState(np.array(values[:-1], dtype=float).view(complex),
-                     float(values[-1]))
+    amplitudes, tail_mass = _parse_state(text)
+    return FockState(np.array(amplitudes, dtype=complex), tail_mass)

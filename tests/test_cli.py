@@ -54,6 +54,18 @@ class TestState:
         assert float(summary["var_x_db"]) == pytest.approx(0.0, abs=1e-7)
         assert float(summary["success_prob"]) == 1.0
 
+    def test_readme_summary_is_pinned(self, capsys):
+        """Printed from the windowed state before the first four lines came
+        from the displaced-frame kernel."""
+        code, stdout, _ = run(capsys, "state", "--alpha", "1.35", "--r2", "0.77",
+                              "--k", "1")
+        assert code == 0
+        assert stdout == ("success_prob = 2.74773996e-01\n"
+                          "var_x_db = 4.47728884e+00\n"
+                          "var_p_db = 4.67322077e+00\n"
+                          "g2 = 7.60172942e-01\n"
+                          "wigner_min = -6.07746318e-01\n")
+
     def test_truncation_gate_is_validation_error(self, capsys):
         code, _, stderr = run(capsys, "state", "--alpha", "2", "--r2", "0.3",
                               "--k", "1", "--dim", "4")
@@ -127,6 +139,33 @@ class TestSweep:
         assert got == g2_code == code
         assert stderr == g2_stderr and message in stderr
         assert stdout == "" and not out.exists()
+
+    def test_large_alpha_times_k_prints_the_exact_herald_probability(
+            self, tmp_path, capsys):
+        """The windowed state's binomial sums cancelled here and printed
+        success_prob = 1.01653682e+09 at r2 = 0.4 and 1.04e-3 at 0.5, with
+        exit 0; 60-digit mpmath gives 4.72296455e-3 and 2.29110710e-4."""
+        out = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", "--metric", "g2", "--axis",
+                         "r2:0.4:0.6:3", "--alpha", "20", "--k", "60",
+                         "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().split("\n")[1:-1]]
+        assert [row[2] for row in rows[:2]] == ["4.72296455e-03", "2.29110710e-04"]
+        assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--metric", "var_x_db", "--axis", "r2:0.05:0.95:50"],
+         "5352f1f587e32fc1934904a0e5a32ecda571bc52cf76c9f414b71f704c7a3f8c"),
+        (["--metric", "g2", "--axis", "r2:0.01:0.99:99", "--alpha", "1.0536"],
+         "12fc7787f49da9fce1f9129d80bdee3b456de51bb6c22d8fce884228539ab2f1"),
+    ])
+    def test_readme_sweep_bytes_are_pinned(self, tmp_path, capsys, argv, digest):
+        """Hashed from the windowed state path; the kernel prints the same
+        bytes."""
+        out = tmp_path / "s.csv"
+        assert run(capsys, "sweep", *argv, "--out", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_fidelity_needs_target(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--metric", "fidelity_to_target",

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from photon_catalysis.analysis import (VACUUM_VARIANCE, variance_x_analytic,
-                                       wigner, wigner_negativity)
-from photon_catalysis import catalysis, design
+from photon_catalysis.analysis import (VACUUM_VARIANCE, g2,
+                                       quadrature_variances,
+                                       variance_x_analytic, wigner,
+                                       wigner_negativity)
+from photon_catalysis import catalysis, design, frame
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         IteratedConfig, catalysis_coefficients,
                                         iterated_pcoc, pcoc_oracle, pcoc_state)
@@ -18,7 +20,7 @@ from photon_catalysis.design import (Axis, DesignProblem, SweepSpec, METRICS,
                                      optimize_reflectivities,
                                      optimize_result_to_json, sweep)
 from photon_catalysis.fock import (UndefinedQuantityError, coherent_window,
-                                   fidelity, make_fock)
+                                   fidelity, make_fock, number_distribution)
 
 
 class TestAxes:
@@ -38,6 +40,23 @@ class TestAxes:
     def test_minimum_steps(self):
         with pytest.raises(ValueError):
             Axis("r2", 0, 1, 1)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(name=st.sampled_from(["r2", "alpha", "k"]), lo=st.floats(),
+           hi=st.floats(), steps=st.integers(2, 150))
+    @example(name="alpha", lo=0.0, hi=5e-324, steps=3)  # the step rounds to 0
+    @example(name="k", lo=-2.5, hi=2.5, steps=11)       # halves round to even
+    @example(name="r2", lo=0.0, hi=math.inf, steps=3)
+    def test_values_are_numpy_linspace_bit_for_bit(self, name, lo, hi, steps):
+        """The sweep loads no numpy, so its axes lay out np.linspace (and
+        np.round on k) themselves, as Python floats."""
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, steps)
+            if name == "k":
+                want = np.round(want)
+        got = Axis(name, lo, hi, steps).values()
+        assert all(type(v) is float for v in got)
+        assert bits(got) == bits(want)
 
 
 class TestSweepSpec:
@@ -93,20 +112,40 @@ class TestSweep:
 
     @pytest.mark.parametrize("metric, digest", [
         ("success_prob",
-         "a619398940bc9900e48efdf16719c3c3609dabddf5b4aca736d6ae35e85febb6"),
+         "df3ca43f71755d55db74c971707ec48e56aad8d7e6ad4d4263b437cf0490fd1d"),
         ("var_x_db",
-         "fda304052db4d602fd74ec6899bb7bb42e2b8c29328d1425e7fa5d9d781464d8"),
+         "ecd1a6ac377a761ee38b4c878b7b65299444d6644c9713a68d307c498e968b33"),
         ("fidelity_to_target",
-         "40ce60adc122c9f30b580af66b1b71f3949f01db9c16f5e4f2243d55852582c5"),
+         "9eab0942484837b0d1562f31284bcf44eed4085033047a617330aa0a48aac725"),
     ])
     def test_each_point_resolves_its_window_at_most_twice(self, monkeypatch,
                                                           metric, digest):
-        """Once for the point's CatalysisConfig and once for the cascade
-        pcoc_state runs; the cascade used to check each stage through a
-        CatalysisConfig of its own.  The rows are hashed from before."""
+        """Now at most once: the kernel checks the point's default window the
+        way CatalysisConfig does and builds no state.  The windowed path
+        checked it twice, for the point's CatalysisConfig and for the cascade
+        pcoc_state ran.  The rows are hashed."""
         target, _ = pcoc_state(CatalysisConfig(1.5, BeamSplitter(0.4), 1))
         spec = SweepSpec((Axis("r2", 0.01, 0.99, 99),), metric, alpha=2.7, k=3,
                          target=target)
+        calls = []
+        window_dim = frame._window_dim
+
+        def counted(*args):
+            calls.append(args)
+            return window_dim(*args)
+
+        monkeypatch.setattr(frame, "_window_dim", counted)
+        monkeypatch.setattr(catalysis, "_window_dim", counted)
+        rows = sweep(spec)
+        assert len(rows) == 99
+        assert len(calls) <= 99
+        assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == digest
+
+    def test_wigner_min_point_resolves_its_window_once(self, monkeypatch):
+        """Each point's CatalysisConfig is built once, for the Wigner budget
+        and for the state; the budget, the sweep and pcoc_state's cascade each
+        built one (21 window checks here).  The rows are bitwise as before."""
+        spec = SweepSpec((Axis("alpha", 0.5, 2.5, 7),), "wigner_min", k=2)
         calls = []
         window_dim = catalysis._window_dim
 
@@ -115,10 +154,11 @@ class TestSweep:
             return window_dim(*args)
 
         monkeypatch.setattr(catalysis, "_window_dim", counted)
+        monkeypatch.setattr(frame, "_window_dim", counted)
         rows = sweep(spec)
-        assert len(rows) == 99
-        assert len(calls) <= 2 * 99
-        assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == digest
+        assert len(calls) == 7
+        assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == \
+            "5961911e4b10d7e6b83988b9fd5399cabd7ff2a5c227e794b0d03ec905a6c01a"
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         spec = SweepSpec((Axis("r2", 0.1, 0.9, 7),), "g2")
@@ -129,19 +169,36 @@ class TestSweep:
         assert parallel == serial
 
 
+def oracle_metric(metric, alpha, r2, k, target) -> tuple[float, float]:
+    """(metric, success_prob) of the brute-force oracle's state at one point."""
+    state, prob = pcoc_oracle(CatalysisConfig(alpha, BeamSplitter(r2), k))
+    if metric == "success_prob":
+        return prob, prob
+    if metric == "fidelity_to_target":
+        return fidelity(state, target), prob
+    if metric == "wigner_min":
+        return wigner_negativity(wigner(state))[0], prob
+    if metric == "g2":
+        return g2(number_distribution(state)), prob
+    stats = quadrature_variances(state)
+    return (stats.squeeze_db_x if metric == "var_x_db" else stats.squeeze_db_p), prob
+
+
 class TestSweepMatchesOracle:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("metric", METRICS)
-    def test_rows_equal_oracle_built_states(self, metric, k, monkeypatch):
+    def test_rows_equal_oracle_built_states(self, metric, k):
+        """Every row against the metric of the state that the two-mode
+        unitary builds and heralds, which shares no code with the kernel."""
         target, _ = pcoc_state(CatalysisConfig(1.5, BeamSplitter(0.4), 1))
         steps = 3 if metric == "wigner_min" else 9
-        spec = SweepSpec((Axis("r2", 0.05, 0.95, steps),), metric, alpha=1.6,
-                         k=k, target=target)
+        axis = Axis("r2", 0.05, 0.95, steps)
+        spec = SweepSpec((axis,), metric, alpha=1.6, k=k, target=target)
         got = sweep(spec)
-        monkeypatch.setattr(design, "pcoc_state", pcoc_oracle)
-        want = sweep(spec)
-        for row, ref in zip(got, want):
-            assert row == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert len(got) == steps
+        for row, r2 in zip(got, axis.values()):
+            want = (r2, *oracle_metric(metric, 1.6, r2, k, target))
+            assert row == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestWignerMinBlocks:

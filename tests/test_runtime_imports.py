@@ -3,7 +3,8 @@ command loads only the package modules it runs.
 
 scipy is needed only by the matrix-exponential oracle that the tests compare
 the closed forms against.  This guard keeps its import cost off the CLI, and
-keeps numpy off `catalysis --help` and usage errors.
+keeps numpy off `catalysis --help`, usage errors and every sweep but
+wigner_min.
 """
 
 import importlib
@@ -80,13 +81,17 @@ with open(sys.argv[1], "w") as fh:
 """
 
 PACKAGE = ["photon_catalysis", "photon_catalysis.cli"]
-STATE = PACKAGE + ["photon_catalysis.analysis", "photon_catalysis.catalysis",
+CORE = PACKAGE + ["photon_catalysis.core"]
+WIGNER = CORE + ["photon_catalysis.analysis", "photon_catalysis.catalysis",
+                 "photon_catalysis.fock", "numpy"]
+STATE = WIGNER + ["photon_catalysis.frame"]
+# Every sweep metric but wigner_min runs on the standard-library kernel.
+SWEEP = CORE + ["photon_catalysis.design", "photon_catalysis.frame"]
+WIGNER_SWEEP = WIGNER + ["photon_catalysis.design"]
+OPTIMIZE = CORE + ["photon_catalysis.catalysis", "photon_catalysis.design",
                    "photon_catalysis.fock", "numpy"]
-DESIGN = STATE + ["photon_catalysis.design"]
-OPTIMIZE = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.design",
-                      "photon_catalysis.fock", "numpy"]
-JOINT = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
-                   "photon_catalysis.fock", "numpy"]
+JOINT = CORE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
+                "photon_catalysis.fock", "numpy"]
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -98,9 +103,13 @@ JOINT = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
     (["state", "--alpha", "1.2", "--r2", "0.4", "--k", "2", "--out", "t.json"],
      0, STATE),
     (["wigner", "--alpha", "1.2", "--r2", "0.4", "--grid", "21", "--out", "w.csv"],
-     0, STATE),
+     0, WIGNER),
     (["sweep", "--metric", "g2", "--axis", "r2:0.1:0.9:5", "--out", "s.csv"],
-     0, DESIGN),
+     0, SWEEP),
+    (["sweep", "--metric", "fidelity_to_target", "--axis", "alpha:0.5:1.5:3",
+      "--axis", "k:1:2:2", "--target", "t.json", "--out", "s.csv"], 0, SWEEP),
+    (["sweep", "--metric", "wigner_min", "--axis", "r2:0.1:0.9:3",
+      "--out", "s.csv"], 0, WIGNER_SWEEP),
     (["optimize", "--target", "t.json", "--stages", "1", "--k", "2",
       "--alpha", "1.2", "--tol", "1e-4"], 0, OPTIMIZE),
     (["joint", "--alpha2", "1.11", "--r2", "0.5", "--out", "j.csv"], 0, JOINT),
@@ -109,7 +118,7 @@ JOINT = PACKAGE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, loaded):
     env = _env()
-    if argv[0] == "optimize":
+    if "--target" in argv:
         assert subprocess.run(
             [sys.executable, "-m", "photon_catalysis.cli", "state", "--alpha",
              "1.2", "--r2", "0.4", "--k", "2", "--out", "t.json"],
