@@ -16,9 +16,8 @@ METRICS = ("var_x_db", "var_p_db", "success_prob", "g2",
 _EXPORTS = {
     "fock": ("FockState", "PhotonNumberDistribution", "TruncationError",
              "UndefinedQuantityError", "coherent_amplitudes", "default_dim",
-             "distribution_moment", "fidelity", "inner_product",
-             "make_coherent", "make_css", "make_fock", "number_distribution",
-             "state_from_json", "state_to_json"),
+             "fidelity", "make_coherent", "make_css", "make_fock",
+             "number_distribution", "state_from_json", "state_to_json"),
     "catalysis": ("BeamSplitter", "CatalysisConfig", "IteratedConfig",
                   "TwoModeState", "bs_transform", "catalysis_coefficient",
                   "herald", "iterated_pcoc", "oracle_discrepancy",
@@ -31,8 +30,7 @@ _EXPORTS = {
                  "wigner_negativity", "wigner_to_csv", "wigner_to_pgm"),
     "detector": ("ClickDistribution", "JointClickDistribution", "LossChannel",
                  "TMDConfig", "apply_loss", "g2_from_clicks",
-                 "joint_output_distribution", "joint_to_csv", "joint_to_json",
-                 "tmd_click_distribution"),
+                 "joint_output_distribution", "tmd_click_distribution"),
     "design": ("Axis", "DesignProblem", "OptimizeResult", "SweepSpec",
                "optimize_reflectivities", "optimize_result_to_json", "sweep"),
 }

@@ -6,10 +6,11 @@ with the interference coefficient
     C_n(r, t, k) = sum_j binom(n, j) binom(k, j) (-1)^j t^{n+k-2j} r^{2j},
 
 taken one at a time (catalysis_coefficient, the scalar reference) or for a
-whole array of reflectivities at once (catalysis_coefficients).  The same binomial expansion gives the full two-mode output U|alpha>|k> in
-closed form (two_mode_output).  An independent brute-force path (two-mode
-unitary from a matrix exponential, then projection) is kept as the oracle the
-closed forms are tested against; it alone needs scipy, imported on first use.
+whole array of reflectivities at once (catalysis_coefficients).  The full
+two-mode output U|alpha>|k> comes from the displaced frame of `frame`
+(two_mode_output).  An independent brute-force path (two-mode unitary from a
+matrix exponential, then projection) is kept as the oracle the closed forms
+are tested against; it alone needs scipy, imported on first use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HERALD_CUTOFF, UndefinedQuantityError, _window_dim
+from .core import (HERALD_CUTOFF, UndefinedQuantityError, _check_stage,
+                   _window_dim)
 from .fock import FockState, coherent_window
 
 __all__ = [
@@ -47,8 +49,7 @@ class BeamSplitter:
     r2: float
 
     def __post_init__(self):
-        if not 0.0 <= self.r2 <= 1.0:
-            raise ValueError(f"r2={self.r2} outside [0, 1]")
+        _check_stage(self.r2)
 
     @property
     def t2(self) -> float:
@@ -73,8 +74,7 @@ class CatalysisConfig:
     dim: int | None = None
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
+        _check_stage(k=self.k)
         object.__setattr__(self, "dim", _window_dim(self.alpha, self.dim, self.k))
         if self.k >= self.dim:
             raise ValueError(f"k={self.k} must be below dim={self.dim}")
@@ -98,10 +98,7 @@ class IteratedConfig:
         # CatalysisConfig's checks per stage, without its window check: every
         # dim + k is at most the dim + kmax just checked.
         for r2, k in self.stages:
-            if not 0.0 <= r2 <= 1.0:
-                raise ValueError(f"r2={r2} outside [0, 1]")
-            if k < 0:
-                raise ValueError("k must be non-negative")
+            _check_stage(r2, k)
             if k >= self.dim:
                 raise ValueError(f"k={k} must be below dim={self.dim}")
 
@@ -117,14 +114,6 @@ class TwoModeState:
         if amps.ndim != 2:
             raise ValueError("two-mode amplitudes must be a matrix")
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim_a(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def dim_b(self) -> int:
-        return self.amplitudes.shape[1]
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -176,8 +165,7 @@ def catalysis_coefficients(r2s, k: int, dim: int) -> np.ndarray:
     """
     r2s = [float(x) for x in r2s]
     for x in r2s:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"r2={x} outside [0, 1]")
+        _check_stage(x)
     t2s = [1.0 - x for x in r2s]
     side = dim + k
     t2_pow = np.array([[t2 ** m for m in range((side + 1) // 2)]
@@ -287,34 +275,30 @@ def _heralded(u_amps: np.ndarray, prod: np.ndarray) -> tuple[np.ndarray, float] 
     return raw / math.sqrt(prob), prob
 
 
-@lru_cache(maxsize=16)
-def _sqrt_binom(size: int) -> np.ndarray:
-    """S[n, i] = sqrt(binom(n, i)) for n, i < size; zero where i > n.  Read-only."""
-    s = np.sqrt([[float(math.comb(n, i)) for i in range(size)] for n in range(size)])
-    s.flags.writeable = False
-    return s
-
-
 def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
-    """U |alpha>|k> on both output modes, from the binomial expansion of U.
+    """U |alpha>|k> on both output modes, from the displaced frame.
 
-    U turns |n, k> into (t a^+ - r b^+)^n (r a^+ + t b^+)^k |0, 0> / sqrt(n! k!).
-    Sending i of the n coherent photons and j of the k catalyst photons into
-    mode a adds sqrt(C(m,i) C(l,n-i) C(n,i) C(k,j)) t^(i+k-j) (-r)^(n-i) r^j
-    to <m, l|U|n, k>, with m = i + j and l = n + k - m.  The convention is
-    bs_transform's, and heralding l = k leaves C_n.
+    U D_a(alpha) U^+ = D_a(t alpha) D_b(-r alpha) and U|0, k> = sum_j w_j
+    |j, k - j> (the convention is bs_transform's) give
+
+        A[m, l] = sum_j w_j <m|D(t alpha)|j> <l|D(-r alpha)|k - j>.
+
+    U conserves photon number, so the windowed input sum_{n < dim} a_n |n, k>
+    fills exactly the cells with k <= m + l < dim + k; every other cell is
+    set to zero, where the frame leaves the amplitudes beyond the window or
+    rounding residue.  Heralding l = k leaves C_n.
     """
-    coh, _ = coherent_window(cfg.alpha, cfg.dim)
+    from .frame import _displaced_columns, _weights
+
+    coherent_window(cfg.alpha, cfg.dim)   # refuses a tail above TAIL_GATE
     k, side, r, t = cfg.k, cfg.dim + cfg.k, cfg.bs.r, cfg.bs.t
-    sb = _sqrt_binom(side)
-    m, l = np.indices((side, side))
-    n = m + l - k
-    amps = np.zeros((side, side), dtype=complex)
-    for j in range(k + 1):
-        ok = (m >= j) & (m - j <= n) & (n < cfg.dim)
-        mi, li, ni, ii = m[ok], l[ok], n[ok], m[ok] - j
-        amps[mi, li] += (sb[mi, ii] * sb[li, ni - ii] * sb[ni, ii] * sb[k, j]
-                         * t ** (ii + k - j) * (-r) ** (ni - ii) * r ** j * coh[ni])
+    a = np.array(_displaced_columns(t * cfg.alpha, side, k + 1)).T * _weights(r, t, k)
+    b = np.array(_displaced_columns(-r * cfg.alpha, side, k + 1))[::-1]
+    # In real products: a complex matmul would load BLAS's complex kernels,
+    # 0.35 MiB more peak RSS per `joint` command.
+    amps = (a.real @ b.real - a.imag @ b.imag) + 1j * (a.real @ b.imag + a.imag @ b.real)
+    total = np.add.outer(np.arange(side), np.arange(side))
+    amps[(total < k) | (total >= side)] = 0.0
     return TwoModeState(amps)
 
 

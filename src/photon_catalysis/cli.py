@@ -21,8 +21,9 @@ from . import METRICS
 
 _MAX_BINS = 999  # (bins + 1)^2 joint cells per r2 point, the Wigner grid cap
 # An r2 scan prints steps (bins + 1)^2 cells, about 1 us each, and builds a
-# (dim + k)^2 two-mode table in k + 1 passes per step, up to 0.13 us a cell
-# (2-core VM); steps (bins + 1)^2 alone lets a large window run for minutes.
+# (dim + k)^2 two-mode table per step as a product of two (dim + k) x (k + 1)
+# column blocks, (k + 1)(dim + k)^2 multiply-adds; steps (bins + 1)^2 alone
+# would let a large window run for minutes.
 _MAX_JOINT_CELLS = 2 * 10 ** 6
 _MAX_JOINT_WORK = 10 ** 8
 
@@ -326,8 +327,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except TruncationError as exc:
         return _die(f"truncation gate: {exc}", 2)
-    # PoleError, OverflowError and CancellationError are ArithmeticErrors;
-    # DomainError is a ValueError.
+    # PoleError and OverflowError are ArithmeticErrors; DomainError is a
+    # ValueError.
     except (UndefinedQuantityError, ArithmeticError) as exc:
         return _die(f"numerical gate: {exc}", 3)
     except (ValueError, OSError) as exc:

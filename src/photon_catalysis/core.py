@@ -14,8 +14,9 @@ import sys
 TAIL_GATE = 1e-9
 # A herald whose probability is below this cannot fire.
 HERALD_CUTOFF = 1e-300
-# Largest two-mode window side dim + k: sqrt(binom(n, i)) is taken from a float
-# binomial, and binom(n, n/2) overflows a double beyond n = 1029.
+# Largest window side dim + k: the coefficient rows take float binomials
+# (`catalysis._binom_products`), and binom(n, n/2) overflows a double beyond
+# n = 1029.
 _MAX_WINDOW = 1030
 VACUUM_VARIANCE = 0.25
 
@@ -26,6 +27,15 @@ class TruncationError(ValueError):
 
 class UndefinedQuantityError(ValueError):
     """A requested statistic is undefined for the given input (e.g. g2 of vacuum)."""
+
+
+def _check_stage(r2: float = 0.0, k: int = 0):
+    """Refuse a catalysis stage: a reflectivity r2 outside [0, 1] first, then
+    a negative catalyst photon number k.  Each caller passes what it holds."""
+    if not 0.0 <= r2 <= 1.0:
+        raise ValueError(f"r2={r2} outside [0, 1]")
+    if k < 0:
+        raise ValueError("k must be non-negative")
 
 
 def default_dim(alpha: complex, k: int = 0) -> int:

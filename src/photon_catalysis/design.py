@@ -22,9 +22,11 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Scan budgets, measured on a 2-core VM: 10^4 points of the costliest state
-# (k = 508) take 9 s for g2; 10^10 Wigner cell-steps take 4.5-8 s.
+# (k = 508) take 9 s for g2; 10^10 Wigner cell-steps take 4.5-8 s; 10^7
+# fidelity recurrence steps took 5.5-10.1 s over six target and k shapes.
 _MAX_POINTS = 10 ** 4
 _MAX_WIGNER_WORK = 1e10
+_MAX_FIDELITY_WORK = 1e7
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,22 @@ def _check_wigner_sweep(spec: SweepSpec, points: list[dict]) -> list:
     return configs
 
 
+def _check_fidelity_sweep(spec: SweepSpec, points: list[dict], levels: int):
+    """Refuse a fidelity_to_target sweep whose points need more than the
+    budget of recurrence steps: (target levels)(k + 4) a point, k + 1
+    entries per level and a displacement seed that costs about three.  A
+    point with a negative or undefined k adds none; it is refused as a
+    point."""
+    ks = (params.get("k", spec.k) for params in points)
+    work = levels * sum(k + 4 for k in ks if k >= 0)
+    if work > _MAX_FIDELITY_WORK:
+        raise ValueError(f"fidelity_to_target sweep of {len(points)} points "
+                         f"needs {work:.2e} recurrence steps, (target levels)"
+                         f"(k + 4) a point; the budget is "
+                         f"{_MAX_FIDELITY_WORK:.0e}; use fewer --axis steps, "
+                         f"a lower --k or a target with fewer levels")
+
+
 def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     """Row-major table over the declared axes: (*axis values, metric, success_prob).
 
@@ -130,6 +148,7 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
         target = spec.target
         if target is not None:
             target = [complex(a) for a in getattr(target, "amplitudes", target)]
+            _check_fidelity_sweep(spec, points, len(target))
         return [combo + sweep_point(spec.metric, params.get("alpha", spec.alpha),
                                     params.get("r2", spec.r2),
                                     params.get("k", spec.k), target)

@@ -15,18 +15,13 @@ import numpy as np
 
 from .catalysis import CatalysisConfig, two_mode_output
 from .fock import (PhotonNumberDistribution, TruncationError,
-                   UndefinedQuantityError, coherent_window, factorial_moments,
-                   fmt9)
+                   UndefinedQuantityError, factorial_moments)
 
 __all__ = [
     "LossChannel", "TMDConfig", "ClickDistribution", "JointClickDistribution",
     "apply_loss", "tmd_click_distribution", "joint_output_distribution",
-    "g2_from_clicks", "joint_to_csv", "joint_to_json",
+    "g2_from_clicks",
 ]
-
-
-class CancellationError(ArithmeticError):
-    """The two-mode output table lost its normalization to cancellation."""
 
 
 @dataclass(frozen=True)
@@ -120,23 +115,18 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
                               cfg2: TMDConfig) -> JointClickDistribution:
     """Click statistics of both beam-splitter output arms, with no heralding.
 
-    The joint state is built from the closed-form two-mode amplitudes;
-    detector 1 sees the mode carrying the transformed coherent input, detector
-    2 the mode the catalyst was injected into.  A table that misses its norm
-    by more than 1e-10 is refused: as a TruncationError when the input window
-    alone leaves that much outside, else as a CancellationError.
+    The joint state is the two-mode output U|alpha>|k>; detector 1 sees the
+    mode carrying the transformed coherent input, detector 2 the mode the
+    catalyst was injected into.  The table holds the input window's photon
+    numbers only, so it misses its norm by the coherent tail beyond --dim; a
+    miss above 1e-10 is refused as a TruncationError.
     """
     q = np.abs(two_mode_output(cfg).amplitudes) ** 2
-    if abs(q.sum() - 1.0) > 1e-10:
-        _, tail = coherent_window(cfg.alpha, cfg.dim)
-        if tail > 1e-10:
-            raise TruncationError(
-                f"coherent tail mass {tail:.3e} beyond --dim {cfg.dim} exceeds "
-                f"1e-10, the two-mode table's norm tolerance; raise --dim")
-        raise CancellationError(
-            f"two-mode probabilities sum to {q.sum():.12g}: the alternating-sign "
-            f"amplitude sums lost their precision to cancellation; lower "
-            f"--alpha2 or --k")
+    tail = 1.0 - q.sum()
+    if abs(tail) > 1e-10:
+        raise TruncationError(
+            f"coherent tail mass {tail:.3e} beyond --dim {cfg.dim} exceeds "
+            f"1e-10, the two-mode table's norm tolerance; raise --dim")
     n_max = q.shape[0] - 1
     return JointClickDistribution(
         _loss_click_matrix(n_max, cfg1).T @ q @ _loss_click_matrix(n_max, cfg2))
@@ -174,18 +164,3 @@ def g2_from_clicks(c: ClickDistribution, cfg: TMDConfig) -> float:
     if m1 <= 0.0:
         raise UndefinedQuantityError("g2 undefined for zero mean click count")
     return (cfg.bins / (cfg.bins - 1.0)) * m2 / m1 ** 2
-
-
-def joint_to_csv(j: JointClickDistribution) -> str:
-    lines = ["i,j,p"]
-    ni, nj = j.probabilities.shape
-    for i in range(ni):
-        for jj in range(nj):
-            lines.append(f"{i},{jj},{fmt9(j.probabilities[i, jj])}")
-    return "\n".join(lines) + "\n"
-
-
-def joint_to_json(j: JointClickDistribution) -> str:
-    rows = ",".join(
-        "[" + ",".join(fmt9(v) for v in row) + "]" for row in j.probabilities)
-    return f'{{"probabilities": [{rows}]}}'

@@ -72,30 +72,27 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return amps
 
 
-def coherent_window(alpha: complex, dim: int,
-                    allow_tail: bool = False) -> tuple[np.ndarray, float]:
+def coherent_window(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
     """Coherent amplitudes inside the window and the Poisson tail beyond it.
 
-    Raises TruncationError when the tail exceeds TAIL_GATE, unless
-    ``allow_tail`` is set.
+    Raises TruncationError when the tail exceeds TAIL_GATE.
     """
     amps = coherent_amplitudes(alpha, dim)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    if tail > TAIL_GATE and not allow_tail:
+    if tail > TAIL_GATE:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}; "
             f"try dim={default_dim(alpha)}")
     return amps, tail
 
 
-def make_coherent(alpha: complex, dim: int | None = None,
-                  allow_tail: bool = False) -> FockState:
+def make_coherent(alpha: complex, dim: int | None = None) -> FockState:
     """Coherent state |alpha> truncated to ``dim`` levels (gated as in coherent_window)."""
     if dim is None:
         dim = default_dim(alpha)
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return FockState(*coherent_window(alpha, dim, allow_tail)).normalized()
+    return FockState(*coherent_window(alpha, dim)).normalized()
 
 
 def make_fock(k: int, dim: int) -> FockState:
@@ -135,7 +132,7 @@ def _css_terms(alpha: float, beta: float, dim: int, displaced_cat: bool):
 
 
 def make_css(alpha: float, beta: float, dim: int | None = None,
-             displaced_cat: bool = False, allow_tail: bool = False) -> FockState:
+             displaced_cat: bool = False) -> FockState:
     """Superposition of two coherent-state branches beta+alpha and beta-alpha.
 
     Default is the literal Fock expansion ((beta+alpha)^n + (beta-alpha)^n)/sqrt(n!);
@@ -150,15 +147,10 @@ def make_css(alpha: float, beta: float, dim: int | None = None,
     coeffs, total = _css_terms(float(alpha), float(beta), dim, displaced_cat)
     inside = float(np.vdot(coeffs, coeffs).real)
     tail = max(0.0, 1.0 - inside / total) if total > 0 else 0.0
-    if tail > TAIL_GATE and not allow_tail:
+    if tail > TAIL_GATE:
         raise TruncationError(
             f"CSS tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}")
     return FockState(coeffs, tail).normalized()
-
-
-def inner_product(a: FockState, b: FockState) -> complex:
-    """<a|b> with zero padding when dimensions differ."""
-    return _inner(a.amplitudes, b.amplitudes)
 
 
 def fidelity(a: FockState, b: FockState) -> float:
@@ -166,15 +158,11 @@ def fidelity(a: FockState, b: FockState) -> float:
     return _overlap(a.amplitudes, b.amplitudes)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> complex:
-    n = min(a.size, b.size)
-    # Amplitudes beyond the shorter window pair with zeros and drop out.
-    return complex(np.vdot(a[:n], b[:n]))
-
-
 def _overlap(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 of two amplitude vectors, as fidelity takes it."""
-    return abs(_inner(a, b)) ** 2
+    n = min(a.size, b.size)
+    # Amplitudes beyond the shorter window pair with zeros and drop out.
+    return abs(complex(np.vdot(a[:n], b[:n]))) ** 2
 
 
 def number_distribution(s: FockState) -> PhotonNumberDistribution:
@@ -189,13 +177,6 @@ def factorial_moments(p: np.ndarray) -> tuple[float, float]:
     """(<n>, <n(n-1)>) of probabilities p over n = 0, 1, 2, ..."""
     n = np.arange(p.size, dtype=float)
     return float(np.dot(p, n)), float(np.dot(p, n * (n - 1.0)))
-
-
-def distribution_moment(d: PhotonNumberDistribution, order: int) -> float:
-    """First moment <n> or second factorial moment <n(n-1)>."""
-    if order not in (1, 2):
-        raise ValueError(f"unsupported moment order {order}; expected 1 or 2")
-    return factorial_moments(d.probabilities)[order - 1]
 
 
 def state_to_json(s: FockState) -> str:

@@ -1,5 +1,6 @@
-"""The displaced-frame kernel: every sweep metric but wigner_min, and the
-first four `state` summary lines, in standard-library Python.
+"""The displaced-frame kernel: every sweep metric but wigner_min, the first
+four `state` summary lines and the column blocks of `joint`'s two-mode
+table, in standard-library Python.
 
 It rests on two identities of the beam splitter U (the convention of
 `catalysis.bs_transform`):
@@ -12,14 +13,15 @@ in mode a, with beta = t alpha and phi_j = w_j <k|D(-r alpha)|k - j> on the
 k + 1 levels j = 0..k.  The herald probability is |phi|^2, exactly, and every
 moment of the output follows from phi's own moments, because displacement
 only shifts the means.  No Fock window truncates any of it.  Only the
-commands that print these metrics import this module.
+commands that print these metrics, and `joint`, import this module.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import HERALD_CUTOFF, VACUUM_VARIANCE, UndefinedQuantityError, _window_dim
+from .core import (HERALD_CUTOFF, VACUUM_VARIANCE, UndefinedQuantityError,
+                   _check_stage, _window_dim)
 
 
 def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[complex]]:
@@ -98,6 +100,15 @@ def _displaced_row(gamma: complex, k: int) -> list[complex]:
     return [u ** (k - n) * math.ldexp(h * seed, e) for n, (h, e) in enumerate(scaled)]
 
 
+def _weights(r: float, t: float, k: int) -> list[float]:
+    """w_j = sqrt(C(k, j)) r^j t^(k-j) for j = 0..k: U|0, k> = sum_j w_j |j, k - j>."""
+    w, binom = [], 1
+    for j in range(k + 1):
+        w.append(math.sqrt(binom) * r ** j * t ** (k - j))
+        binom = binom * (k - j) // (j + 1)
+    return w
+
+
 def heralded_frame(alpha: complex, r2: float, k: int) -> tuple[complex, list[complex], float]:
     """(beta, phi, |phi|^2) of the state heralded by k photons at reflectivity
     r2: D(beta) phi, unnormalised, with the herald probability |phi|^2.
@@ -106,10 +117,7 @@ def heralded_frame(alpha: complex, r2: float, k: int) -> tuple[complex, list[com
     `catalysis.pcoc_state` does; checks no window."""
     r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
     row = _displaced_row(-r * alpha, k)
-    phi, binom = [], 1
-    for j in range(k + 1):
-        phi.append(math.sqrt(binom) * r ** j * t ** (k - j) * row[k - j])
-        binom = binom * (k - j) // (j + 1)
+    phi = [w * row[k - j] for j, w in enumerate(_weights(r, t, k))]
     # at most 1; the recurrences can round it a few ulps above where r2 -> 0
     prob = min(math.fsum(abs(c) ** 2 for c in phi), 1.0)
     if prob < HERALD_CUTOFF:
@@ -177,11 +185,9 @@ def sweep_point(metric: str, alpha: complex, r2: float, k,
     The point is refused as `CatalysisConfig(alpha, BeamSplitter(r2),
     int(k))` and `pcoc_state` refuse it, in the same order and words: r2,
     then int(k), then k, then the default window, then the herald."""
-    if not 0.0 <= r2 <= 1.0:
-        raise ValueError(f"r2={r2} outside [0, 1]")
+    _check_stage(r2)
     k = int(k)
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_stage(k=k)
     _window_dim(alpha, None, k)
     beta, phi, prob = heralded_frame(alpha, r2, k)
     if metric == "success_prob":

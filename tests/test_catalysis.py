@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         IteratedConfig, TwoModeState,
@@ -18,6 +18,7 @@ from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         success_probability_analytic,
                                         two_mode_output)
 from photon_catalysis.core import HERALD_CUTOFF
+from photon_catalysis.frame import sweep_point
 from photon_catalysis.fock import (UndefinedQuantityError, coherent_amplitudes,
                                    fidelity)
 
@@ -198,6 +199,59 @@ class TestTwoModeOutput:
         assert np.all(state.amplitudes[cfg.dim:] == 0.0)
 
 
+def two_mode_cell_mp(alpha2: float, r2: float, k: int, dim: int,
+                     m: int, l: int) -> float:
+    """<m, l| U |windowed sqrt(alpha2)>|k> from the binomial expansion of U,
+    in 150 digits, where its alternating sum cannot cancel."""
+    n = m + l - k
+    if not 0 <= n < dim:
+        return 0.0
+    with mpmath.workdps(150):
+        a2, r2m = mpmath.mpf(alpha2), mpmath.mpf(r2)
+        r, t = mpmath.sqrt(r2m), mpmath.sqrt(1 - r2m)
+        total = mpmath.mpf(0)
+        for j in range(k + 1):
+            i = m - j
+            if 0 <= i <= n:
+                total += (mpmath.sqrt(mpmath.binomial(m, i) * mpmath.binomial(l, n - i)
+                                      * mpmath.binomial(n, i) * mpmath.binomial(k, j))
+                          * t ** (i + k - j) * (-r) ** (n - i) * r ** j)
+        coh = mpmath.exp(-a2 / 2) * mpmath.sqrt(a2) ** n / mpmath.sqrt(mpmath.factorial(n))
+        return float(total * coh)
+
+
+class TestTwoModeFrame:
+    """The displaced-frame table where the binomial two-mode sums cancelled:
+    at |alpha|^2 = 300, k = 30 their table summed to 3.6e10."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(alpha2=st.floats(0.0, 1000.0), phase=st.floats(0.0, 2 * math.pi),
+           k=st.integers(0, 120),
+           r2=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    @example(alpha2=300.0, phase=0.0, k=30, r2=0.5)
+    @example(alpha2=400.0, phase=0.0, k=100, r2=0.5)
+    def test_norm_is_the_input_window_mass(self, alpha2, phase, k, r2):
+        """|A|^2 = 1 - (coherent tail beyond dim): U conserves the norm of
+        the windowed input, whatever alpha k."""
+        alpha = cmath.rect(math.sqrt(alpha2), phase)
+        try:
+            cfg = CatalysisConfig(alpha, BeamSplitter(r2), k)
+        except ValueError:
+            assume(False)   # dim + k beyond the largest window
+        amps = two_mode_output(cfg).amplitudes
+        coh = coherent_amplitudes(alpha, cfg.dim)
+        assert np.vdot(amps, amps).real == pytest.approx(np.vdot(coh, coh).real,
+                                                         abs=1e-12)
+
+    def test_cells_match_mpmath_at_large_alpha_k(self):
+        cfg = CatalysisConfig(math.sqrt(300), BeamSplitter(0.5), 30)
+        amps = two_mode_output(cfg).amplitudes
+        for m, l in [(74, 256), (150, 180), (180, 150), (165, 165), (120, 200),
+                     (250, 100), (165, 30), (100, 100), (10, 10)]:
+            want = two_mode_cell_mp(300, 0.5, 30, cfg.dim, m, l)
+            assert abs(amps[m, l] - want) <= 1e-14, (m, l)
+
+
 class TestPcocState:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("r2", [0.1, 0.5, 0.9])
@@ -354,6 +408,26 @@ class TestConfigValidation:
     def test_negative_k(self):
         with pytest.raises(ValueError):
             CatalysisConfig(1.0, BeamSplitter(0.5), k=-1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BeamSplitter(1.5), "r2=1.5 outside [0, 1]"),
+        (lambda: BeamSplitter(math.nan), "r2=nan outside [0, 1]"),
+        (lambda: CatalysisConfig(1.0, BeamSplitter(0.5), -1),
+         "k must be non-negative"),
+        (lambda: IteratedConfig(1.0, ((0.5, 1), (1.5, -1)), 10),
+         "r2=1.5 outside [0, 1]"),
+        (lambda: IteratedConfig(1.0, ((0.5, -1),), 10), "k must be non-negative"),
+        (lambda: catalysis_coefficients((0.5, -0.25), 1, 5),
+         "r2=-0.25 outside [0, 1]"),
+        (lambda: sweep_point("g2", 1.0, 1.5, -1), "r2=1.5 outside [0, 1]"),
+        (lambda: sweep_point("g2", 1.0, 0.5, -1.0), "k must be non-negative"),
+    ])
+    def test_each_stage_check_words_and_orders_alike(self, build, message):
+        """r2 is refused before k, in the same words, wherever a stage is
+        checked."""
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == message
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_non_finite_alpha(self, alpha):

@@ -615,6 +615,40 @@ class TestInputGates:
         assert flag in proc.stderr
         assert proc.stdout == "" and not (tmp_path / "o.csv").exists()
 
+    def test_fidelity_sweep_over_its_budget_exits_at_once(self, tmp_path):
+        """10^4 points at k = 480 against a 25-level target ran for about
+        a minute: (target levels)(k + 1) steps a point had no budget."""
+        target = tmp_path / "t.json"
+        target.write_text(photon_catalysis.state_to_json(
+            photon_catalysis.make_fock(3, 25)))
+        src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "photon_catalysis.cli", "sweep", "--metric",
+             "fidelity_to_target", "--axis", "r2:0.01:0.99:10000", "--k", "480",
+             "--target", str(target), "--out", "o.csv"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: fidelity_to_target sweep of 10000 "
+                                      "points needs 1.21e+08 recurrence steps")
+        assert "--axis" in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "o.csv").exists()
+
+    def test_single_joint_value_at_k_500_is_quick(self, tmp_path):
+        """The binomial two-mode sums took 29 s for this one r2 point."""
+        src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "photon_catalysis.cli", "joint", "--alpha2", "1",
+             "--k", "500", "--r2", "0.5", "--out", "j.csv"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "j.csv").read_text().splitlines()[1:]
+        assert len(rows) == 81
+        assert sum(float(r.split(",")[3]) for r in rows) == pytest.approx(1.0, abs=1e-8)
+
     def test_single_joint_value_is_not_a_scan(self, tmp_path, capsys):
         out = tmp_path / "j.csv"
         code, _, _ = run(capsys, "joint", "--alpha2", "1", "--k", "120",
@@ -659,49 +693,51 @@ class TestInputGates:
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("alpha2, k", [("300", "30"), ("400", "100")])
-    def test_joint_cancellation_is_a_numerical_gate(self, tmp_path, capsys,
-                                                    alpha2, k):
-        """The two-mode sums cancel to garbage here; this exited 2 as if
-        the flags were malformed."""
+    def test_joint_at_large_alpha_k_sums_to_one(self, tmp_path, capsys,
+                                               alpha2, k):
+        """The binomial two-mode sums cancelled here (the table summed to
+        3.6e10 and 2.7e78), which exited 3 as a numerical gate."""
         out = tmp_path / "j.csv"
         code, stdout, stderr = run(capsys, "joint", "--alpha2", alpha2, "--k", k,
                                    "--r2", "0.5", "--out", str(out))
-        assert code == 3
-        assert stderr.startswith("error: numerical gate: two-mode probabilities")
-        assert "cancellation" in stderr and "--alpha2 or --k" in stderr
-        assert stdout == "" and not out.exists()
+        assert (code, stdout, stderr) == (0, "", "")
+        blocks = {}
+        for line in out.read_text().splitlines()[1:]:
+            r2, _, _, p = line.split(",")
+            blocks[r2] = blocks.get(r2, 0.0) + float(p)
+        # each 9-digit cell is rounded to 5e-9 of itself
+        assert list(blocks) == ["5.00000000e-01"]
+        assert blocks["5.00000000e-01"] == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("flags, code, message", [
-        (["--alpha2", "1.11", "--dim", "12"], 2,
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha2", "1.11", "--dim", "12"],
          "truncation gate: coherent tail mass 2.630e-09 exceeds 1e-09"),
-        (["--alpha2", "1.11", "--dim", "13"], 2,
+        (["--alpha2", "1.11", "--dim", "13"],
          "truncation gate: coherent tail mass 2.231e-10 beyond --dim 13 "
          "exceeds 1e-10"),
-        (["--alpha2", "300", "--k", "30"], 3,
-         "numerical gate: two-mode probabilities sum to 35947178424.3"),
-        (["--alpha2", "400", "--k", "100"], 3,
-         "numerical gate: two-mode probabilities sum to 2.74760882134e+78"),
     ])
-    def test_joint_tail_and_cancellation_are_told_apart(self, tmp_path, capsys,
-                                                        flags, code, message):
+    def test_joint_window_tail_is_a_truncation_gate(self, tmp_path, capsys,
+                                                    flags, message):
         """At --dim 13 the input tail, 2.2e-10, passes the 1e-9 coherent gate
         but not the table's 1e-10 norm check; it exited 3 as cancellation."""
         out = tmp_path / "j.csv"
         got, stdout, stderr = run(capsys, "joint", *flags, "--r2", "0.5",
                                   "--out", str(out))
-        assert got == code
+        assert got == 2
         assert stderr.startswith(f"error: {message}")
         assert stdout == "" and not out.exists()
 
     def test_joint_window_past_the_tail_is_unchanged(self, tmp_path, capsys):
-        """--dim 14 keeps the tail under 1e-10; its CSV is hashed from before
-        the tail was told apart from cancellation."""
+        """--dim 14 keeps the tail under 1e-10.  Hashed from the displaced-
+        frame table: against the binomial sums, cell (7, 7), whose two
+        catalyst paths cancel exactly, moved from one rounding residue to
+        another (4.24328125e-45 to 4.24582246e-47)."""
         out = tmp_path / "j.csv"
         code, _, stderr = run(capsys, "joint", "--alpha2", "1.11", "--r2", "0.5",
                               "--dim", "14", "--out", str(out))
         assert code == 0, stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "eb0a618956dd69fb9b0197c2261a8ea8efdf89c844356f767489dc507da03fe1")
+            "fae1b70fc364b067259159df58bd527b47b972c29845b6148247c5667b3df6c5")
 
 
 class TestOptimizeBytes:

@@ -253,6 +253,35 @@ class TestScanBudget:
             sweep(spec)
 
 
+    def test_fidelity_work_boundary(self, monkeypatch):
+        """A 1000-level target costs 1000 * (1 + 4) steps a point at k = 1,
+        so 2000 points fit 10^7 and 2001 do not; the budget is checked
+        before any point is computed."""
+        monkeypatch.setattr(frame, "sweep_point", lambda *args: (0.0, 1.0))
+        target = [1.0] + [0.0] * 999
+        for steps, fits in ((2000, True), (2001, False)):
+            spec = SweepSpec((Axis("r2", 0.1, 0.9, steps),),
+                             "fidelity_to_target", k=1, target=target)
+            if fits:
+                assert len(sweep(spec)) == steps
+            else:
+                with pytest.raises(ValueError, match="2001 points needs "
+                                   "1.00e\\+07 .*--axis"):
+                    sweep(spec)
+
+    def test_fidelity_work_counts_each_point_k(self):
+        """A k axis is costed point by point; a negative k is refused as a
+        point, not counted."""
+        spec = SweepSpec((Axis("k", -1, 6, 8),), "fidelity_to_target",
+                         target=[1.0])
+        points = [{"k": k} for k in spec.axes[0].values()]
+        design._check_fidelity_sweep(spec, points, 10 ** 7 // 49)
+        with pytest.raises(ValueError, match="--axis"):
+            design._check_fidelity_sweep(spec, points, 10 ** 7 // 49 + 1)
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            sweep(spec)
+
+
 class TestDesignProblem:
     def make_target(self, r2=0.37):
         state, _ = pcoc_state(CatalysisConfig(1.0, BeamSplitter(r2), 1))

@@ -91,7 +91,7 @@ WIGNER_SWEEP = WIGNER + ["photon_catalysis.design"]
 OPTIMIZE = CORE + ["photon_catalysis.catalysis", "photon_catalysis.design",
                    "photon_catalysis.fock", "numpy"]
 JOINT = CORE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
-                "photon_catalysis.fock", "numpy"]
+                "photon_catalysis.fock", "photon_catalysis.frame", "numpy"]
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -146,9 +146,8 @@ def test_module_run_prints_no_runtime_warning(tmp_path):
 EXPORTS = {
     "fock": ["FockState", "PhotonNumberDistribution", "TruncationError",
              "UndefinedQuantityError", "coherent_amplitudes", "default_dim",
-             "distribution_moment", "fidelity", "inner_product", "make_coherent",
-             "make_css", "make_fock", "number_distribution", "state_from_json",
-             "state_to_json"],
+             "fidelity", "make_coherent", "make_css", "make_fock",
+             "number_distribution", "state_from_json", "state_to_json"],
     "catalysis": ["BeamSplitter", "CatalysisConfig", "IteratedConfig",
                   "TwoModeState", "bs_transform", "catalysis_coefficient",
                   "herald", "iterated_pcoc", "oracle_discrepancy", "pcoc_oracle",
@@ -161,8 +160,7 @@ EXPORTS = {
                  "wigner_negativity", "wigner_to_csv", "wigner_to_pgm"],
     "detector": ["ClickDistribution", "JointClickDistribution", "LossChannel",
                  "TMDConfig", "apply_loss", "g2_from_clicks",
-                 "joint_output_distribution", "joint_to_csv", "joint_to_json",
-                 "tmd_click_distribution"],
+                 "joint_output_distribution", "tmd_click_distribution"],
     "design": ["Axis", "DesignProblem", "OptimizeResult", "SweepSpec",
                "optimize_reflectivities", "optimize_result_to_json", "sweep"],
 }
