@@ -220,13 +220,22 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
     total = np.zeros((n_states, unit.size))
     cell, phase_re, phase = np.empty(unit.size), np.empty(unit.size), np.ones_like(unit)
     q_seed = np.exp(-y / 2.0)
+    # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
+    # seed.  Those radii take it in log form, -y/2 + (d/2) ln y - lgamma(d+1)/2,
+    # and carry Q 2^990 (Q <= 1 keeps a step finite); their sums are scaled back.
+    far = int(np.count_nonzero(q_seed >= np.finfo(float).tiny))
+    log_far, scale = np.log(y[far:]), 990 * math.log(2.0)
+    q_seed[far:] = np.exp(scale - y[far:] / 2.0)
     q_prev, q_cur, spare, term = (np.empty_like(y) for _ in range(4))
     for d in range(n_dim):
         if d > 0:
             np.divide(y, d, out=spare)
             q_seed *= np.sqrt(spare, out=spare)
+            if log_far.size:
+                q_seed[far:] = np.exp(scale + 0.5 * (
+                    d * log_far - y[far:] - math.lgamma(d + 1)))
             phase *= unit
-            if not np.any(q_seed):
+            if not np.any(q_seed) and d > y[-1]:   # past d = y seeds only fall
                 break
             np.copyto(phase_re, phase.real)
         coup = np.conj(psis[:, d:]) * psis[:, :n_dim - d] * (2.0 if d else 1.0)
@@ -255,6 +264,7 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
             spare /= math.sqrt((n + 1) * (n + 1 + d))
             q_prev, q_cur, spare = q_cur, spare, q_prev
         for s, imaginary, _, acc in rows:
+            acc[far:] *= 2.0 ** -990
             # every index is in range; "wrap" only skips the bounds check
             np.take(acc, radius, out=cell, mode="wrap")
             if d > 0:

@@ -3,11 +3,12 @@
 Closed-form path: the conditioned amplitudes a_n = e^{-|a|^2/2} a^n/sqrt(n!) C_n
 with the interference coefficient
 
-    C_n(r, t, k) = sum_j binom(n, j) binom(k, j) (-1)^j t^{n+k-2j} r^{2j},
+    C_n(r, t, k) = sum_j binom(n, j) binom(k, j) (-1)^j t^{n+k-2j} r^{2j}.
 
-taken one at a time (catalysis_coefficient, the scalar reference) or for a
-whole array of reflectivities at once (catalysis_coefficients).  The full
-two-mode output U|alpha>|k> comes from the displaced frame of `frame`
+catalysis_coefficient takes that sum one n at a time, as the reference; it
+cancels at large n k.  Every state takes C from catalysis_coefficients, a
+three-term recurrence over whole rows and arrays of reflectivities, which does
+not.  The two-mode output U|alpha>|k> comes from the displaced frame of `frame`
 (two_mode_output).  An independent brute-force path (two-mode unitary from a
 matrix exponential, then projection) is kept as the oracle the closed forms
 are tested against; it alone needs scipy, imported on first use.
@@ -32,9 +33,7 @@ __all__ = [
     "bs_transform", "herald", "pcoc_oracle", "oracle_discrepancy",
 ]
 
-# Exact integer binomials up to this total order; log-gamma beyond.  Keeps the
-# alternating sum free of cancellation noise at the photon numbers in range
-# here.
+# The reference sum's binomials are exact integers up to this order, log-gamma beyond.
 _EXACT_BINOM_LIMIT = 64
 
 @dataclass(frozen=True)
@@ -143,47 +142,31 @@ def catalysis_coefficient(n: int, k: int, bs: BeamSplitter) -> float:
     return total
 
 
-@lru_cache(maxsize=256)
-def _binom_products(dim: int, k: int) -> tuple[np.ndarray, ...]:
-    """Row j holds binom(n, j) * binom(k, j) for n = j..dim-1, as
-    catalysis_coefficient takes the product.  Read-only."""
-    rows = []
-    for j in range(min(dim - 1, k) + 1):
-        row = np.array([_binom(n, j) * _binom(k, j) for n in range(j, dim)])
-        row.flags.writeable = False
-        rows.append(row)
-    return tuple(rows)
-
-
 def catalysis_coefficients(r2s, k: int, dim: int) -> np.ndarray:
     """C[p, n] = catalysis_coefficient(n, k, BeamSplitter(r2s[p])) for n < dim.
 
-    One broadcast per j, bitwise equal to the scalar reference: each term is
-    ((b_nj b_kj) t-power) r2^j, summed over ascending j with alternating sign,
-    and the powers come from Python's float ``**`` (libm pow), which numpy's
-    vectorised power does not always match in the last bit.
+    C is symmetric in n and k.  With m = min(n, k) and h = max(n, k),
+    C = t^(h - m) D_m, and the generating function
+    sum_n C_n x^n = (t - x)^k / (1 - t x)^(k + 1) gives D_0 = 1 and
+
+        (j + 1) D_{j+1} = (2j + 1 - r2 (h + 1 + j)) D_j - j (1 - r2) D_{j-1},
+
+    k steps taken for every n and every r2 at once; column n < k is read at
+    step j = n.  Each row is bitwise the row of its r2 alone.
     """
     r2s = [float(x) for x in r2s]
     for x in r2s:
         _check_stage(x)
-    t2s = [1.0 - x for x in r2s]
-    side = dim + k
-    t2_pow = np.array([[t2 ** m for m in range((side + 1) // 2)]
-                       for t2 in t2s]).reshape(len(r2s), -1)
-    r2_pow = np.array([[x ** j for j in range(k + 1)]
-                       for x in r2s]).reshape(len(r2s), k + 1)
-    # t_pow[p, e] = t^e, taken as t2^(e // 2) times t for odd e
-    e = np.arange(side)
-    t_pow = t2_pow[:, e // 2] * np.where(e % 2 == 1, np.sqrt(t2s)[:, None], 1.0)
-    total = np.zeros((len(r2s), dim))
-    for j, bb in enumerate(_binom_products(dim, k)):
-        # n = j..dim-1 puts e = n + k - 2j on k-j..dim+k-2j-1
-        term = bb * t_pow[:, k - j:side - 2 * j] * r2_pow[:, j:j + 1]
-        if j % 2:
-            total[:, j:] -= term
-        else:
-            total[:, j:] += term
-    return total
+    _check_stage(k=k)
+    r2, n = np.array(r2s).reshape(-1, 1), np.arange(dim)
+    h = np.maximum(n, k)
+    d, d_prev, out = np.ones((len(r2s), dim)), 0.0, np.empty((len(r2s), dim))
+    for j in range(min(k, dim)):
+        out[:, j] = d[:, j]
+        d, d_prev = ((2 * j + 1 - r2 * (h + 1 + j)) * d
+                     - j * (1.0 - r2) * d_prev) / (j + 1), d
+    out[:, k:] = d[:, k:]
+    return np.sqrt(1.0 - r2) ** np.abs(n - k) * out
 
 
 def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:

@@ -23,9 +23,11 @@ _MAX_BINS = 999  # (bins + 1)^2 joint cells per r2 point, the Wigner grid cap
 # An r2 scan prints steps (bins + 1)^2 cells, about 1 us each, and builds a
 # (dim + k)^2 two-mode table per step as a product of two (dim + k) x (k + 1)
 # column blocks, (k + 1)(dim + k)^2 multiply-adds; steps (bins + 1)^2 alone
-# would let a large window run for minutes.
+# would let a large window run for minutes.  A step's fixed cost, 75-430 us
+# at k = 0 and windows up to 40 (2-core VM), counts as 2,000 cells.
 _MAX_JOINT_CELLS = 2 * 10 ** 6
 _MAX_JOINT_WORK = 10 ** 8
+_JOINT_STEP_WORK = 2000
 
 
 def _die(msg: str, code: int) -> int:
@@ -185,11 +187,12 @@ def cmd_joint(args) -> int:
     r2s = _parse_r2(args.r2)
     cfg = CatalysisConfig(alpha, BeamSplitter(r2s[0]), args.k, args.dim)
     cells = len(r2s) * (args.bins + 1) ** 2
-    work = len(r2s) * (args.k + 1) * (cfg.dim + args.k) ** 2
+    work = len(r2s) * ((args.k + 1) * (cfg.dim + args.k) ** 2 + _JOINT_STEP_WORK)
     if len(r2s) > 1 and (cells > _MAX_JOINT_CELLS or work > _MAX_JOINT_WORK):
         raise ValueError(
             f"--r2 scan of {len(r2s)} steps prints {cells:.2e} cells and builds "
-            f"{work:.2e} two-mode cells; the budget is {_MAX_JOINT_CELLS:.0e} "
+            f"{work:.2e} two-mode cells, {_JOINT_STEP_WORK} a step for its fixed "
+            f"cost included; the budget is {_MAX_JOINT_CELLS:.0e} "
             f"and {_MAX_JOINT_WORK:.0e}; use fewer --r2 steps or lower --bins, "
             f"--k, --alpha2 or --dim")
     lines = ["r2,i,j,p"]

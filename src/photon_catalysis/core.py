@@ -14,9 +14,9 @@ import sys
 TAIL_GATE = 1e-9
 # A herald whose probability is below this cannot fire.
 HERALD_CUTOFF = 1e-300
-# Largest window side dim + k: the coefficient rows take float binomials
-# (`catalysis._binom_products`), and binom(n, n/2) overflows a double beyond
-# n = 1029.
+# Largest window side dim + k, kept from an older sum's float binomials so no
+# refusal moves.  Above it, the coefficient rows overflowed past dim + k = 1,470
+# (r2 -> 1), and e^{-|alpha|^2/2} is subnormal past |alpha|^2 = 1,416.
 _MAX_WINDOW = 1030
 VACUUM_VARIANCE = 0.25
 
@@ -62,8 +62,8 @@ def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
             return dim
         size = f"dim + k = {dim + k}"
     raise ValueError(
-        f"{size} exceeds {_MAX_WINDOW}, the largest window whose "
-        f"binomials fit a float; lower --alpha/--alpha2, --k or --dim")
+        f"{size} exceeds {_MAX_WINDOW}, the largest window side dim + k; "
+        f"lower --alpha/--alpha2, --k or --dim")
 
 
 FMT9 = ".8e"  # the 9-digit format spec; "%" + FMT9 formats a float to the same bytes

@@ -353,6 +353,21 @@ class TestWignerAccuracy:
         parity = probs[::2].sum() - probs[1::2].sum()
         assert abs(got - 2 / math.pi * parity) <= 1e-15
 
+    def test_far_cells_take_their_seeds_in_log_form(self):
+        """Past |2(x + ip)|^2 = 1,417 the seed e^{-y/2} is subnormal or 0.
+        `wigner --alpha 19 --r2 0.05 --grid=-21:21:21` printed W(20, 0) = 0,
+        and `--grid=-19.5:19.5:41` printed 1.66e-6 at (18.07, 6.66)."""
+        state, _ = pcoc_state(CatalysisConfig(19.0, BeamSplitter(0.05), 1))
+        spec = WignerGridSpec(-21.0, 21.0, -21.0, 21.0, 21, 21)
+        got = wigner(state, spec).values[20, 10]
+        assert (spec.x_axis()[20], spec.p_axis()[10]) == (20.0, 0.0)
+        want = _wigner_extended(state.amplitudes, np.array([20.0]), np.array([0.0]))
+        assert float(want[0, 0]) == pytest.approx(1.076e-2, abs=1e-5)
+        assert abs(got - float(want[0, 0])) <= 1e-10
+        xs, ps = np.array([18.073170731707314]), np.array([6.658536585365852])
+        got = _wigner_values(state.amplitudes[None], xs, ps)[0, 0, 0]
+        assert abs(got - float(_wigner_extended(state.amplitudes, xs, ps)[0, 0])) <= 1e-10
+
 
 class TestWignerDistinctRadii:
     """Each sum runs once per distinct radius and is gathered back onto

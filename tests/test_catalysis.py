@@ -21,6 +21,7 @@ from photon_catalysis.core import HERALD_CUTOFF
 from photon_catalysis.frame import sweep_point
 from photon_catalysis.fock import (UndefinedQuantityError, coherent_amplitudes,
                                    fidelity)
+from _mp_state import coefficient_row_mp, state_mp
 
 RNG = np.random.default_rng(20230817)
 
@@ -354,25 +355,72 @@ def bits(values) -> list[int]:
 
 
 R2_DRAWS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+# the ends of [0, 1] and their nearest neighbours in the rows' arithmetic
+R2_EDGES = st.one_of(st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 2.0 ** -52, 1.0]),
+                     st.floats(0.0, 1.0))
 
 
 class TestBatchedCoefficients:
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(dim=st.integers(1, 130), k=st.integers(0, 8),
-           r2s=st.lists(R2_DRAWS, min_size=1, max_size=5))
-    @example(dim=130, k=8, r2s=[0.0, 0.5, 1.0, 0.37])  # exact and log-gamma binomials
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(dim=st.integers(1, 200), k=st.integers(0, 60),
+           r2s=st.lists(R2_EDGES, min_size=1, max_size=3))
+    @example(dim=200, k=60, r2s=[0.0, 1e-12, 0.5, 1.0 - 2.0 ** -52, 1.0])
+    # a step coefficient formed as t2 (h + 1 + j) + j - h lost 6.4e-13 here
+    @example(dim=177, k=38, r2s=[1e-12])
     @example(dim=1, k=0, r2s=[0.5])
-    def test_rows_are_the_scalar_reference_bit_for_bit(self, dim, k, r2s):
+    @example(dim=3, k=60, r2s=[0.37])   # every n below k
+    def test_rows_match_high_precision_sums(self, dim, k, r2s):
+        """Within 1e-12 of the exact sum, absolutely: every C_n is a matrix
+        element of a unitary, so |C_n| <= 1.  A batched row is bitwise the
+        row of its r2 alone."""
         table = catalysis_coefficients(r2s, k, dim)
         assert table.shape == (len(r2s), dim)
         for row, r2 in zip(table, r2s):
-            ref = [catalysis_coefficient(n, k, BeamSplitter(r2)) for n in range(dim)]
-            assert row.tolist() == ref
-            assert bits(row) == bits(ref)
+            assert bits(row) == bits(catalysis_coefficients([r2], k, dim)[0])
+            assert np.abs(row - coefficient_row_mp(r2, k, dim)).max() <= 1e-12
 
     def test_reflectivity_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             catalysis_coefficients([0.5, 1.5], 1, 5)
+
+    def test_reflectivity_is_refused_before_k(self):
+        with pytest.raises(ValueError, match=r"r2=1.5 outside \[0, 1\]"):
+            catalysis_coefficients([0.5, 1.5], -1, 5)
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            catalysis_coefficients([0.5], -1, 5)
+
+
+class TestLargeAlphaK:
+    """Windowed states where alpha k is large, against the exact sum.  The
+    alternating binomial sums the rows were once taken from cancelled there
+    without a word: at alpha = 10, r2 = 0.5, k = 30 the state missed by up
+    to 2.9e-4, at alpha = 15, k = 30 by 0.65."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(alpha=st.floats(0.0, 20.0),
+           stages=st.lists(st.tuples(R2_EDGES, st.integers(0, 60)),
+                           min_size=1, max_size=2))
+    @example(alpha=10.0, stages=[(0.5, 30)])
+    @example(alpha=20.0, stages=[(0.5, 60)])
+    @example(alpha=20.0, stages=[(1e-12, 60), (0.8, 17)])
+    @example(alpha=20.0, stages=[(1.0 - 2.0 ** -52, 60)])
+    def test_states_match_high_precision_sums(self, alpha, stages):
+        """pcoc_state of the first stage and iterated_pcoc of the cascade,
+        on one window; a herald that cannot fire must be one whose exact
+        probability is below the cutoff."""
+        cfg = IteratedConfig(alpha, stages)
+        first = CatalysisConfig(alpha, BeamSplitter(stages[0][0]), stages[0][1],
+                                cfg.dim)
+        for build, arg, chain in ((pcoc_state, first, stages[:1]),
+                                  (iterated_pcoc, cfg, stages)):
+            want, want_prob = state_mp(alpha, chain, cfg.dim)
+            try:
+                state, prob = build(arg)
+            except UndefinedQuantityError:
+                assert want_prob < 2 * HERALD_CUTOFF
+                continue
+            assert prob == pytest.approx(want_prob, rel=1e-12)
+            assert np.abs(state.amplitudes - want).max() <= 1e-12
 
 
 class TestIteratedScan:

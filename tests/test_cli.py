@@ -17,6 +17,7 @@ import photon_catalysis
 from photon_catalysis import cli
 from photon_catalysis.cli import main
 from photon_catalysis.fock import state_from_json
+from _mp_state import state_mp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -65,6 +66,18 @@ class TestState:
                           "var_p_db = 4.67322077e+00\n"
                           "g2 = 7.60172942e-01\n"
                           "wigner_min = -6.07746318e-01\n")
+
+    def test_large_alpha_k_json_is_exact(self, tmp_path, capsys):
+        """The JSON holds the state the summary lines describe.  Its
+        coefficients were once alternating binomial sums, which missed the
+        exact state by up to 2.9e-4 here."""
+        out = tmp_path / "s.json"
+        code, _, stderr = run(capsys, "state", "--alpha", "10", "--r2", "0.5",
+                              "--k", "30", "--out", str(out))
+        assert code == 0, stderr
+        state = state_from_json(out.read_text())
+        want, _ = state_mp(10.0, [(0.5, 30)], state.dim)
+        assert np.abs(state.amplitudes - want).max() <= 1e-12
 
     def test_truncation_gate_is_validation_error(self, capsys):
         code, _, stderr = run(capsys, "state", "--alpha", "2", "--r2", "0.3",
@@ -324,13 +337,15 @@ class TestWignerBytes:
     and the sweep keep the hashes of the per-cell recurrence.  The CSV was
     re-hashed when the sums moved onto the grid's distinct radii: 11,257 of
     its 40,401 cells print differently, each by at most 1e-16, all of them
-    below 3e-8 in magnitude."""
+    below 3e-8 in magnitude.  It was re-hashed again when the coefficient
+    rows moved from the binomial sum to the recurrence: 10,971 cells, each
+    by at most 1e-16, all below 2.8e-8 in magnitude."""
 
     @pytest.mark.parametrize("entry", ["main", "process"])
     @pytest.mark.parametrize("argv, digest", [
         (["wigner", "--alpha", "1", "--r2", "0.332", "--grid", "201",
           "--format", "csv"],
-         "e0c3406829005d61b47f3e65b87c6d99e0b7b72752c458b48049984e05e29549"),
+         "d058d6618138f6a4ecae0b02376bd5ab3dce2a3fc8788ca253363867db04ef86"),
         (["wigner", "--alpha", "2", "--r2", "0.5", "--k", "2", "--grid=-5:5:201",
           "--format", "pgm"],
          "0e071d1a50bd2be098310819e746beba97c67a7573917de411ef42a8f658736a"),
@@ -615,6 +630,31 @@ class TestInputGates:
         assert flag in proc.stderr
         assert proc.stdout == "" and not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("k, fits", [(0, 38095), (1, 29832)])
+    def test_joint_step_work_boundary(self, tmp_path, capsys, monkeypatch, k,
+                                      fits):
+        """A step at the default window (dim 25) counts (k + 1)(25 + k)^2
+        table cells plus 2,000 for its fixed cost: 2,625 at k = 0, so 38,095
+        steps fit 10^8 and one more does not, and 3,352 at k = 1, so 29,832
+        fit.  The table cells alone admitted 160,000 steps at k = 0, which
+        took 34-36 s.  The steps are counted, not timed: no table is built."""
+        from photon_catalysis import detector
+
+        table = detector.JointClickDistribution(np.eye(2) / 2)
+        monkeypatch.setattr(detector, "joint_output_distribution",
+                            lambda *args: table)
+        out = tmp_path / "j.csv"
+        for steps in (fits, fits + 1):
+            code, _, stderr = run(capsys, "joint", "--alpha2", "1", "--k", str(k),
+                                  "--r2", f"0.1:0.9:{steps}", "--bins", "1",
+                                  "--out", str(out))
+            if steps == fits:
+                assert code == 0, stderr
+                assert len(out.read_text().splitlines()) == 1 + 4 * steps
+            else:
+                assert code == 2
+                assert stderr.startswith(f"error: --r2 scan of {steps} steps ")
+
     def test_fidelity_sweep_over_its_budget_exits_at_once(self, tmp_path):
         """10^4 points at k = 480 against a 25-level target ran for about
         a minute: (target levels)(k + 1) steps a point had no budget."""
@@ -742,23 +782,29 @@ class TestInputGates:
 
 class TestOptimizeBytes:
     """fit.json of the README target, hashed before optimizer probes took
-    their fixed stage rows and coherent windows from caches."""
+    their fixed stage rows and coherent windows from caches.  Re-hashed when
+    the coefficient rows moved from the binomial sum to the recurrence: 21
+    of the target's 51 JSON numbers moved, each by at most 5.6e-17; the
+    first fit kept its bytes; the second moved its fidelity and success_prob
+    by 4.5e-16 and 5.6e-17; the --tol 1e-8 fit moved its second stage by
+    2.5e-9, inside its tol, its fidelity by 8.9e-16 and its success_prob
+    by 5.4e-9."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["--stages", "2", "--k", "1,1", "--alpha", "1.0"],
          "9d39df7f1b3a0c748d0427d872b95bb16a812c32ed9df12188d4a6f3456f7739"),
         (["--stages", "3", "--k", "1,2,1", "--alpha", "1.0",
           "--alpha-bounds", "0.5:2", "--tol", "1e-4"],
-         "5b621944e0059abe585d6230a06ad06535f8d813d62ab45753389953dd4207e8"),
+         "ba755a4d108a07c91a137e1bde654840a323b48ae1478f583c34f927b932ad63"),
         (["--stages", "2", "--k", "2,3", "--alpha", "1.4", "--tol", "1e-8"],
-         "c9b0dc903b9fbc0e7452691da6c9a9ba2e3d3e9a0f4f9b1b28602a7c6096016c"),
+         "31e7586853bac565977cbde5223749d1fe415286c1b7565af976bf06024adf9f"),
     ])
     def test_readme_target_fits_are_pinned(self, tmp_path, capsys, argv, digest):
         target, out = tmp_path / "state.json", tmp_path / "fit.json"
         assert main(["state", "--alpha", "1.35", "--r2", "0.77", "--k", "1",
                      "--out", str(target)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "23d5e0eab9135ae2297cbca1f16bd90487fedd7f8fb756473c71dca91d37a3fb")
+            "11785270ca8e135548ad675749b929af1655d06ada6f0e6585bdb8c6111cf4b4")
         code, _, _ = run(capsys, "optimize", "--target", str(target), *argv,
                          "--out", str(out))
         assert code == 0

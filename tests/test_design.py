@@ -116,14 +116,17 @@ class TestSweep:
         ("var_x_db",
          "ecd1a6ac377a761ee38b4c878b7b65299444d6644c9713a68d307c498e968b33"),
         ("fidelity_to_target",
-         "9eab0942484837b0d1562f31284bcf44eed4085033047a617330aa0a48aac725"),
+         "b04a27526ef547d89935b99d70531c04fa858219e1c7ca4f14855f933abd1fd6"),
     ])
     def test_each_point_resolves_its_window_at_most_twice(self, monkeypatch,
                                                           metric, digest):
         """Now at most once: the kernel checks the point's default window the
         way CatalysisConfig does and builds no state.  The windowed path
         checked it twice, for the point's CatalysisConfig and for the cascade
-        pcoc_state ran.  The rows are hashed."""
+        pcoc_state ran.  The rows are hashed.  The fidelity rows were
+        re-hashed when the coefficient rows moved from the binomial sum to
+        the recurrence: the target's last bits moved, and with them 51 of the
+        99 fidelities, each by at most 1.9e-16."""
         target, _ = pcoc_state(CatalysisConfig(1.5, BeamSplitter(0.4), 1))
         spec = SweepSpec((Axis("r2", 0.01, 0.99, 99),), metric, alpha=2.7, k=3,
                          target=target)
@@ -144,7 +147,10 @@ class TestSweep:
     def test_wigner_min_point_resolves_its_window_once(self, monkeypatch):
         """Each point's CatalysisConfig is built once, for the Wigner budget
         and for the state; the budget, the sweep and pcoc_state's cascade each
-        built one (21 window checks here).  The rows are bitwise as before."""
+        built one (21 window checks here).  The rows are bitwise as before.
+        Re-hashed when the coefficient rows moved from the binomial sum to the
+        recurrence: 10 of the 14 wigner_min and success_prob values moved,
+        each by at most 1.1e-16."""
         spec = SweepSpec((Axis("alpha", 0.5, 2.5, 7),), "wigner_min", k=2)
         calls = []
         window_dim = catalysis._window_dim
@@ -158,7 +164,7 @@ class TestSweep:
         rows = sweep(spec)
         assert len(calls) == 7
         assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == \
-            "5961911e4b10d7e6b83988b9fd5399cabd7ff2a5c227e794b0d03ec905a6c01a"
+            "b4c551f933cd09b4f25c5ebb8728d6efbd57f057bfa457c8ed08e59c4256b4f9"
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         spec = SweepSpec((Axis("r2", 0.1, 0.9, 7),), "g2")
