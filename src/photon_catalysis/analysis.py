@@ -222,22 +222,26 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
     q_seed = np.exp(-y / 2.0)
     # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
     # seed.  Those radii take it in log form, -y/2 + (d/2) ln y - lgamma(d+1)/2,
-    # and carry Q 2^990 (Q <= 1 keeps a step finite); their sums are scaled back.
+    # and carry Q 2^shift, a shift per radius that brings the seed near 1.  A
+    # step multiplies |Q| by at most y + 3 dim + 1, so checking every `every`
+    # steps for a Q past 2^512 and scaling its radius, sums and all, by 2^-512
+    # keeps Q below 2^1011.  Each sum is scaled back by its radius' shift.
     far = int(np.count_nonzero(q_seed >= np.finfo(float).tiny))
-    log_far, scale = np.log(y[far:]), 990 * math.log(2.0)
-    q_seed[far:] = np.exp(scale - y[far:] / 2.0)
+    log_far = np.log(y[far:])
+    every = max(1, int(499 // math.log2(y[-1] + 3 * n_dim + 1)))
     q_prev, q_cur, spare, term = (np.empty_like(y) for _ in range(4))
     for d in range(n_dim):
         if d > 0:
             np.divide(y, d, out=spare)
             q_seed *= np.sqrt(spare, out=spare)
-            if log_far.size:
-                q_seed[far:] = np.exp(scale + 0.5 * (
-                    d * log_far - y[far:] - math.lgamma(d + 1)))
             phase *= unit
             if not np.any(q_seed) and d > y[-1]:   # past d = y seeds only fall
                 break
             np.copyto(phase_re, phase.real)
+        if log_far.size:
+            log_seed = 0.5 * (d * log_far - y[far:] - math.lgamma(d + 1))
+            shift = np.rint(log_seed / -math.log(2.0))
+            q_seed[far:] = np.exp(log_seed + shift * math.log(2.0))
         coup = np.conj(psis[:, d:]) * psis[:, :n_dim - d] * (2.0 if d else 1.0)
         coup[:, 1::2] *= -1.0
         # (state, imaginary?, couplings, sum); Re(u^d i s) = -Im(u^d) s
@@ -262,9 +266,17 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
                 q_prev *= math.sqrt(n * (n + d))
                 spare -= q_prev
             spare /= math.sqrt((n + 1) * (n + 1 + d))
+            if log_far.size and n % every == 0:
+                big = far + np.flatnonzero(np.maximum(
+                    np.abs(spare[far:]), np.abs(q_cur[far:])) > 2.0 ** 512)
+                if big.size:
+                    for buffer in (spare, q_cur, *(row[3] for row in rows)):
+                        buffer[big] *= 2.0 ** -512
+                    shift[big - far] -= 512
             q_prev, q_cur, spare = q_cur, spare, q_prev
         for s, imaginary, _, acc in rows:
-            acc[far:] *= 2.0 ** -990
+            if log_far.size:
+                acc[far:] = np.ldexp(acc[far:], -shift.astype(int))
             # every index is in range; "wrap" only skips the bounds check
             np.take(acc, radius, out=cell, mode="wrap")
             if d > 0:

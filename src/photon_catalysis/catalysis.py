@@ -6,12 +6,14 @@ with the interference coefficient
     C_n(r, t, k) = sum_j binom(n, j) binom(k, j) (-1)^j t^{n+k-2j} r^{2j}.
 
 catalysis_coefficient takes that sum one n at a time, as the reference; it
-cancels at large n k.  Every state takes C from catalysis_coefficients, a
-three-term recurrence over whole rows and arrays of reflectivities, which does
-not.  The two-mode output U|alpha>|k> comes from the displaced frame of `frame`
-(two_mode_output).  An independent brute-force path (two-mode unitary from a
-matrix exponential, then projection) is kept as the oracle the closed forms
-are tested against; it alone needs scipy, imported on first use.
+cancels at large n k.  Every state takes C from a three-term recurrence over
+whole rows (`_row`), which does not.  The heralded-state kernel, the rows,
+the coherent window and the herald, is standard-library Python, so the
+optimizer's probes (`design`) load no numpy.  numpy is imported only where
+arrays are built: FockState, catalysis_coefficients, the two-mode output
+U|alpha>|k> from the displaced frame of `frame` (two_mode_output), and the
+independent brute-force oracle (two-mode unitary from a matrix exponential,
+then projection) the closed forms are tested against; it alone needs scipy.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from operator import mul
 
 from .core import (HERALD_CUTOFF, UndefinedQuantityError, _check_stage,
-                   _window_dim)
-from .fock import FockState, coherent_window
+                   _window_dim, coherent_window)
 
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
@@ -109,12 +109,16 @@ class TwoModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 2:
             raise ValueError("two-mode amplitudes must be a matrix")
         object.__setattr__(self, "amplitudes", amps)
 
     def norm_squared(self) -> float:
+        import numpy as np
+
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
@@ -142,8 +146,8 @@ def catalysis_coefficient(n: int, k: int, bs: BeamSplitter) -> float:
     return total
 
 
-def catalysis_coefficients(r2s, k: int, dim: int) -> np.ndarray:
-    """C[p, n] = catalysis_coefficient(n, k, BeamSplitter(r2s[p])) for n < dim.
+def _row(r2: float, k: int, dim: int) -> tuple[float, ...]:
+    """C_n = catalysis_coefficient(n, k, BeamSplitter(r2)) for n < dim.
 
     C is symmetric in n and k.  With m = min(n, k) and h = max(n, k),
     C = t^(h - m) D_m, and the generating function
@@ -151,22 +155,62 @@ def catalysis_coefficients(r2s, k: int, dim: int) -> np.ndarray:
 
         (j + 1) D_{j+1} = (2j + 1 - r2 (h + 1 + j)) D_j - j (1 - r2) D_{j-1},
 
-    k steps taken for every n and every r2 at once; column n < k is read at
-    step j = n.  Each row is bitwise the row of its r2 alone.
+    k steps taken for every n at once; column n < k is read at step j = n.
     """
+    t2 = 1.0 - r2
+    h1s = [max(n, k) + 1 for n in range(dim)]   # h + 1
+    d, d_prev, out = [1.0] * dim, [0.0] * dim, [0.0] * dim
+    for j in range(min(k, dim)):
+        out[j] = d[j]
+        lead, lag = 2 * j + 1, j * t2
+        d, d_prev = [((lead - r2 * (h1 + j)) * x - lag * x_prev) / (j + 1)
+                     for h1, x, x_prev in zip(h1s, d, d_prev)], d
+    out[k:] = d[k:]
+    t = math.sqrt(t2)
+    return tuple(t ** abs(n - k) * c for n, c in enumerate(out))
+
+
+# The stage rows of the heralds and the optimizer's probes, immutable.
+_coefficient_row = lru_cache(maxsize=1024)(_row)
+
+
+def catalysis_coefficients(r2s, k: int, dim: int) -> np.ndarray:
+    """C[p, n] = catalysis_coefficient(n, k, BeamSplitter(r2s[p])) for n < dim,
+    as a numpy array of the rows the heralds use (`_row`)."""
+    import numpy as np
+
     r2s = [float(x) for x in r2s]
     for x in r2s:
         _check_stage(x)
     _check_stage(k=k)
-    r2, n = np.array(r2s).reshape(-1, 1), np.arange(dim)
-    h = np.maximum(n, k)
-    d, d_prev, out = np.ones((len(r2s), dim)), 0.0, np.empty((len(r2s), dim))
-    for j in range(min(k, dim)):
-        out[:, j] = d[:, j]
-        d, d_prev = ((2 * j + 1 - r2 * (h + 1 + j)) * d
-                     - j * (1.0 - r2) * d_prev) / (j + 1), d
-    out[:, k:] = d[:, k:]
-    return np.sqrt(1.0 - r2) ** np.abs(n - k) * out
+    return np.array([_row(r2, k, dim) for r2 in r2s]).reshape(len(r2s), dim)
+
+
+_window = lru_cache(maxsize=64)(coherent_window)
+
+
+def _coherent(alpha: complex, dim: int) -> tuple[tuple, float]:
+    """coherent_window(alpha, dim), cached for a real alpha.  A complex alpha
+    skips the cache: 0.8j and -0+0.8j are one key but differ in zero signs."""
+    if isinstance(alpha, complex):
+        return coherent_window(alpha, dim)
+    return _window(alpha, dim)
+
+
+def _herald(alpha: complex, dim: int, stages) -> tuple[FockState, float]:
+    """(heralded state, probability) of the window |alpha>, n < dim, after
+    the cascade ``stages`` of (r2, k): each stage multiplies layer n by its
+    row's C_n, in declaration order; the state keeps the coherent tail."""
+    from .fock import FockState
+
+    raw, tail = _coherent(alpha, dim)
+    for r2, k in stages:
+        raw = list(map(mul, raw, _coefficient_row(r2, k, dim)))
+    prob = math.fsum(abs(a) ** 2 for a in raw)
+    if prob < HERALD_CUTOFF:
+        raise UndefinedQuantityError("herald outcome has zero probability")
+    norm = math.sqrt(prob)
+    return FockState([a / norm for a in raw], tail), prob
 
 
 def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
@@ -175,11 +219,8 @@ def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
     The success probability is sum_n |a_n|^2 with the coherent Poisson weights
     included (the r2=0 limit gives exactly 1 and the r2=1 limit the Poisson
     weight of |k> in the input, both confirmed by the brute-force oracle).
-    It takes the stage's cached row directly, bitwise the one-stage product,
-    so the window that ``cfg`` checked is not checked again.
     """
-    return _herald_state(cfg.alpha, cfg.dim,
-                         _coefficient_row(cfg.bs.r2, int(cfg.k), cfg.dim))
+    return _herald(cfg.alpha, cfg.dim, ((cfg.bs.r2, int(cfg.k)),))
 
 
 def success_probability_analytic(alpha: complex, bs: BeamSplitter) -> float:
@@ -194,68 +235,8 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
 
     The returned probability is the joint success probability of all stage
     heralds, which for a cascade factorizes through the product coefficients.
-    It runs _stage_product and then _heralded, as the optimizer's probes do, so
-    both see bitwise the same state.
     """
-    return _herald_state(cfg.alpha, cfg.dim, _stage_product(cfg, None, ())[0])
-
-
-def _herald_state(alpha: complex, dim: int, prod: np.ndarray) -> tuple[FockState, float]:
-    """(heralded state, probability) through one stage-product row."""
-    u_amps, tail = _coherent(alpha, dim)
-    heralded = _heralded(u_amps, prod)
-    if heralded is None:
-        raise UndefinedQuantityError("herald outcome has zero probability")
-    amps, prob = heralded
-    return FockState(amps, tail), prob
-
-
-@lru_cache(maxsize=1024)
-def _coefficient_row(r2: float, k: int, dim: int) -> np.ndarray:
-    """catalysis_coefficients((r2,), k, dim)[0], which no batch changes.  Read-only."""
-    row = catalysis_coefficients((r2,), k, dim)[0]
-    row.flags.writeable = False
-    return row
-
-
-@lru_cache(maxsize=64)
-def _window(alpha: float, dim: int) -> tuple[np.ndarray, float]:
-    """coherent_window(alpha, dim) for a real alpha.  Read-only."""
-    amps, tail = coherent_window(alpha, dim)
-    amps.flags.writeable = False
-    return amps, tail
-
-
-def _coherent(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
-    """coherent_window(alpha, dim), cached for a real alpha.  A complex alpha
-    skips the cache: 0.8j and -0+0.8j are one key but differ in zero signs."""
-    if isinstance(alpha, complex):
-        return coherent_window(alpha, dim)
-    return _window(alpha, dim)
-
-
-def _stage_product(cfg: IteratedConfig, stage: int | None, r2s) -> np.ndarray:
-    """Rows of the product of the stage coefficients, taken in declaration
-    order.  Stage None gives the one row of the cascade as declared; otherwise
-    one row per r2 in r2s at that stage.  Fixed stages come from the row cache.
-    """
-    if stage is not None and not 0 <= stage < len(cfg.stages):
-        raise ValueError(f"stage {stage} out of range for {len(cfg.stages)} stages")
-    prod = np.ones((1 if stage is None else len(r2s), cfg.dim))
-    for s, (r2, k) in enumerate(cfg.stages):
-        prod *= (catalysis_coefficients(r2s, k, cfg.dim) if s == stage
-                 else _coefficient_row(r2, k, cfg.dim))
-    return prod
-
-
-def _heralded(u_amps: np.ndarray, prod: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(normalized amplitudes, herald probability) through one stage-product
-    row, as FockState.normalized() takes them; None if the heralds cannot fire."""
-    raw = u_amps * prod
-    prob = float(np.vdot(raw, raw).real)
-    if prob < HERALD_CUTOFF:
-        return None
-    return raw / math.sqrt(prob), prob
+    return _herald(cfg.alpha, cfg.dim, cfg.stages)
 
 
 def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
@@ -271,6 +252,8 @@ def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
     set to zero, where the frame leaves the amplitudes beyond the window or
     rounding residue.  Heralding l = k leaves C_n.
     """
+    import numpy as np
+
     from .frame import _displaced_columns, _weights
 
     coherent_window(cfg.alpha, cfg.dim)   # refuses a tail above TAIL_GATE
@@ -295,6 +278,7 @@ def _block_unitary(r2: float, n_total: int) -> np.ndarray:
     as atan2(r, t): asin(sqrt(r2)) loses t near r2 = 1 (at r2 = 1 - 1.1e-16
     it gives t = 1.5e-8 for 1.05e-8).
     """
+    import numpy as np
     from scipy.linalg import expm
 
     if n_total == 0:
@@ -315,6 +299,8 @@ def bs_transform(s: TwoModeState, bs: BeamSplitter) -> TwoModeState:
     Any populated amplitude whose block does not fit inside both mode windows is
     a hard error: a conserved block is never silently truncated.
     """
+    import numpy as np
+
     amps = s.amplitudes
     da, db = amps.shape
     out = np.zeros_like(amps)
@@ -340,6 +326,10 @@ def herald(s: TwoModeState, herald_mode: int, k: int) -> tuple[FockState | None,
     A zero-probability outcome returns (None, 0.0) rather than raising: the
     None state is the unnormalizable-outcome flag.
     """
+    import numpy as np
+
+    from .fock import FockState
+
     if herald_mode not in (0, 1):
         raise ValueError("herald_mode must be 0 or 1")
     dim_h = s.amplitudes.shape[herald_mode]
@@ -358,6 +348,10 @@ def pcoc_oracle(cfg: CatalysisConfig) -> tuple[FockState, float]:
     Makes no use of the closed-form coefficients; this is the independent
     reference for the closed-form path.
     """
+    import numpy as np
+
+    from .fock import FockState
+
     coh, _ = coherent_window(cfg.alpha, cfg.dim)
     side = cfg.dim + cfg.k
     joint = np.zeros((side, side), dtype=complex)
@@ -373,7 +367,7 @@ def oracle_discrepancy(cfg: CatalysisConfig) -> dict:
     """Closed form vs oracle comparison record."""
     s1, p1 = pcoc_state(cfg)
     s2, p2 = pcoc_oracle(cfg)
-    max_amp = float(np.max(np.abs(s1.amplitudes - s2.amplitudes)))
+    max_amp = float(abs(s1.amplitudes - s2.amplitudes).max())
     return {
         "config": {"alpha_re": complex(cfg.alpha).real, "alpha_im": complex(cfg.alpha).imag,
                    "r2": cfg.bs.r2, "k": cfg.k, "dim": cfg.dim},

@@ -6,8 +6,8 @@ truncation gate, which means a user-chosen --dim was too small), 3 numerical
 gate failure (pole in a closed form, zero-probability herald, overflow).
 Identical flags produce byte-identical output files.
 
-Each command imports the modules it runs, so --help and usage errors finish
-before numpy loads.
+Each command imports the modules it runs, so --help, usage errors, `optimize`
+and every sweep but wigner_min finish without loading numpy.
 """
 
 from __future__ import annotations
@@ -210,11 +210,11 @@ def cmd_joint(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .core import _parse_state
     from .design import (DesignProblem, optimize_reflectivities,
                          optimize_result_to_json)
-    from .fock import state_from_json
 
-    target = _read_target(args.target, state_from_json)
+    target = _read_target(args.target, _parse_state)[0]
     try:
         ks = tuple(int(s) for s in args.k.split(","))
     except ValueError:

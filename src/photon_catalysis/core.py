@@ -1,7 +1,7 @@
 """Standard-library core that every command shares: the error classes, the
-truncation window, number formats and state-JSON validation.  The numpy
-modules import these from here, so the numpy-free sweeps (`frame`) can use
-them too."""
+truncation window and its coherent amplitudes, number formats and state-JSON
+validation, imported from here by the numpy modules and by the numpy-free
+paths (`frame`, the heralded-state kernel of `catalysis`) alike."""
 
 from __future__ import annotations
 
@@ -64,6 +64,30 @@ def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
     raise ValueError(
         f"{size} exceeds {_MAX_WINDOW}, the largest window side dim + k; "
         f"lower --alpha/--alpha2, --k or --dim")
+
+
+def coherent_amplitudes(alpha: complex, dim: int) -> list:
+    """Coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!) for n < dim: floats for
+    a real alpha, complex numbers for a complex one."""
+    kind = complex if isinstance(alpha, complex) else float
+    alpha, amps = kind(alpha), [kind(math.exp(-abs(alpha) ** 2 / 2.0))]
+    for n in range(1, dim):
+        amps.append(amps[-1] * alpha / math.sqrt(n))
+    return amps[:dim]
+
+
+def coherent_window(alpha: complex, dim: int) -> tuple[tuple, float]:
+    """coherent_amplitudes inside the window and the Poisson tail beyond it.
+
+    Raises TruncationError when the tail exceeds TAIL_GATE.
+    """
+    amps = coherent_amplitudes(alpha, dim)
+    tail = max(0.0, 1.0 - math.fsum(abs(a) ** 2 for a in amps))
+    if tail > TAIL_GATE:
+        raise TruncationError(
+            f"coherent tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}; "
+            f"try dim={default_dim(alpha)}")
+    return tuple(amps), tail
 
 
 FMT9 = ".8e"  # the 9-digit format spec; "%" + FMT9 formats a float to the same bytes

@@ -1,19 +1,21 @@
 """Parameter sweeps and derivative-free inverse design of stage reflectivities.
 
 Every sweep metric but wigner_min comes from the displaced-frame kernel in
-`frame`, so those sweeps load no numpy.  Each path imports what it runs when
-it runs: `frame` for those sweeps, the numpy modules for wigner_min and the
-optimizer."""
+`frame`, and every optimizer probe from the standard-library heralded-state
+kernel of `catalysis`, so those sweeps and the optimizer load no numpy.
+Each path imports what it runs when it runs: `frame` for those sweeps,
+`catalysis` for the optimizer, the numpy modules for wigner_min."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from . import METRICS
-from .core import fmt17
+from .core import HERALD_CUTOFF, _check_stage, fmt17
 
 __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
@@ -174,9 +176,10 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """Find stage reflectivities maximizing fidelity to a target state."""
+    """Find stage reflectivities maximizing fidelity to ``target``, a
+    FockState or a sequence of its amplitudes (kept as a tuple of complex)."""
 
-    target: FockState
+    target: FockState | list[complex]
     stages: int
     ks: tuple[int, ...]
     alpha: float
@@ -204,6 +207,8 @@ class DesignProblem:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"stage bounds ({lo}, {hi}) invalid")
         object.__setattr__(self, "bounds", tuple(bounds))
+        object.__setattr__(self, "target", tuple(
+            complex(a) for a in getattr(self.target, "amplitudes", self.target)))
 
 
 @dataclass(frozen=True)
@@ -239,25 +244,22 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return mid, f(mid)
 
 
-def _line_max(f, scan, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _line_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Coarse scan for a bracket, then golden-section refinement.
 
     The fidelity landscape has interference zeros, so a single golden section
     over the full interval is not safe; 33 stratified probes locate the basin.
-    ``scan`` maps the probe array to the values f would give, in one call.
     """
-    import numpy as np
-
-    xs = np.linspace(lo, hi, 33)
-    vals = scan(xs)
-    i = int(np.argmax(vals))
+    xs = Axis("r2", lo, hi, 33).values()   # np.linspace(lo, hi, 33)
+    vals = [f(x) for x in xs]
+    i = vals.index(max(vals))
     a = xs[max(0, i - 1)]
     b = xs[min(len(xs) - 1, i + 1)]
     if b <= a:
-        return float(xs[i]), float(vals[i])
-    x, v = _golden_max(f, float(a), float(b), tol)
+        return xs[i], vals[i]
+    x, v = _golden_max(f, a, b, tol)
     if v < vals[i]:
-        return float(xs[i]), float(vals[i])
+        return xs[i], vals[i]
     return x, v
 
 
@@ -279,37 +281,61 @@ def _start_points(problem: DesignProblem) -> list[list[float]]:
 def _fidelity_at(problem: DesignProblem, coords) -> tuple[float, float]:
     """(fidelity, success probability) at one point; a probe whose heralds
     cannot all fire scores (0, 0)."""
-    return _scores(problem, coords, None, ())[0]
+    return _line(problem, coords, 0)(coords[0])
 
 
-def _fidelity_scan(problem: DesignProblem, coords, stage: int, xs) -> list[float]:
-    """Fidelity with stage ``stage`` at each of xs: bitwise _fidelity_at's,
-    from one batched cascade."""
-    return [fid for fid, _ in _scores(problem, coords, stage, xs)]
+def _line(problem: DesignProblem, coords, i: int):
+    """score(x): _fidelity_at with coordinate i of coords set to x.
 
+    The heralded state is u P / |u P|, u the coherent window and P the
+    product of the stage rows in declaration order, so with the target tau
+    prob = sum |u|^2 P^2 and fidelity = |sum conj(tau) u P|^2 / prob.  A
+    line takes the weights and the stages before stage i once; a probe
+    multiplies in its row and the later stages, in the order a point does,
+    so it is bitwise _fidelity_at's.  Each alpha probe is a point."""
+    from .catalysis import IteratedConfig, _coefficient_row, _coherent
 
-def _scores(problem: DesignProblem, coords, stage: int | None,
-            xs) -> list[tuple[float, float]]:
-    """(fidelity, success probability) per row of _stage_product, bitwise what
-    fidelity gives on iterated_pcoc's state for that row, without building it."""
-    catalysis, fock = _engine()
+    if i == problem.stages:
+        return lambda x: _fidelity_at(problem, [*coords[:i], x])
     alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
-    cfg = catalysis.IteratedConfig(alpha, tuple(zip(coords[:problem.stages],
-                                                    problem.ks)))
-    prod = catalysis._stage_product(cfg, stage, xs)
-    u_amps, _ = catalysis._coherent(cfg.alpha, cfg.dim)
-    target = problem.target.amplitudes
-    return [(0.0, 0.0) if h is None else (fock._overlap(h[0], target), h[1])
-            for h in (catalysis._heralded(u_amps, row) for row in prod)]
+    cfg = IteratedConfig(alpha, tuple(zip(coords[:problem.stages], problem.ks)))
+    dim = cfg.dim
+    u, _ = _coherent(cfg.alpha, dim)
+    weights = [t.conjugate() * a for t, a in zip(problem.target, u)]
+    w_re, w_im = [w.real for w in weights], [w.imag for w in weights]
+    u2 = [(a * a.conjugate()).real for a in u]
+    rows = [_coefficient_row(r2, k, dim) for r2, k in cfg.stages]
+    before = reduce(_times, rows[:i], [1.0] * dim)   # 1.0 x is x, bitwise
+    after, k = rows[i + 1:], problem.ks[i]
+
+    def score(x: float) -> tuple[float, float]:
+        _check_stage(x)
+        prod = _times(before, _coefficient_row(x, k, dim))
+        for row in after:
+            prod = _times(prod, row)
+        prob = sum(map(mul, map(mul, u2, prod), prod))
+        if prob < HERALD_CUTOFF:
+            return 0.0, 0.0
+        re, im = sum(map(mul, w_re, prod)), sum(map(mul, w_im, prod))
+        return (re * re + im * im) / prob, prob
+
+    return score
 
 
-@functools.cache
-def _engine():
-    """The numpy modules the optimizer runs, imported on its first probe: an
-    import statement in `_scores` itself would cost about a tenth of a probe."""
-    from . import catalysis, fock
+def _times(a, b) -> list[float]:
+    return list(map(mul, a, b))
 
-    return catalysis, fock
+
+def _canonical(problem: DesignProblem, coords: list[float]) -> list[float]:
+    """coords with r2 ascending within each group of stages that share k and
+    bounds: the stage product commutes, so all orders of a group are one
+    answer, and the search may end on any of them."""
+    out, keys = list(coords), list(zip(problem.ks, problem.bounds))
+    for key in set(keys):
+        stages = [s for s, other in enumerate(keys) if other == key]
+        for s, r2 in zip(stages, sorted(coords[s] for s in stages)):
+            out[s] = r2
+    return out
 
 
 def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
@@ -317,15 +343,16 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
 
     Deterministic: the start set is fixed, coordinates cycle in declaration
     order, and iteration stops when no single-coordinate move larger than the
-    tolerance improves the fidelity.  The coarse probes along a stage
-    coordinate are evaluated as one batch; every probe counts as an evaluation.
+    tolerance improves the fidelity.  Every probe counts as an evaluation.
+    The result lists equal stages in `_canonical` order and is scored once
+    more as listed, so no order the search ends on changes what it reports.
     """
     evaluations = 0
 
-    def evaluate(coords: list[float]) -> tuple[float, float]:
+    def evaluate(score, x: float) -> tuple[float, float]:
         nonlocal evaluations
         evaluations += 1
-        return _fidelity_at(problem, coords)
+        return score(x)
 
     def coord_bounds(i: int) -> tuple[float, float]:
         return problem.bounds[i] if i < problem.stages else problem.alpha_bounds
@@ -338,7 +365,7 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
 
     for start in starts:
         coords = list(start)
-        fid, prob = evaluate(coords)
+        fid, prob = evaluate(_line(problem, coords, 0), coords[0])
         best_initial = max(best_initial, fid)
         improved = True
         passes = 0
@@ -347,31 +374,22 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
             passes += 1
             for i in range(dims):
                 lo, hi = coord_bounds(i)
-
-                def along(x, i=i):
-                    trial = list(coords)
-                    trial[i] = float(x)
-                    return evaluate(trial)[0]
-
-                def scan(xs, i=i):
-                    nonlocal evaluations
-                    if i == problem.stages:  # alpha moves dim: no common batch
-                        return [along(x) for x in xs]
-                    evaluations += len(xs)
-                    return _fidelity_scan(problem, coords, i, xs)
-
-                x_new, f_new = _line_max(along, scan, lo, hi, problem.tol)
+                score = _line(problem, coords, i)
+                x_new, f_new = _line_max(lambda x: evaluate(score, x)[0],
+                                         lo, hi, problem.tol)
                 if f_new > fid + 1e-13:
                     if abs(x_new - coords[i]) > problem.tol or f_new > fid + 1e-9:
                         improved = True
                     coords[i] = x_new
-                    fid, prob = evaluate(coords)
+                    fid, prob = evaluate(score, x_new)
         local_optima.append((tuple(coords[:problem.stages]), fid))
         if best is None or fid > best[0]:
             best = (fid, prob, list(coords))
 
     fid, prob, coords = best
     stagnated = fid <= best_initial + 1e-15
+    coords = _canonical(problem, coords)
+    fid, prob = evaluate(_line(problem, coords, 0), coords[0])
     alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
     return OptimizeResult(
         stages=tuple(coords[:problem.stages]),

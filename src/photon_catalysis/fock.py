@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (FMT9, TAIL_GATE, TruncationError, UndefinedQuantityError,
                    _parse_state, default_dim, fmt9, fmt17)
 
@@ -65,34 +66,17 @@ class PhotonNumberDistribution:
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Unnormalized-in-window coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return amps
-
-
-def coherent_window(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
-    """Coherent amplitudes inside the window and the Poisson tail beyond it.
-
-    Raises TruncationError when the tail exceeds TAIL_GATE.
-    """
-    amps = coherent_amplitudes(alpha, dim)
-    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    if tail > TAIL_GATE:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}; "
-            f"try dim={default_dim(alpha)}")
-    return amps, tail
+    return np.array(core.coherent_amplitudes(alpha, dim), dtype=complex)
 
 
 def make_coherent(alpha: complex, dim: int | None = None) -> FockState:
-    """Coherent state |alpha> truncated to ``dim`` levels (gated as in coherent_window)."""
+    """Coherent state |alpha> truncated to ``dim`` levels (gated as in
+    `core.coherent_window`)."""
     if dim is None:
         dim = default_dim(alpha)
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return FockState(*coherent_window(alpha, dim)).normalized()
+    return FockState(*core.coherent_window(alpha, dim)).normalized()
 
 
 def make_fock(k: int, dim: int) -> FockState:
@@ -154,15 +138,10 @@ def make_css(alpha: float, beta: float, dim: int | None = None,
 
 
 def fidelity(a: FockState, b: FockState) -> float:
-    """|<a|b>|^2 for pure states."""
-    return _overlap(a.amplitudes, b.amplitudes)
-
-
-def _overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 of two amplitude vectors, as fidelity takes it."""
-    n = min(a.size, b.size)
-    # Amplitudes beyond the shorter window pair with zeros and drop out.
-    return abs(complex(np.vdot(a[:n], b[:n]))) ** 2
+    """|<a|b>|^2 for pure states; amplitudes beyond the shorter window pair
+    with zeros and drop out."""
+    n = min(a.dim, b.dim)
+    return abs(complex(np.vdot(a.amplitudes[:n], b.amplitudes[:n]))) ** 2
 
 
 def number_distribution(s: FockState) -> PhotonNumberDistribution:

@@ -367,6 +367,17 @@ class TestWignerAccuracy:
         xs, ps = np.array([18.073170731707314]), np.array([6.658536585365852])
         got = _wigner_values(state.amplitudes[None], xs, ps)[0, 0, 0]
         assert abs(got - float(_wigner_extended(state.amplitudes, xs, ps)[0, 0])) <= 1e-10
+        # Past |2(x + ip)|^2 = 2,790 even a seed scaled by a fixed 2^990 was
+        # subnormal for small d, and the diagonals were lost where the state
+        # has its weight: `wigner --alpha 27 --r2 0.05 --grid=-28.5:28.5:57`
+        # printed W(27, 0) = 0.2417 for 0.2766 and W(28, 0) = 8.9e-4 for
+        # 2.8e-3.  Each radius now carries a scale of its own.
+        state, _ = pcoc_state(CatalysisConfig(27.0, BeamSplitter(0.05), 1))
+        xs, ps = np.array([27.0, 28.0]), np.array([0.0])
+        got = _wigner_values(state.amplitudes[None], xs, ps)[0, :, 0]
+        want = _wigner_extended(state.amplitudes, xs, ps)[:, 0].astype(float)
+        assert want == pytest.approx([0.2766, 2.805e-3], rel=1e-3)
+        assert np.abs(got - want).max() <= 1e-10
 
 
 class TestWignerDistinctRadii:

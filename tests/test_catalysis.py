@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
-                                        IteratedConfig, TwoModeState,
-                                        _coherent, _heralded, _stage_product,
+                                        IteratedConfig, TwoModeState, _herald,
                                         bs_transform, catalysis_coefficient,
                                         catalysis_coefficients, herald,
                                         iterated_pcoc, oracle_discrepancy,
@@ -428,18 +427,12 @@ class TestIteratedScan:
         """At r2 = 1 a k=1 stage passes only |1>, which a balanced k=1 stage
         cancels exactly (C_1 = t^2 - r^2 = 0)."""
         cfg = IteratedConfig(1.0, ((0.4, 1), (0.5, 1)))
-        u_amps, _ = _coherent(cfg.alpha, cfg.dim)
-        rows = [_heralded(u_amps, row)
-                for row in _stage_product(cfg, 0, [0.4, 1.0])]
-        assert rows[0] is not None and rows[1] is None
+        _, prob = _herald(cfg.alpha, cfg.dim, cfg.stages)
+        assert prob > 0.0
+        with pytest.raises(UndefinedQuantityError):
+            _herald(cfg.alpha, cfg.dim, ((1.0, 1), (0.5, 1)))
         with pytest.raises(UndefinedQuantityError):
             iterated_pcoc(IteratedConfig(1.0, ((1.0, 1), (0.5, 1))))
-
-    @pytest.mark.parametrize("stage", [-1, 2])
-    def test_stage_index_checked(self, stage):
-        with pytest.raises(ValueError, match="stage"):
-            _stage_product(IteratedConfig(1.0, ((0.4, 1), (0.5, 1))),
-                           stage, [0.3])
 
 
 class TestConfigValidation:

@@ -339,13 +339,15 @@ class TestWignerBytes:
     its 40,401 cells print differently, each by at most 1e-16, all of them
     below 3e-8 in magnitude.  It was re-hashed again when the coefficient
     rows moved from the binomial sum to the recurrence: 10,971 cells, each
-    by at most 1e-16, all below 2.8e-8 in magnitude."""
+    by at most 1e-16, all below 2.8e-8 in magnitude; and again when the
+    heralded states moved to the standard-library kernel: 10,880 cells,
+    each by at most 1e-16, all below 2.8e-8 in magnitude."""
 
     @pytest.mark.parametrize("entry", ["main", "process"])
     @pytest.mark.parametrize("argv, digest", [
         (["wigner", "--alpha", "1", "--r2", "0.332", "--grid", "201",
           "--format", "csv"],
-         "d058d6618138f6a4ecae0b02376bd5ab3dce2a3fc8788ca253363867db04ef86"),
+         "ea15f4df5bba1a72fcfeab595e58fd61ee498f662626b38e2d7fb11530bd1896"),
         (["wigner", "--alpha", "2", "--r2", "0.5", "--k", "2", "--grid=-5:5:201",
           "--format", "pgm"],
          "0e071d1a50bd2be098310819e746beba97c67a7573917de411ef42a8f658736a"),
@@ -788,23 +790,29 @@ class TestOptimizeBytes:
     first fit kept its bytes; the second moved its fidelity and success_prob
     by 4.5e-16 and 5.6e-17; the --tol 1e-8 fit moved its second stage by
     2.5e-9, inside its tol, its fidelity by 8.9e-16 and its success_prob
-    by 5.4e-9."""
+    by 5.4e-9.  Re-hashed when the probes moved to the standard-library
+    kernel and the result gained a final scoring at the printed order (one
+    more evaluation): 11 of the target's 51 numbers moved, each by at most
+    5.6e-17; the first fit moved its fidelity by 3.4e-16 and success_prob
+    by 1.1e-16; the second its fidelity by 5.6e-16; the --tol 1e-8 fit
+    moved its stages by 4.9e-9 and 4.0e-9, inside its tol, its fidelity by
+    8.0e-15, its success_prob by 8.6e-9 and its evaluations by 3."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["--stages", "2", "--k", "1,1", "--alpha", "1.0"],
-         "9d39df7f1b3a0c748d0427d872b95bb16a812c32ed9df12188d4a6f3456f7739"),
+         "5a582e65a96c1ebf5e986e960bda8151a2b59952fd5f0522ea0a37c169d0a392"),
         (["--stages", "3", "--k", "1,2,1", "--alpha", "1.0",
           "--alpha-bounds", "0.5:2", "--tol", "1e-4"],
-         "ba755a4d108a07c91a137e1bde654840a323b48ae1478f583c34f927b932ad63"),
+         "3195fc273e0c1437e4f767486f97dd4430867eea4ff0e6afb0a57e2e0ddd60cf"),
         (["--stages", "2", "--k", "2,3", "--alpha", "1.4", "--tol", "1e-8"],
-         "31e7586853bac565977cbde5223749d1fe415286c1b7565af976bf06024adf9f"),
+         "c42d5eec7087c4db9f2163ce1a6699cceef88d2424e7839b1d925e3e9651001b"),
     ])
     def test_readme_target_fits_are_pinned(self, tmp_path, capsys, argv, digest):
         target, out = tmp_path / "state.json", tmp_path / "fit.json"
         assert main(["state", "--alpha", "1.35", "--r2", "0.77", "--k", "1",
                      "--out", str(target)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "11785270ca8e135548ad675749b929af1655d06ada6f0e6585bdb8c6111cf4b4")
+            "700a0a49f28fe394b2ac2f226e28bcd884c7cd83a16895c9f8b665f61b6173a0")
         code, _, _ = run(capsys, "optimize", "--target", str(target), *argv,
                          "--out", str(out))
         assert code == 0

@@ -1,6 +1,7 @@
 """Unit tests for parameter sweeps and the reflectivity optimizer."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -12,15 +13,16 @@ from photon_catalysis.analysis import (VACUUM_VARIANCE, g2,
                                        quadrature_variances,
                                        variance_x_analytic, wigner,
                                        wigner_negativity)
-from photon_catalysis import catalysis, design, frame
+from photon_catalysis import catalysis, core, design, frame
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
-                                        IteratedConfig, catalysis_coefficients,
-                                        iterated_pcoc, pcoc_oracle, pcoc_state)
+                                        IteratedConfig, iterated_pcoc,
+                                        pcoc_oracle, pcoc_state)
 from photon_catalysis.design import (Axis, DesignProblem, SweepSpec, METRICS,
                                      optimize_reflectivities,
                                      optimize_result_to_json, sweep)
-from photon_catalysis.fock import (UndefinedQuantityError, coherent_window,
-                                   fidelity, make_fock, number_distribution)
+from photon_catalysis.fock import (UndefinedQuantityError, fidelity,
+                                   make_fock, number_distribution)
+from _mp_state import state_mp
 
 
 class TestAxes:
@@ -116,7 +118,7 @@ class TestSweep:
         ("var_x_db",
          "ecd1a6ac377a761ee38b4c878b7b65299444d6644c9713a68d307c498e968b33"),
         ("fidelity_to_target",
-         "b04a27526ef547d89935b99d70531c04fa858219e1c7ca4f14855f933abd1fd6"),
+         "675094fd7be0ad3127e012c22ec742a421678485701408624313299407f05342"),
     ])
     def test_each_point_resolves_its_window_at_most_twice(self, monkeypatch,
                                                           metric, digest):
@@ -126,7 +128,9 @@ class TestSweep:
         pcoc_state ran.  The rows are hashed.  The fidelity rows were
         re-hashed when the coefficient rows moved from the binomial sum to
         the recurrence: the target's last bits moved, and with them 51 of the
-        99 fidelities, each by at most 1.9e-16."""
+        99 fidelities, each by at most 1.9e-16.  Re-hashed again when the
+        heralded states moved to the standard-library kernel: 59 of the 99
+        fidelities, each by at most 1.9e-16."""
         target, _ = pcoc_state(CatalysisConfig(1.5, BeamSplitter(0.4), 1))
         spec = SweepSpec((Axis("r2", 0.01, 0.99, 99),), metric, alpha=2.7, k=3,
                          target=target)
@@ -150,7 +154,9 @@ class TestSweep:
         built one (21 window checks here).  The rows are bitwise as before.
         Re-hashed when the coefficient rows moved from the binomial sum to the
         recurrence: 10 of the 14 wigner_min and success_prob values moved,
-        each by at most 1.1e-16."""
+        each by at most 1.1e-16.  Re-hashed again when the heralded states
+        moved to the standard-library kernel: 9 of the 14 (5 wigner_min, 4
+        success_prob), each by at most 1.1e-16."""
         spec = SweepSpec((Axis("alpha", 0.5, 2.5, 7),), "wigner_min", k=2)
         calls = []
         window_dim = catalysis._window_dim
@@ -164,7 +170,7 @@ class TestSweep:
         rows = sweep(spec)
         assert len(calls) == 7
         assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == \
-            "b4c551f933cd09b4f25c5ebb8728d6efbd57f057bfa457c8ed08e59c4256b4f9"
+            "847292150dc583c3a0e81cf1d64f1a5ca08d0ec25613c145324bce532873e7a0"
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         spec = SweepSpec((Axis("r2", 0.1, 0.9, 7),), "g2")
@@ -379,7 +385,16 @@ def pointwise_scan(problem, coords, stage, xs):
         problem, [*coords[:stage], float(x), *coords[stage + 1:]])[0] for x in xs]
 
 
+def line_scan(problem, coords, stage, xs):
+    """The fidelities of one line search's probes at xs."""
+    score = design._line(problem, coords, stage)
+    return [score(float(x))[0] for x in xs]
+
+
 class TestBatchedLineScan:
+    """A line search takes the window, the target weights and the stages
+    before the probed one once; its probes must stay bitwise the points."""
+
     @pytest.mark.parametrize("ks", [(1,), (2, 1), (1, 2, 3)])
     def test_scan_equals_pointwise_evaluations(self, ks):
         target, _ = pcoc_state(CatalysisConfig(1.2, BeamSplitter(0.4), 1))
@@ -387,7 +402,7 @@ class TestBatchedLineScan:
         coords = [0.3, 0.65, 0.45][:len(ks)]
         xs = np.linspace(0.0, 1.0, 33)
         for stage in range(len(ks)):
-            got = design._fidelity_scan(problem, coords, stage, xs)
+            got = line_scan(problem, coords, stage, xs)
             assert bits(got) == bits(pointwise_scan(problem, coords, stage, xs))
 
     def test_probes_that_cannot_herald_score_zero(self):
@@ -396,7 +411,7 @@ class TestBatchedLineScan:
         target, _ = pcoc_state(CatalysisConfig(1.0, BeamSplitter(0.3), 1))
         problem = DesignProblem(target, stages=2, ks=(1, 1), alpha=1.0)
         xs = np.linspace(0.0, 1.0, 33)
-        got = design._fidelity_scan(problem, [0.2, 0.5], 0, xs)
+        got = line_scan(problem, [0.2, 0.5], 0, xs)
         assert got[-1] == 0.0 and min(got[:-1]) > 0.0
         assert bits(got) == bits(pointwise_scan(problem, [0.2, 0.5], 0, xs))
 
@@ -404,33 +419,48 @@ class TestBatchedLineScan:
                                                   ((2,), (0.8, 1.4))])
     def test_optimizer_result_unchanged_by_batching(self, ks, alpha_bounds,
                                                     monkeypatch):
+        """Every probe taken as a point of its own gives the same result."""
         target, _ = pcoc_state(CatalysisConfig(1.1, BeamSplitter(0.6), 2))
         problem = DesignProblem(target, stages=len(ks), ks=ks, alpha=1.0,
                                 tol=1e-6, alpha_bounds=alpha_bounds)
         batched = optimize_reflectivities(problem)
-        monkeypatch.setattr(design, "_fidelity_scan", pointwise_scan)
+        line = design._line
+
+        def pointwise_line(problem, coords, i):
+            def score(x):
+                trial = [*coords[:i], x, *coords[i + 1:]]
+                return line(problem, trial, 0)(trial[0])
+            return score
+
+        monkeypatch.setattr(design, "_line", pointwise_line)
         assert optimize_reflectivities(problem) == batched
 
 
 def reference_scores(problem, coords, stage, xs):
     """(fidelity, success probability) per probe, straight from
-    catalysis_coefficients and coherent_window with no cache in between."""
+    `catalysis._row` and `core.coherent_window` with no cache in between:
+    the rows multiplied in declaration order into P, prob = sum |u|^2 P^2
+    and fidelity = |sum conj(target) u P|^2 / prob, summed in order."""
     cfg = IteratedConfig(problem.alpha, tuple(zip(coords, problem.ks)))
-    u_amps, _ = coherent_window(cfg.alpha, cfg.dim)
-    prod = np.ones((len(xs), cfg.dim))
-    for s, (r2, k) in enumerate(cfg.stages):
-        prod *= catalysis_coefficients(xs if s == stage else (r2,), k, cfg.dim)
-    target = problem.target.amplitudes
+    u, _ = core.coherent_window(cfg.alpha, cfg.dim)
     scores = []
-    for row in prod:
-        raw = u_amps * row
-        prob = float(np.vdot(raw, raw).real)
+    for x in xs:
+        prod = [1.0] * cfg.dim
+        for s, (r2, k) in enumerate(cfg.stages):
+            row = catalysis._row(x if s == stage else r2, k, cfg.dim)
+            prod = [p * c for p, c in zip(prod, row)]
+        prob = 0.0
+        for a, p in zip(u, prod):
+            prob += (a * a.conjugate()).real * p * p
         if prob < 1e-300:
             scores.append((0.0, 0.0))
             continue
-        amps = raw / math.sqrt(prob)
-        n = min(amps.size, target.size)
-        scores.append((abs(complex(np.vdot(amps[:n], target[:n]))) ** 2, prob))
+        re = im = 0.0
+        for t, a, p in zip(problem.target, u, prod):
+            w = t.conjugate() * a
+            re += w.real * p
+            im += w.imag * p
+        scores.append(((re * re + im * im) / prob, prob))
     return scores
 
 
@@ -457,7 +487,7 @@ class TestProbeCaches:
         stage = data.draw(st.integers(0, len(ks) - 1)) if data else 0
         ref = reference_scores(problem, coords, stage, xs)
         for _ in range(2):  # cold, then warm caches
-            got = design._fidelity_scan(problem, coords, stage, xs)
+            got = line_scan(problem, coords, stage, xs)
             assert bits(got) == bits([fid for fid, _ in ref])
             for x, want in zip(xs, ref):
                 trial = [*coords[:stage], x, *coords[stage + 1:]]
@@ -469,7 +499,8 @@ class TestProbeCaches:
         row = catalysis._coefficient_row(0.3, 2, 30)
         amps, _ = catalysis._window(1.1, 30)
         for array in (row, amps):
-            with pytest.raises(ValueError, match="read-only"):
+            assert isinstance(array, tuple)
+            with pytest.raises(TypeError):
                 array[0] = 0.0
 
     def test_caches_stay_within_their_bounds(self):
@@ -496,18 +527,87 @@ class TestProbeCaches:
         """0.8j and -0+0.8j are equal keys whose windows differ in the sign of
         zero parts, which an r2 = 1 stage leaves in the state; so a complex
         alpha does not go through the window cache."""
+        got = []
         for alpha in (complex(0.0, 0.8), complex(-0.0, 0.8)):
-            state, _ = iterated_pcoc(IteratedConfig(alpha, ((1.0, 1),)))
-            u_amps, _ = coherent_window(alpha, state.dim)
-            raw = u_amps * catalysis_coefficients((1.0,), 1, state.dim)[0]
-            want = raw / math.sqrt(float(np.vdot(raw, raw).real))
-            assert bits(state.amplitudes.view(float)) == bits(want.view(float))
+            state, _ = iterated_pcoc(IteratedConfig(alpha, ((1.0, 2),)))
+            u, _ = core.coherent_window(alpha, state.dim)
+            raw = [a * c for a, c in zip(u, catalysis._row(1.0, 2, state.dim))]
+            norm = math.sqrt(math.fsum(abs(a) ** 2 for a in raw))
+            want = np.array([a / norm for a in raw])
+            got.append(bits(state.amplitudes.view(float)))
+            assert got[-1] == bits(want.view(float))
+        assert got[0] != got[1]
 
     def test_golden_section_stops_when_rounding_stalls_the_bracket(self):
         """A tol below the spacing of floats near the optimum used to loop
         forever; the search now ends at the narrowest bracket it can reach."""
         x, v = design._golden_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0, 1e-300)
         assert x == pytest.approx(0.37, abs=1e-7) and v <= 0.0
+
+
+class TestEqualStageOrder:
+    """Stages that share k and bounds commute, so the search can end on any
+    order of them; the result lists them in one order, scored as listed."""
+
+    @pytest.mark.parametrize("ks, alpha, tol", [
+        ((2, 2, 2), 1.6554, 3e-2), ((2, 2), 1.9619, 1e-2), ((1, 2, 1), 1.3, 3e-2)])
+    def test_permuting_equal_stages_cannot_change_the_printed_result(
+            self, ks, alpha, tol, monkeypatch):
+        """The first two searches end unsorted: the first printed stages
+        [0.00966, 0.34831, 0.01194] before the order was fixed."""
+        target, _ = pcoc_state(CatalysisConfig(1.5703, BeamSplitter(0.3532), 2))
+        problem = DesignProblem(target, stages=len(ks), ks=ks, alpha=alpha,
+                                tol=tol)
+        res = optimize_reflectivities(problem)
+        stages = list(res.stages)
+        assert stages == design._canonical(problem, stages)
+        assert (res.fidelity, res.success_prob) == \
+            design._fidelity_at(problem, stages)
+        printed = optimize_result_to_json(res)
+        canonical = design._canonical
+        for perm in itertools.permutations(range(len(ks))):
+            if perm == tuple(range(len(ks))) or \
+                    any(ks[p] != ks[s] for s, p in enumerate(perm)):
+                continue
+            # the search ends on the permuted order of its answer
+            monkeypatch.setattr(design, "_canonical", lambda problem, coords, perm=perm:
+                                canonical(problem, [coords[p] for p in perm]))
+            assert optimize_result_to_json(optimize_reflectivities(problem)) \
+                == printed
+
+    def test_only_stages_with_equal_k_and_bounds_are_sorted(self):
+        problem = DesignProblem(TARGETS[0], stages=4, ks=(2, 1, 2, 2),
+                                alpha=1.0, bounds=((0.0, 1.0), (0.0, 1.0),
+                                                   (0.0, 1.0), (0.0, 0.5)))
+        assert design._canonical(problem, [0.9, 0.1, 0.2, 0.4]) == \
+            [0.2, 0.1, 0.9, 0.4]
+
+
+class TestOptimizeAgainstHighPrecision:
+    """The benchmark's check of `optimize`, in tier 1: the reported fidelity
+    and success_prob are those of the reported stages (and alpha) on the
+    window default_dim(alpha, max k), summed exactly."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(ks=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           alpha=st.floats(0.3, 2.7), target=st.sampled_from(TARGETS),
+           free=st.booleans())
+    @example(ks=[2, 2, 2], alpha=1.6554, target=TARGETS[1], free=False)
+    @example(ks=[1], alpha=2.7, target=TARGETS[0], free=True)
+    def test_reported_scores_are_the_reported_stages(self, ks, alpha, target,
+                                                     free):
+        bounds = (max(0.3, alpha - 0.6), min(2.7, alpha + 0.6)) if free else None
+        problem = DesignProblem(target, stages=len(ks), ks=tuple(ks),
+                                alpha=alpha, tol=1e-3, alpha_bounds=bounds)
+        res = optimize_reflectivities(problem)
+        if free:
+            assert bounds[0] <= res.alpha <= bounds[1]
+        want, prob = state_mp(res.alpha, list(zip(res.stages, ks)),
+                              core.default_dim(res.alpha, max(ks)))
+        n = min(want.size, len(problem.target))
+        fidelity = abs(np.vdot(problem.target[:n], want[:n])) ** 2
+        assert res.success_prob == pytest.approx(prob, rel=1e-10)
+        assert res.fidelity == pytest.approx(fidelity, rel=1e-10)
 
 
 class TestResultJson:

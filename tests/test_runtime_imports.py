@@ -3,8 +3,8 @@ command loads only the package modules it runs.
 
 scipy is needed only by the matrix-exponential oracle that the tests compare
 the closed forms against.  This guard keeps its import cost off the CLI, and
-keeps numpy off `catalysis --help`, usage errors and every sweep but
-wigner_min.
+keeps numpy off `catalysis --help`, usage errors, `optimize` and every sweep
+but wigner_min.
 """
 
 import importlib
@@ -88,8 +88,8 @@ STATE = WIGNER + ["photon_catalysis.frame"]
 # Every sweep metric but wigner_min runs on the standard-library kernel.
 SWEEP = CORE + ["photon_catalysis.design", "photon_catalysis.frame"]
 WIGNER_SWEEP = WIGNER + ["photon_catalysis.design"]
-OPTIMIZE = CORE + ["photon_catalysis.catalysis", "photon_catalysis.design",
-                   "photon_catalysis.fock", "numpy"]
+# The optimizer's probes run on the standard-library heralded-state kernel.
+OPTIMIZE = CORE + ["photon_catalysis.catalysis", "photon_catalysis.design"]
 JOINT = CORE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
                 "photon_catalysis.fock", "photon_catalysis.frame", "numpy"]
 
