@@ -186,7 +186,7 @@ def g2(d: PhotonNumberDistribution) -> float:
 
 _BLOCK = 4                  # states that share one recurrence
 _WIGNER_CELLS = 10 ** 6     # grid points; about 0.1 GiB of recurrence buffers
-_WIGNER_BUDGET = 2e9        # cell-steps nx * np * dim (dim + 1) / 2, about 2 s
+_WIGNER_BUDGET = 2e9        # recurrence cell-steps (`_wigner_work`), about 2 s
 
 
 def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -286,12 +286,17 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
     return total.reshape(n_states, xs.size, ps.size)
 
 
+def _wigner_work(dims, spec: WignerGridSpec) -> float:
+    """Recurrence cell-steps of the grids ``spec`` of states with these dims:
+    nx np dim (dim + 1) / 2 a state, one step a cell and pair n <= m."""
+    return spec.nx * spec.np * sum(d * (d + 1) for d in dims) / 2
+
+
 def _check_wigner_work(dim: int, spec: WignerGridSpec):
     """Reject, before allocating, a grid whose buffers or recurrence would
     run past the budget."""
-    cells = spec.nx * spec.np
-    work = cells * dim * (dim + 1) / 2
-    if cells > _WIGNER_CELLS or work > _WIGNER_BUDGET:
+    work = _wigner_work([dim], spec)
+    if spec.nx * spec.np > _WIGNER_CELLS or work > _WIGNER_BUDGET:
         raise ValueError(
             f"Wigner grid of {spec.nx}x{spec.np} points at dim {dim} needs "
             f"{work:.2e} recurrence cell-steps; the budget is {_WIGNER_CELLS:.0e} "

@@ -9,8 +9,9 @@ catalysis_coefficient takes that sum one n at a time, as the reference; it
 cancels at large n k.  Every state takes C from a three-term recurrence over
 whole rows (`_row`), which does not.  The heralded-state kernel, the rows,
 the coherent window and the herald, is standard-library Python, so the
-optimizer's probes (`design`) load no numpy.  numpy is imported only where
-arrays are built: FockState, catalysis_coefficients, the two-mode output
+optimizer's probes (`design`) load no numpy.  A one-stage state's tail_mass
+is its own, against the untruncated herald probability of `frame`.  numpy
+is imported only where arrays are built: FockState, the two-mode output
 U|alpha>|k> from the displaced frame of `frame` (two_mode_output), and the
 independent brute-force oracle (two-mode unitary from a matrix exponential,
 then projection) the closed forms are tested against; it alone needs scipy.
@@ -23,12 +24,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .core import (HERALD_CUTOFF, UndefinedQuantityError, _check_stage,
-                   _window_dim, coherent_window)
+from .core import (HERALD_CUTOFF, TAIL_GATE, TruncationError,
+                   UndefinedQuantityError, _check_stage, _stage_window,
+                   coherent_window)
 
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
-    "catalysis_coefficient", "catalysis_coefficients", "pcoc_state",
+    "catalysis_coefficient", "pcoc_state",
     "success_probability_analytic", "iterated_pcoc", "two_mode_output",
     "bs_transform", "herald", "pcoc_oracle", "oracle_discrepancy",
 ]
@@ -73,10 +75,8 @@ class CatalysisConfig:
     dim: int | None = None
 
     def __post_init__(self):
-        _check_stage(k=self.k)
-        object.__setattr__(self, "dim", _window_dim(self.alpha, self.dim, self.k))
-        if self.k >= self.dim:
-            raise ValueError(f"k={self.k} must be below dim={self.dim}")
+        object.__setattr__(self, "dim", _stage_window(
+            self.alpha, ((self.bs.r2, self.k),), self.dim))
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,8 @@ class IteratedConfig:
             raise ValueError("at least one stage required")
         object.__setattr__(self, "stages",
                            tuple((float(r2), int(k)) for r2, k in self.stages))
-        kmax = max(k for _, k in self.stages)
-        object.__setattr__(self, "dim", _window_dim(self.alpha, self.dim, kmax))
-        # CatalysisConfig's checks per stage, without its window check: every
-        # dim + k is at most the dim + kmax just checked.
-        for r2, k in self.stages:
-            _check_stage(r2, k)
-            if k >= self.dim:
-                raise ValueError(f"k={k} must be below dim={self.dim}")
+        object.__setattr__(self, "dim",
+                           _stage_window(self.alpha, self.stages, self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,18 +168,6 @@ def _row(r2: float, k: int, dim: int) -> tuple[float, ...]:
 _coefficient_row = lru_cache(maxsize=1024)(_row)
 
 
-def catalysis_coefficients(r2s, k: int, dim: int) -> np.ndarray:
-    """C[p, n] = catalysis_coefficient(n, k, BeamSplitter(r2s[p])) for n < dim,
-    as a numpy array of the rows the heralds use (`_row`)."""
-    import numpy as np
-
-    r2s = [float(x) for x in r2s]
-    for x in r2s:
-        _check_stage(x)
-    _check_stage(k=k)
-    return np.array([_row(r2, k, dim) for r2 in r2s]).reshape(len(r2s), dim)
-
-
 _window = lru_cache(maxsize=64)(coherent_window)
 
 
@@ -219,8 +201,19 @@ def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
     The success probability is sum_n |a_n|^2 with the coherent Poisson weights
     included (the r2=0 limit gives exactly 1 and the r2=1 limit the Poisson
     weight of |k> in the input, both confirmed by the brute-force oracle).
+    The state's tail_mass is the output's own, 1 - probability / |phi|^2
+    with |phi|^2 untruncated (`frame.heralded_frame`), gated at TAIL_GATE.
     """
-    return _herald(cfg.alpha, cfg.dim, ((cfg.bs.r2, int(cfg.k)),))
+    from .fock import FockState
+    from .frame import heralded_frame
+
+    stage = (cfg.bs.r2, int(cfg.k))
+    state, prob = _herald(cfg.alpha, cfg.dim, (stage,))
+    tail = max(0.0, 1.0 - prob / heralded_frame(cfg.alpha, *stage)[2])
+    if tail > TAIL_GATE:
+        raise TruncationError(f"output tail mass {tail:.3e} exceeds "
+                              f"{TAIL_GATE:.0e} at dim={cfg.dim}; raise --dim")
+    return FockState(state.amplitudes, tail), prob
 
 
 def success_probability_analytic(alpha: complex, bs: BeamSplitter) -> float:
@@ -235,6 +228,7 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
 
     The returned probability is the joint success probability of all stage
     heralds, which for a cascade factorizes through the product coefficients.
+    The state's tail_mass is the coherent input's tail beyond the window.
     """
     return _herald(cfg.alpha, cfg.dim, cfg.stages)
 

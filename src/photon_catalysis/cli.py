@@ -111,11 +111,11 @@ def cmd_state(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .core import _parse_state, fmt9
+    from .core import fmt9
     from .design import SweepSpec, sweep
 
     axes = [_parse_axis(spec_text) for spec_text in args.axis]
-    target = _read_target(args.target, _parse_state)[0] if args.target else None
+    target = _read_target(args.target) if args.target else None
     spec = SweepSpec(tuple(axes), args.metric, alpha=args.alpha, r2=args.r2,
                      k=args.k, target=target)
     warnings = []
@@ -152,24 +152,23 @@ def cmd_wigner(args) -> int:
     return 0
 
 
-def _parse_r2(text: str) -> list[float]:
-    """joint's --r2: one value "0.5" or an inclusive scan "lo:hi:steps"."""
+def _parse_r2(text: str) -> tuple[float, float, int]:
+    """joint's --r2 as (lo, hi, steps): one value "0.5" is one step, an
+    inclusive scan "lo:hi:steps" at least two."""
     try:
-        if ":" not in text:
-            return [float(text)]
-        lo, hi, steps = text.split(":")
+        lo, hi, steps = text.split(":") if ":" in text else (text, text, 1)
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
         raise ValueError(f"--r2 spec {text!r}; expected VALUE|LO:HI:STEPS "
                          f"with integer STEPS") from None
-    _check_steps("--r2", text, steps)
-    import numpy as np
-
-    return [float(r2) for r2 in np.linspace(lo, hi, steps)]
+    if ":" in text:
+        _check_steps("--r2", text, steps)
+    return lo, hi, steps
 
 
 def cmd_joint(args) -> int:
     from .catalysis import BeamSplitter, CatalysisConfig
+    from .core import _stage_window, scan
     from .detector import TMDConfig, joint_output_distribution
     from .fock import fmt9
 
@@ -184,19 +183,22 @@ def cmd_joint(args) -> int:
             raise ValueError(f"{flag} {eta} outside [0, 1]; expected a "
                              f"detector efficiency")
     alpha = math.sqrt(args.alpha2)
-    r2s = _parse_r2(args.r2)
-    cfg = CatalysisConfig(alpha, BeamSplitter(r2s[0]), args.k, args.dim)
-    cells = len(r2s) * (args.bins + 1) ** 2
-    work = len(r2s) * ((args.k + 1) * (cfg.dim + args.k) ** 2 + _JOINT_STEP_WORK)
-    if len(r2s) > 1 and (cells > _MAX_JOINT_CELLS or work > _MAX_JOINT_WORK):
+    lo, hi, steps = _parse_r2(args.r2)
+    # A scan's first r2 is the same at any step count, so it is checked, and
+    # the budget too, before the scan is laid out.
+    first = lo if steps == 1 else scan(lo, hi, 2)[0]
+    dim = _stage_window(alpha, ((first, args.k),), args.dim)
+    cells = steps * (args.bins + 1) ** 2
+    work = steps * ((args.k + 1) * (dim + args.k) ** 2 + _JOINT_STEP_WORK)
+    if steps > 1 and (cells > _MAX_JOINT_CELLS or work > _MAX_JOINT_WORK):
         raise ValueError(
-            f"--r2 scan of {len(r2s)} steps prints {cells:.2e} cells and builds "
+            f"--r2 scan of {steps} steps prints {cells:.2e} cells and builds "
             f"{work:.2e} two-mode cells, {_JOINT_STEP_WORK} a step for its fixed "
             f"cost included; the budget is {_MAX_JOINT_CELLS:.0e} "
             f"and {_MAX_JOINT_WORK:.0e}; use fewer --r2 steps or lower --bins, "
             f"--k, --alpha2 or --dim")
     lines = ["r2,i,j,p"]
-    for r2 in r2s:
+    for r2 in scan(lo, hi, steps) if steps > 1 else [lo]:
         cfg = CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim)
         joint = joint_output_distribution(cfg, TMDConfig(args.eta1, args.bins),
                                           TMDConfig(args.eta2, args.bins))
@@ -210,11 +212,10 @@ def cmd_joint(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .core import _parse_state
     from .design import (DesignProblem, optimize_reflectivities,
                          optimize_result_to_json)
 
-    target = _read_target(args.target, _parse_state)[0]
+    target = _read_target(args.target)
     try:
         ks = tuple(int(s) for s in args.k.split(","))
     except ValueError:
@@ -239,20 +240,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _read_file(path: str) -> str:
+def _read_target(path: str) -> list[complex]:
+    """The amplitudes of the --target state JSON; an unreadable or malformed
+    file is a usage error naming it."""
+    from .core import _parse_state
+
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
-
-
-def _read_target(path: str, parse):
-    """The --target state as ``parse`` reads it; a malformed file is a usage
-    error naming it."""
-    text = _read_file(path)
     try:
-        return parse(text)
+        return _parse_state(text)[0]
     except ValueError as exc:
         raise ValueError(f"--target {path}: {exc}") from None
 

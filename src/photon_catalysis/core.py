@@ -1,7 +1,7 @@
 """Standard-library core that every command shares: the error classes, the
-truncation window and its coherent amplitudes, number formats and state-JSON
-validation, imported from here by the numpy modules and by the numpy-free
-paths (`frame`, the heralded-state kernel of `catalysis`) alike."""
+stage check and its truncation window, the coherent amplitudes, the scan
+grid, number formats and state-JSON validation, imported by the numpy
+modules and by the numpy-free paths (`frame`, `catalysis`'s kernel) alike."""
 
 from __future__ import annotations
 
@@ -36,6 +36,37 @@ def _check_stage(r2: float = 0.0, k: int = 0):
         raise ValueError(f"r2={r2} outside [0, 1]")
     if k < 0:
         raise ValueError("k must be non-negative")
+
+
+def _stage_window(alpha: complex, stages, dim: int | None = None) -> int:
+    """The window of the cascade ``stages`` of (r2, k) on |alpha>, checked in
+    the one order every stage takes: each stage's r2, then its k, which must
+    convert with int(); then alpha and the window, sized for the largest k
+    (`_window_dim`); then each k below dim."""
+    ks = []
+    for r2, k in stages:
+        _check_stage(r2, k)
+        ks.append(int(k))
+    dim = _window_dim(alpha, dim, max(ks))
+    for k in ks:
+        if k >= dim:
+            raise ValueError(f"k={k} must be below dim={dim}")
+    return dim
+
+
+def scan(lo: float, hi: float, steps: int) -> list[float]:
+    """Every scan grid of the package: numpy's linspace(lo, hi, steps) bit for
+    bit, as Python floats, i * step + lo (or i / div * delta + lo where the
+    step rounds to 0) with the last value hi."""
+    lo, hi, div = float(lo), float(hi), steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        vals = [i / div * delta + lo for i in range(steps)]
+    else:
+        vals = [i * step + lo for i in range(steps)]
+    vals[-1] = hi
+    return vals
 
 
 def default_dim(alpha: complex, k: int = 0) -> int:

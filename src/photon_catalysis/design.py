@@ -15,7 +15,7 @@ from functools import reduce
 from operator import mul
 
 from . import METRICS
-from .core import HERALD_CUTOFF, _check_stage, fmt17
+from .core import HERALD_CUTOFF, _check_stage, _window_dim, fmt17, scan
 
 __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
@@ -47,20 +47,10 @@ class Axis:
             raise ValueError("each axis needs at least 2 steps")
 
     def values(self) -> list[float]:
-        """np.linspace(lo, hi, steps) bit for bit, as Python floats: i * step
-        + lo, or (i / div) * delta + lo where the step rounds to 0, with the
-        last value hi.  A k axis is rounded half to even, as np.round does."""
-        lo, hi, div = float(self.lo), float(self.hi), self.steps - 1
-        delta = hi - lo
-        step = delta / div
-        if step == 0:
-            vals = [i / div * delta + lo for i in range(self.steps)]
-        else:
-            vals = [i * step + lo for i in range(self.steps)]
-        vals[-1] = hi
-        if self.name == "k":
-            vals = [round(v, 0) for v in vals]
-        return vals
+        """`core.scan(lo, hi, steps)`; a k axis is rounded half to even, as
+        numpy's round does."""
+        vals = scan(self.lo, self.hi, self.steps)
+        return [round(v, 0) for v in vals] if self.name == "k" else vals
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,7 @@ def _check_wigner_sweep(spec: SweepSpec, points: list[dict]) -> list:
     """Each point's CatalysisConfig, or the ValueError that refused it, once
     the configs that were accepted are checked to need no more than the
     budget of Wigner recurrence cell-steps; a refused point adds none."""
-    from .analysis import WignerGridSpec
+    from .analysis import WignerGridSpec, _wigner_work
     from .catalysis import BeamSplitter, CatalysisConfig
 
     configs = []
@@ -107,10 +97,8 @@ def _check_wigner_sweep(spec: SweepSpec, points: list[dict]) -> list:
                                            int(params.get("k", spec.k))))
         except ValueError as exc:
             configs.append(exc)
-    grid = WignerGridSpec()
-    steps = sum(c.dim * (c.dim + 1) // 2 for c in configs
-                if not isinstance(c, ValueError))
-    work = grid.nx * grid.np * steps
+    work = _wigner_work([c.dim for c in configs if not isinstance(c, ValueError)],
+                        WignerGridSpec())
     if work > _MAX_WIGNER_WORK:
         raise ValueError(f"wigner_min sweep of {len(points)} points needs "
                          f"{work:.2e} Wigner cell-steps; the budget is "
@@ -207,6 +195,9 @@ class DesignProblem:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"stage bounds ({lo}, {hi}) invalid")
         object.__setattr__(self, "bounds", tuple(bounds))
+        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        for k in self.ks:
+            _check_stage(k=k)
         object.__setattr__(self, "target", tuple(
             complex(a) for a in getattr(self.target, "amplitudes", self.target)))
 
@@ -250,7 +241,7 @@ def _line_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     The fidelity landscape has interference zeros, so a single golden section
     over the full interval is not safe; 33 stratified probes locate the basin.
     """
-    xs = Axis("r2", lo, hi, 33).values()   # np.linspace(lo, hi, 33)
+    xs = scan(lo, hi, 33)
     vals = [f(x) for x in xs]
     i = vals.index(max(vals))
     a = xs[max(0, i - 1)]
@@ -292,19 +283,20 @@ def _line(problem: DesignProblem, coords, i: int):
     prob = sum |u|^2 P^2 and fidelity = |sum conj(tau) u P|^2 / prob.  A
     line takes the weights and the stages before stage i once; a probe
     multiplies in its row and the later stages, in the order a point does,
-    so it is bitwise _fidelity_at's.  Each alpha probe is a point."""
-    from .catalysis import IteratedConfig, _coefficient_row, _coherent
+    so it is bitwise _fidelity_at's.  Each alpha probe is a point.  A line
+    checks only its window: DesignProblem checked the ks and bounds."""
+    from .catalysis import _coefficient_row, _coherent
 
     if i == problem.stages:
         return lambda x: _fidelity_at(problem, [*coords[:i], x])
     alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
-    cfg = IteratedConfig(alpha, tuple(zip(coords[:problem.stages], problem.ks)))
-    dim = cfg.dim
-    u, _ = _coherent(cfg.alpha, dim)
+    dim = _window_dim(alpha, None, max(problem.ks))
+    u, _ = _coherent(alpha, dim)
     weights = [t.conjugate() * a for t, a in zip(problem.target, u)]
     w_re, w_im = [w.real for w in weights], [w.imag for w in weights]
     u2 = [(a * a.conjugate()).real for a in u]
-    rows = [_coefficient_row(r2, k, dim) for r2, k in cfg.stages]
+    rows = [_coefficient_row(float(r2), k, dim)
+            for r2, k in zip(coords, problem.ks)]
     before = reduce(_times, rows[:i], [1.0] * dim)   # 1.0 x is x, bitwise
     after, k = rows[i + 1:], problem.ks[i]
 

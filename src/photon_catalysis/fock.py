@@ -16,8 +16,9 @@ from .core import (FMT9, TAIL_GATE, TruncationError, UndefinedQuantityError,
 class FockState:
     """Single-mode pure state sum_n amplitudes[n] |n> over n = 0..dim-1.
 
-    ``tail_mass`` is the probability lost to truncation before renormalization,
-    kept so downstream consumers can gate on truncation quality.
+    ``tail_mass`` is the state's own probability beyond the window, as a
+    fraction of the untruncated state's, kept so downstream consumers can
+    gate on truncation quality (`iterated_pcoc` keeps its input's).
     """
 
     amplitudes: np.ndarray

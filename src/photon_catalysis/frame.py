@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .core import (HERALD_CUTOFF, VACUUM_VARIANCE, UndefinedQuantityError,
-                   _check_stage, _window_dim)
+                   _stage_window)
 
 
 def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[complex]]:
@@ -182,13 +182,10 @@ def sweep_point(metric: str, alpha: complex, r2: float, k,
     """(metric value, success probability) at one sweep point, for every
     metric but wigner_min.
 
-    The point is refused as `CatalysisConfig(alpha, BeamSplitter(r2),
-    int(k))` and `pcoc_state` refuse it, in the same order and words: r2,
-    then int(k), then k, then the default window, then the herald."""
-    _check_stage(r2)
+    The point is refused by the stage check CatalysisConfig runs
+    (`core._stage_window`), on the default window, then by the herald."""
+    _stage_window(alpha, ((r2, k),))
     k = int(k)
-    _check_stage(k=k)
-    _window_dim(alpha, None, k)
     beta, phi, prob = heralded_frame(alpha, r2, k)
     if metric == "success_prob":
         value = prob

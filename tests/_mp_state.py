@@ -28,7 +28,7 @@ def _coefficients(r2: float, k: int, dim: int) -> list:
 
 
 def coefficient_row_mp(r2: float, k: int, dim: int) -> np.ndarray:
-    """catalysis_coefficients((r2,), k, dim)[0], rounded from the exact sum."""
+    """`catalysis._row(r2, k, dim)`, rounded from the exact sum."""
     with mpmath.workdps(_digits(dim + k)):
         return np.array([float(c) for c in _coefficients(r2, k, dim)])
 

@@ -85,6 +85,18 @@ class TestState:
         assert code == 2
         assert "truncation" in stderr
 
+    def test_output_tail_beyond_dim_is_a_truncation_gate(self, tmp_path, capsys):
+        """At --dim 12 the coherent input leaves 8.3e-10 outside the window,
+        under the 1e-9 gate, but the heralded state leaves 6.0e-5.  The
+        command exited 0 and stored the input's tail."""
+        out = tmp_path / "s.json"
+        code, stdout, stderr = run(capsys, "state", "--alpha", "1", "--r2", "0.99",
+                                   "--k", "10", "--dim", "12", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: truncation gate: output tail mass 6.019e-05 "
+                          "exceeds 1e-09 at dim=12; raise --dim\n")
+        assert not out.exists()
+
     def test_zero_probability_herald_is_numerical_error(self, capsys):
         code, _, stderr = run(capsys, "state", "--alpha", "0", "--r2", "1",
                               "--k", "1")
@@ -796,7 +808,10 @@ class TestOptimizeBytes:
     5.6e-17; the first fit moved its fidelity by 3.4e-16 and success_prob
     by 1.1e-16; the second its fidelity by 5.6e-16; the --tol 1e-8 fit
     moved its stages by 4.9e-9 and 4.0e-9, inside its tol, its fidelity by
-    8.0e-15, its success_prob by 8.6e-9 and its evaluations by 3."""
+    8.0e-15, its success_prob by 8.6e-9 and its evaluations by 3.  The
+    target was re-hashed when tail_mass became the output's own tail: it
+    moved from 0 (the coherent input's) to 2.2e-16, and no amplitude moved;
+    the fits kept their bytes."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["--stages", "2", "--k", "1,1", "--alpha", "1.0"],
@@ -812,7 +827,7 @@ class TestOptimizeBytes:
         assert main(["state", "--alpha", "1.35", "--r2", "0.77", "--k", "1",
                      "--out", str(target)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "700a0a49f28fe394b2ac2f226e28bcd884c7cd83a16895c9f8b665f61b6173a0")
+            "5ef729184968c2b895fc49f4b85c760713725dc185423528f0b0d880b3eac061")
         code, _, _ = run(capsys, "optimize", "--target", str(target), *argv,
                          "--out", str(out))
         assert code == 0

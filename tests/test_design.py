@@ -51,13 +51,15 @@ class TestAxes:
     @example(name="r2", lo=0.0, hi=math.inf, steps=3)
     def test_values_are_numpy_linspace_bit_for_bit(self, name, lo, hi, steps):
         """The sweep loads no numpy, so its axes lay out np.linspace (and
-        np.round on k) themselves, as Python floats."""
+        np.round on k) themselves, as Python floats, from the one scan grid
+        `core.scan`, which every scan of the package takes."""
         with np.errstate(all="ignore"):
-            want = np.linspace(lo, hi, steps)
-            if name == "k":
-                want = np.round(want)
+            grid = np.linspace(lo, hi, steps)
+            want = np.round(grid) if name == "k" else grid
+        scan = core.scan(lo, hi, steps)
         got = Axis(name, lo, hi, steps).values()
-        assert all(type(v) is float for v in got)
+        assert all(type(v) is float for v in scan + got)
+        assert bits(scan) == bits(grid)
         assert bits(got) == bits(want)
 
 
@@ -135,14 +137,13 @@ class TestSweep:
         spec = SweepSpec((Axis("r2", 0.01, 0.99, 99),), metric, alpha=2.7, k=3,
                          target=target)
         calls = []
-        window_dim = frame._window_dim
+        window_dim = core._window_dim
 
         def counted(*args):
             calls.append(args)
             return window_dim(*args)
 
-        monkeypatch.setattr(frame, "_window_dim", counted)
-        monkeypatch.setattr(catalysis, "_window_dim", counted)
+        monkeypatch.setattr(core, "_window_dim", counted)
         rows = sweep(spec)
         assert len(rows) == 99
         assert len(calls) <= 99
@@ -159,14 +160,13 @@ class TestSweep:
         success_prob), each by at most 1.1e-16."""
         spec = SweepSpec((Axis("alpha", 0.5, 2.5, 7),), "wigner_min", k=2)
         calls = []
-        window_dim = catalysis._window_dim
+        window_dim = core._window_dim
 
         def counted(*args):
             calls.append(args)
             return window_dim(*args)
 
-        monkeypatch.setattr(catalysis, "_window_dim", counted)
-        monkeypatch.setattr(frame, "_window_dim", counted)
+        monkeypatch.setattr(core, "_window_dim", counted)
         rows = sweep(spec)
         assert len(calls) == 7
         assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == \

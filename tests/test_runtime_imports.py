@@ -82,9 +82,10 @@ with open(sys.argv[1], "w") as fh:
 
 PACKAGE = ["photon_catalysis", "photon_catalysis.cli"]
 CORE = PACKAGE + ["photon_catalysis.core"]
+# pcoc_state takes its output's tail against the frame's herald probability.
 WIGNER = CORE + ["photon_catalysis.analysis", "photon_catalysis.catalysis",
-                 "photon_catalysis.fock", "numpy"]
-STATE = WIGNER + ["photon_catalysis.frame"]
+                 "photon_catalysis.fock", "photon_catalysis.frame", "numpy"]
+STATE = WIGNER
 # Every sweep metric but wigner_min runs on the standard-library kernel.
 SWEEP = CORE + ["photon_catalysis.design", "photon_catalysis.frame"]
 WIGNER_SWEEP = WIGNER + ["photon_catalysis.design"]
