@@ -16,6 +16,7 @@ from .core import VACUUM_VARIANCE
 from .fock import (FMT9, FockState, PhotonNumberDistribution, TAIL_GATE,
                    TruncationError, UndefinedQuantityError, factorial_moments,
                    fmt9)
+from .frame import _quadratures
 
 
 class PoleError(ArithmeticError):
@@ -83,17 +84,6 @@ class WignerGrid:
         return float(self.values.sum() * self.spec.dx * self.spec.dp)
 
 
-def _ladder_moments(s: FockState) -> tuple[float, complex, complex]:
-    """<n>, <a>, <a^2> from tridiagonal ladder matrix elements."""
-    c = s.amplitudes
-    n = np.arange(c.size, dtype=float)
-    mean_n = float(np.dot(np.abs(c) ** 2, n))
-    a1 = complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n[1:]))) if c.size > 1 else 0.0
-    a2 = complex(np.sum(np.conj(c[:-2]) * c[2:] * np.sqrt(n[1:-1] * n[2:]))) \
-        if c.size > 2 else 0.0
-    return mean_n, a1, a2
-
-
 def quadrature_variances(s: FockState) -> QuadratureStats:
     """Variances of X and P for a normalized state."""
     if s.tail_mass > TAIL_GATE:
@@ -101,11 +91,7 @@ def quadrature_variances(s: FockState) -> QuadratureStats:
             f"tail mass {s.tail_mass:.3e} too large for reliable variances")
     if abs(s.norm_squared() - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
-    mean_n, a1, a2 = _ladder_moments(s)
-    mean_x = a1.real
-    mean_p = a1.imag
-    var_x = (1.0 + 2.0 * mean_n + 2.0 * a2.real) / 4.0 - mean_x ** 2
-    var_p = (1.0 + 2.0 * mean_n - 2.0 * a2.real) / 4.0 - mean_p ** 2
+    _, var_x, var_p = _quadratures(s.amplitudes.tolist(), 1.0)
     return QuadratureStats(
         var_x=var_x, var_p=var_p, product=var_x * var_p,
         squeeze_db_x=10.0 * math.log10(var_x / VACUUM_VARIANCE),
@@ -286,21 +272,24 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
     return total.reshape(n_states, xs.size, ps.size)
 
 
-def _wigner_work(dims, spec: WignerGridSpec) -> float:
+def _wigner_work(dims, spec: WignerGridSpec) -> int:
     """Recurrence cell-steps of the grids ``spec`` of states with these dims:
     nx np dim (dim + 1) / 2 a state, one step a cell and pair n <= m."""
-    return spec.nx * spec.np * sum(d * (d + 1) for d in dims) / 2
+    return spec.nx * spec.np * sum(d * (d + 1) for d in dims) // 2
 
 
 def _check_wigner_work(dim: int, spec: WignerGridSpec):
     """Reject, before allocating, a grid whose buffers or recurrence would
-    run past the budget."""
+    run past the budget; the point count first, whatever its size."""
+    if spec.nx * spec.np > _WIGNER_CELLS:
+        raise ValueError(f"Wigner grid of {spec.nx}x{spec.np} points exceeds "
+                         f"the budget of {_WIGNER_CELLS:.0e} points; lower --grid")
     work = _wigner_work([dim], spec)
-    if spec.nx * spec.np > _WIGNER_CELLS or work > _WIGNER_BUDGET:
+    if work > _WIGNER_BUDGET:
         raise ValueError(
             f"Wigner grid of {spec.nx}x{spec.np} points at dim {dim} needs "
-            f"{work:.2e} recurrence cell-steps; the budget is {_WIGNER_CELLS:.0e} "
-            f"points and {_WIGNER_BUDGET:.0e} cell-steps; lower --alpha/--dim or --grid")
+            f"{work:.2e} recurrence cell-steps; the budget is "
+            f"{_WIGNER_BUDGET:.0e} cell-steps; lower --alpha/--dim or --grid")
 
 
 def _coverage_warning(s: FockState, spec: WignerGridSpec) -> str | None:
@@ -308,9 +297,8 @@ def _coverage_warning(s: FockState, spec: WignerGridSpec) -> str | None:
     state's quadrature spread (no check once the tail is too heavy)."""
     if s.tail_mass > TAIL_GATE:
         return None
-    stats = quadrature_variances(s)
-    _, a1, _ = _ladder_moments(s)
-    sx, sp = math.sqrt(stats.var_x), math.sqrt(stats.var_p)
+    a1, var_x, var_p = _quadratures(s.amplitudes.tolist(), 1.0)
+    sx, sp = math.sqrt(var_x), math.sqrt(var_p)
     if (a1.real - 5 * sx < spec.x_min or a1.real + 5 * sx > spec.x_max
             or a1.imag - 5 * sp < spec.p_min or a1.imag + 5 * sp > spec.p_max):
         return "grid covers less than 5 standard deviations of the state"

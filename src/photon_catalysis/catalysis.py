@@ -7,11 +7,11 @@ with the interference coefficient
 
 catalysis_coefficient takes that sum one n at a time, as the reference; it
 cancels at large n k.  Every state takes C from a three-term recurrence over
-whole rows (`_row`), which does not.  The heralded-state kernel, the rows,
-the coherent window and the herald, is standard-library Python, so the
-optimizer's probes (`design`) load no numpy.  A one-stage state's tail_mass
-is its own, against the untruncated herald probability of `frame`.  numpy
-is imported only where arrays are built: FockState, the two-mode output
+whole rows (`_row`), which does not.  The heralded-state kernel `_herald`,
+which every state and optimizer probe (`design`) takes, is standard-library
+Python, so the probes load no numpy.  A one-stage state's tail_mass is its
+own, against the untruncated herald probability of `frame`.  numpy is
+imported only where arrays are built: FockState, the two-mode output
 U|alpha>|k> from the displaced frame of `frame` (two_mode_output), and the
 independent brute-force oracle (two-mode unitary from a matrix exponential,
 then projection) the closed forms are tested against; it alone needs scipy.
@@ -179,20 +179,28 @@ def _coherent(alpha: complex, dim: int) -> tuple[tuple, float]:
     return _window(alpha, dim)
 
 
-def _herald(alpha: complex, dim: int, stages) -> tuple[FockState, float]:
-    """(heralded state, probability) of the window |alpha>, n < dim, after
-    the cascade ``stages`` of (r2, k): each stage multiplies layer n by its
-    row's C_n, in declaration order; the state keeps the coherent tail."""
-    from .fock import FockState
-
-    raw, tail = _coherent(alpha, dim)
+def _herald(alpha: complex, dim: int, stages, raw=None) -> tuple[list, float]:
+    """(u P, |u P|^2): the window u of |alpha>, n < dim, times each stage's
+    row C_n in declaration order, and its herald probability.  ``raw``, if
+    given, is u times the stages before ``stages``.  Every state and every
+    optimizer probe is this product, so each keeps the others' bits."""
+    if raw is None:
+        raw = _coherent(alpha, dim)[0]
     for r2, k in stages:
         raw = list(map(mul, raw, _coefficient_row(r2, k, dim)))
-    prob = math.fsum(abs(a) ** 2 for a in raw)
+    if isinstance(alpha, complex):
+        return raw, math.fsum(abs(a) ** 2 for a in raw)
+    return raw, math.fsum(map(mul, raw, raw))   # bitwise abs(a) ** 2
+
+
+def _state(raw: list, prob: float, tail: float) -> FockState:
+    """The heralded state raw / |raw| with ``tail``; refuses a dead herald."""
+    from .fock import FockState
+
     if prob < HERALD_CUTOFF:
         raise UndefinedQuantityError("herald outcome has zero probability")
     norm = math.sqrt(prob)
-    return FockState([a / norm for a in raw], tail), prob
+    return FockState([a / norm for a in raw], tail)
 
 
 def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
@@ -204,16 +212,15 @@ def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
     The state's tail_mass is the output's own, 1 - probability / |phi|^2
     with |phi|^2 untruncated (`frame.heralded_frame`), gated at TAIL_GATE.
     """
-    from .fock import FockState
     from .frame import heralded_frame
 
     stage = (cfg.bs.r2, int(cfg.k))
-    state, prob = _herald(cfg.alpha, cfg.dim, (stage,))
+    raw, prob = _herald(cfg.alpha, cfg.dim, (stage,))
     tail = max(0.0, 1.0 - prob / heralded_frame(cfg.alpha, *stage)[2])
     if tail > TAIL_GATE:
         raise TruncationError(f"output tail mass {tail:.3e} exceeds "
                               f"{TAIL_GATE:.0e} at dim={cfg.dim}; raise --dim")
-    return FockState(state.amplitudes, tail), prob
+    return _state(raw, prob, tail), prob
 
 
 def success_probability_analytic(alpha: complex, bs: BeamSplitter) -> float:
@@ -230,7 +237,9 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
     heralds, which for a cascade factorizes through the product coefficients.
     The state's tail_mass is the coherent input's tail beyond the window.
     """
-    return _herald(cfg.alpha, cfg.dim, cfg.stages)
+    u, tail = _coherent(cfg.alpha, cfg.dim)
+    raw, prob = _herald(cfg.alpha, cfg.dim, cfg.stages, u)
+    return _state(raw, prob, tail), prob
 
 
 def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:

@@ -163,6 +163,8 @@ def _parse_r2(text: str) -> tuple[float, float, int]:
                          f"with integer STEPS") from None
     if ":" in text:
         _check_steps("--r2", text, steps)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--r2 spec {text!r} must be finite, with HI - LO finite")
     return lo, hi, steps
 
 
@@ -184,10 +186,9 @@ def cmd_joint(args) -> int:
                              f"detector efficiency")
     alpha = math.sqrt(args.alpha2)
     lo, hi, steps = _parse_r2(args.r2)
-    # A scan's first r2 is the same at any step count, so it is checked, and
-    # the budget too, before the scan is laid out.
-    first = lo if steps == 1 else scan(lo, hi, 2)[0]
-    dim = _stage_window(alpha, ((first, args.k),), args.dim)
+    # A scan's first r2 is LO at any step count, so it is checked, and the
+    # budget too, before the scan is laid out.
+    dim = _stage_window(alpha, ((lo, args.k),), args.dim)
     cells = steps * (args.bins + 1) ** 2
     work = steps * ((args.k + 1) * (dim + args.k) ** 2 + _JOINT_STEP_WORK)
     if steps > 1 and (cells > _MAX_JOINT_CELLS or work > _MAX_JOINT_WORK):

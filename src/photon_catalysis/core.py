@@ -57,7 +57,9 @@ def _stage_window(alpha: complex, stages, dim: int | None = None) -> int:
 def scan(lo: float, hi: float, steps: int) -> list[float]:
     """Every scan grid of the package: numpy's linspace(lo, hi, steps) bit for
     bit, as Python floats, i * step + lo (or i / div * delta + lo where the
-    step rounds to 0) with the last value hi."""
+    step rounds to 0) with the last value hi.  Bit for bit where hi - lo is
+    finite, which the scan flags check: on NaN ends the interpreter and
+    numpy keep different NaN signs."""
     lo, hi, div = float(lo), float(hi), steps - 1
     delta = hi - lo
     step = delta / div

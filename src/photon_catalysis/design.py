@@ -1,8 +1,9 @@
 """Parameter sweeps and derivative-free inverse design of stage reflectivities.
 
 Every sweep metric but wigner_min comes from the displaced-frame kernel in
-`frame`, and every optimizer probe from the standard-library heralded-state
-kernel of `catalysis`, so those sweeps and the optimizer load no numpy.
+`frame`, and every optimizer probe scores the amplitudes and probability of
+the standard-library heralded-state kernel of `catalysis`, the one every
+state takes, so those sweeps and the optimizer load no numpy.
 Each path imports what it runs when it runs: `frame` for those sweeps,
 `catalysis` for the optimizer, the numpy modules for wigner_min."""
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 from operator import mul
 
 from . import METRICS
@@ -45,6 +45,9 @@ class Axis:
             raise ValueError(f"unknown sweep parameter {self.name!r}")
         if self.steps < 2:
             raise ValueError("each axis needs at least 2 steps")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"--axis {self.name} ends {self.lo}:{self.hi} "
+                             f"must be finite, with HI - LO finite")
 
     def values(self) -> list[float]:
         """`core.scan(lo, hi, steps)`; a k axis is rounded half to even, as
@@ -276,46 +279,35 @@ def _fidelity_at(problem: DesignProblem, coords) -> tuple[float, float]:
 
 
 def _line(problem: DesignProblem, coords, i: int):
-    """score(x): _fidelity_at with coordinate i of coords set to x.
-
-    The heralded state is u P / |u P|, u the coherent window and P the
-    product of the stage rows in declaration order, so with the target tau
-    prob = sum |u|^2 P^2 and fidelity = |sum conj(tau) u P|^2 / prob.  A
-    line takes the weights and the stages before stage i once; a probe
-    multiplies in its row and the later stages, in the order a point does,
-    so it is bitwise _fidelity_at's.  Each alpha probe is a point.  A line
+    """score(x): _fidelity_at with coordinate i of coords set to x, the
+    fidelity |sum conj(tau) u P|^2 / prob to the target tau of the
+    amplitudes u P and probability that `catalysis._herald` gives the state.
+    An r2 line takes u times the stages before stage i once, and its probes
+    continue that product, so each is bitwise _fidelity_at's.  A line
     checks only its window: DesignProblem checked the ks and bounds."""
-    from .catalysis import _coefficient_row, _coherent
+    from .catalysis import _herald
+
+    conj_target = [t.conjugate() for t in problem.target]
+    stages = [(float(r2), k) for r2, k in zip(coords, problem.ks)]
+    top = max(problem.ks)
+
+    def scored(raw, prob: float) -> tuple[float, float]:
+        if prob < HERALD_CUTOFF:
+            return 0.0, 0.0
+        return abs(sum(map(mul, conj_target, raw))) ** 2 / prob, prob
 
     if i == problem.stages:
-        return lambda x: _fidelity_at(problem, [*coords[:i], x])
+        return lambda x: scored(*_herald(x, _window_dim(x, None, top), stages))
     alpha = coords[problem.stages] if problem.alpha_bounds else problem.alpha
-    dim = _window_dim(alpha, None, max(problem.ks))
-    u, _ = _coherent(alpha, dim)
-    weights = [t.conjugate() * a for t, a in zip(problem.target, u)]
-    w_re, w_im = [w.real for w in weights], [w.imag for w in weights]
-    u2 = [(a * a.conjugate()).real for a in u]
-    rows = [_coefficient_row(float(r2), k, dim)
-            for r2, k in zip(coords, problem.ks)]
-    before = reduce(_times, rows[:i], [1.0] * dim)   # 1.0 x is x, bitwise
-    after, k = rows[i + 1:], problem.ks[i]
+    dim = _window_dim(alpha, None, top)
+    before, _ = _herald(alpha, dim, stages[:i])
+    after, k = stages[i + 1:], problem.ks[i]
 
     def score(x: float) -> tuple[float, float]:
         _check_stage(x)
-        prod = _times(before, _coefficient_row(x, k, dim))
-        for row in after:
-            prod = _times(prod, row)
-        prob = sum(map(mul, map(mul, u2, prod), prod))
-        if prob < HERALD_CUTOFF:
-            return 0.0, 0.0
-        re, im = sum(map(mul, w_re, prod)), sum(map(mul, w_im, prod))
-        return (re * re + im * im) / prob, prob
+        return scored(*_herald(alpha, dim, [(x, k), *after], before))
 
     return score
-
-
-def _times(a, b) -> list[float]:
-    return list(map(mul, a, b))
 
 
 def _canonical(problem: DesignProblem, coords: list[float]) -> list[float]:

@@ -141,11 +141,16 @@ def _moments(phi: list[complex], prob: float):
     return n / prob, a1 / prob, a2 / prob, na1 / prob, nn / prob
 
 
+def _quadratures(phi: list[complex], prob: float) -> tuple[complex, float, float]:
+    """(<a>, X variance, P variance) of phi / |phi|, X = Re a and P = Im a."""
+    n, a1, a2, _, _ = _moments(phi, prob)
+    return (a1, (1.0 + 2.0 * n + 2.0 * a2.real) / 4.0 - a1.real ** 2,
+            (1.0 + 2.0 * n - 2.0 * a2.real) / 4.0 - a1.imag ** 2)
+
+
 def _squeezing_db(phi: list[complex], prob: float) -> tuple[float, float]:
     """X and P variances in dB over the vacuum's; displacement leaves them as phi's."""
-    n, a1, a2, _, _ = _moments(phi, prob)
-    var_x = (1.0 + 2.0 * n + 2.0 * a2.real) / 4.0 - a1.real ** 2
-    var_p = (1.0 + 2.0 * n - 2.0 * a2.real) / 4.0 - a1.imag ** 2
+    _, var_x, var_p = _quadratures(phi, prob)
     return (10.0 * math.log10(var_x / VACUUM_VARIANCE),
             10.0 * math.log10(var_p / VACUUM_VARIANCE))
 

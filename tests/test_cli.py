@@ -520,6 +520,36 @@ class TestInputGates:
         assert "--grid" in stderr
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("grid", ["1" + "0" * 180, "-5:5:" + "1" + "0" * 180])
+    def test_wigner_grid_of_any_point_count_is_a_usage_error(
+            self, tmp_path, capsys, grid):
+        """A count of 10^180 points exited 3, "integer division result too
+        large for a float", from the work estimate."""
+        out = tmp_path / "w.csv"
+        code, stdout, stderr = run(capsys, "wigner", "--alpha", "1", "--r2", "0.3",
+                                   f"--grid={grid}", "--out", str(out))
+        assert code == 2
+        assert "points; lower --grid" in stderr
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--metric", "g2", "--axis", "k:0:inf:3"], "--axis k"),
+        (["sweep", "--metric", "g2", "--axis", "alpha:0:inf:3"], "--axis alpha"),
+        (["sweep", "--metric", "g2", "--axis", "r2:nan:0.5:3"], "--axis r2"),
+        (["sweep", "--metric", "g2", "--axis", "r2:-1e308:1e308:3"], "--axis r2"),
+        (["joint", "--alpha2", "1", "--r2", "0.1:inf:3"], "--r2"),
+        (["joint", "--alpha2", "1", "--r2=-inf:0.5:3"], "--r2"),
+        (["joint", "--alpha2", "1", "--r2", "nan"], "--r2")])
+    def test_non_finite_scan_ends_name_their_flag(self, tmp_path, capsys, argv,
+                                                  flag):
+        """They printed "cannot convert float NaN to integer", "must be
+        finite, got nan" and "r2=nan outside [0, 1]"."""
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert f"error: {flag} " in stderr and "finite" in stderr
+        assert stdout == "" and not out.exists()
+
     def test_state_over_the_wigner_budget_exits_at_once(self, tmp_path):
         """dim 1015 inside the window gate: the 201^2 recurrence ran past 20 s."""
         src = os.path.dirname(os.path.dirname(photon_catalysis.__file__))
@@ -811,16 +841,21 @@ class TestOptimizeBytes:
     8.0e-15, its success_prob by 8.6e-9 and its evaluations by 3.  The
     target was re-hashed when tail_mass became the output's own tail: it
     moved from 0 (the coherent input's) to 2.2e-16, and no amplitude moved;
-    the fits kept their bytes."""
+    the fits kept their bytes.  Re-hashed when the probes took the heralded
+    amplitudes and their fsum probability from the states' kernel: the
+    first fit moved its fidelity by 3.6e-16 and success_prob by 4.0e-16
+    relative; the second kept its bytes; the --tol 1e-8 fit moved its first
+    stage by 4.9e-9, inside its tol, its fidelity by 8.4e-15 and its
+    success_prob by 1.1e-9 relative; no evaluation count moved."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["--stages", "2", "--k", "1,1", "--alpha", "1.0"],
-         "5a582e65a96c1ebf5e986e960bda8151a2b59952fd5f0522ea0a37c169d0a392"),
+         "2b22dad88fc454bd15e6b869baa1d2152b18b768cac1bc5f033871e45a015963"),
         (["--stages", "3", "--k", "1,2,1", "--alpha", "1.0",
           "--alpha-bounds", "0.5:2", "--tol", "1e-4"],
          "3195fc273e0c1437e4f767486f97dd4430867eea4ff0e6afb0a57e2e0ddd60cf"),
         (["--stages", "2", "--k", "2,3", "--alpha", "1.4", "--tol", "1e-8"],
-         "c42d5eec7087c4db9f2163ce1a6699cceef88d2424e7839b1d925e3e9651001b"),
+         "0479d4794537873bf5e12953e3d180fc17e7498950a09f6d553963a748e24ce1"),
     ])
     def test_readme_target_fits_are_pinned(self, tmp_path, capsys, argv, digest):
         target, out = tmp_path / "state.json", tmp_path / "fit.json"

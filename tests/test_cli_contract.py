@@ -4,7 +4,8 @@ successful command writes means what it says.
 
 Flags are mostly valid, sometimes not, and bounded so that no example can
 run long: |alpha| <= 4 (plus refused extremes), k <= 12, Wigner grids of at
-most 41 points a side outside `state`, scans of at most 4 steps and
+most 41 points a side outside `state` (plus counts of up to 200 digits, which
+are refused), scans of at most 4 steps (with ends that may be non-finite) and
 optimizer tolerances of at least 1e-2."""
 
 import contextlib
@@ -36,6 +37,16 @@ ALPHA = number(-4.0, 4.0, "nan", "inf", "-inf", "1e6", "40", "31")
 R2 = number(0.0, 1.0, "nan", "inf", "-0.1", "1.1", "0", "1")
 K = mostly(st.integers(0, 12), -1).map(str)
 DIM = mostly(st.none(), *range(1, 61))
+
+
+def end(values):
+    """A scan end: mostly ``values``, else non-finite or at the float range's
+    edge."""
+    return mostly(values, "nan", "inf", "-inf", "1e308", "-1e308")
+
+
+# a grid point count past every budget, up to a 200-digit one
+HUGE = st.integers(4, 200).map(lambda digits: "9" * digits)
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +109,24 @@ class TestContract:
     @given(metric=st.sampled_from(["var_x_db", "var_p_db", "success_prob", "g2",
                                    "fidelity_to_target", "wigner_min"]),
            axis=st.one_of(
-               st.tuples(st.just("r2"), R2, R2, st.integers(1, 4)),
-               st.tuples(st.just("alpha"), ALPHA, ALPHA, st.integers(1, 4)),
-               st.tuples(st.just("k"), K, K, st.integers(1, 4))),
+               st.tuples(st.just("r2"), end(R2), end(R2), st.integers(1, 4)),
+               st.tuples(st.just("alpha"), end(ALPHA), end(ALPHA),
+                         st.integers(1, 4)),
+               st.tuples(st.just("k"), end(K), end(K), st.integers(1, 4))),
            alpha=ALPHA, r2=R2, k=K)
+    @example(metric="g2", axis=("k", "0", "inf", 3), alpha="1", r2="0.5", k="1")
+    @example(metric="g2", axis=("r2", "-1e308", "1e308", 3), alpha="1",
+             r2="0.5", k="1")
     def test_sweep(self, workdir, metric, axis, alpha, r2, k):
+        """A scan whose ends or width are not finite is refused naming its
+        axis."""
         target = workdir / "target.json" if metric == "fidelity_to_target" else None
-        code, _, _ = invoke(workdir, ["sweep", *flags(
+        code, _, stderr = invoke(workdir, ["sweep", *flags(
             metric=metric, axis=":".join(map(str, axis)), alpha=alpha, r2=r2,
             k=k, target=target, out=workdir / "s.csv")], "s.csv")
+        name, lo, hi, steps = axis
+        if steps >= 2 and not math.isfinite(float(hi) - float(lo)):
+            assert code == 2 and f"--axis {name} " in stderr
         if code:
             return
         rows = (workdir / "s.csv").read_text().splitlines()[1:]
@@ -115,17 +135,25 @@ class TestContract:
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(alpha=ALPHA, r2=R2, k=K, dim=DIM,
-           grid=mostly(st.integers(2, 41).map(str), "1", "-4:4:25", "4:-4:25",
-                       "-30:30:9", "nan:1:5", "0:0:3"),
+           grid=st.one_of(
+               mostly(st.integers(2, 41).map(str), "1", "-4:4:25", "4:-4:25",
+                      "-30:30:9", "nan:1:5", "0:0:3", "1001"),
+               HUGE, HUGE.map(lambda n: "-5:5:" + n)),
            fmt=st.sampled_from(["csv", "pgm"]))
+    @example(alpha="1", r2="0.3", k="1", dim=None, grid="1" + "0" * 180,
+             fmt="csv")
     def test_wigner(self, workdir, alpha, r2, k, dim, grid, fmt):
-        invoke(workdir, ["wigner", *flags(alpha=alpha, r2=r2, k=k, dim=dim,
-                                          grid=grid, format=fmt,
-                                          out=workdir / "w.out")])
+        """A grid past the point budget, of any size, is a usage error once
+        its state is built (a 10^180-point count exited 3)."""
+        code, _, stderr = invoke(workdir, ["wigner", *flags(
+            alpha=alpha, r2=r2, k=k, dim=dim, grid=grid, format=fmt,
+            out=workdir / "w.out")])
+        if int(grid.rsplit(":", 1)[-1]) > 1000 and code == 3:
+            assert "herald outcome has zero probability" in stderr
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(alpha2=number(0.0, 12.0, "-1", "nan", "inf", "1e6", "900"),
-           r2=st.one_of(R2, st.tuples(R2, R2, st.integers(0, 4)).map(
+           r2=st.one_of(R2, st.tuples(end(R2), end(R2), st.integers(0, 4)).map(
                lambda t: ":".join(map(str, t)))),
            k=mostly(st.integers(0, 6), -1), bins=mostly(st.integers(1, 12), 0),
            eta1=R2, eta2=R2, dim=DIM)

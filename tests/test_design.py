@@ -49,10 +49,19 @@ class TestAxes:
     @example(name="alpha", lo=0.0, hi=5e-324, steps=3)  # the step rounds to 0
     @example(name="k", lo=-2.5, hi=2.5, steps=11)       # halves round to even
     @example(name="r2", lo=0.0, hi=math.inf, steps=3)
+    @example(name="k", lo=math.nan, hi=-math.nan, steps=27)  # NaN signs differ
+    @example(name="alpha", lo=-1e308, hi=1e308, steps=3)   # HI - LO overflows
     def test_values_are_numpy_linspace_bit_for_bit(self, name, lo, hi, steps):
         """The sweep loads no numpy, so its axes lay out np.linspace (and
         np.round on k) themselves, as Python floats, from the one scan grid
-        `core.scan`, which every scan of the package takes."""
+        `core.scan`, which every scan of the package takes.  An axis whose
+        ends or width are not finite is refused: which NaN sign and payload
+        an operation on two NaNs keeps differs between the interpreter and
+        numpy."""
+        if not math.isfinite(hi - lo):
+            with pytest.raises(ValueError, match=f"--axis {name} .* finite"):
+                Axis(name, lo, hi, steps)
+            return
         with np.errstate(all="ignore"):
             grid = np.linspace(lo, hi, steps)
             want = np.round(grid) if name == "k" else grid
@@ -438,29 +447,24 @@ class TestBatchedLineScan:
 
 def reference_scores(problem, coords, stage, xs):
     """(fidelity, success probability) per probe, straight from
-    `catalysis._row` and `core.coherent_window` with no cache in between:
-    the rows multiplied in declaration order into P, prob = sum |u|^2 P^2
-    and fidelity = |sum conj(target) u P|^2 / prob, summed in order."""
+    `catalysis._row` and `core.coherent_window` with no cache in between, by
+    the rule of the kernel `catalysis._herald`: the window u times each row
+    in declaration order is raw, prob = fsum(raw^2) and fidelity =
+    |sum conj(target) raw|^2 / prob."""
     cfg = IteratedConfig(problem.alpha, tuple(zip(coords, problem.ks)))
     u, _ = core.coherent_window(cfg.alpha, cfg.dim)
     scores = []
     for x in xs:
-        prod = [1.0] * cfg.dim
+        raw = list(u)
         for s, (r2, k) in enumerate(cfg.stages):
             row = catalysis._row(x if s == stage else r2, k, cfg.dim)
-            prod = [p * c for p, c in zip(prod, row)]
-        prob = 0.0
-        for a, p in zip(u, prod):
-            prob += (a * a.conjugate()).real * p * p
+            raw = [a * c for a, c in zip(raw, row)]
+        prob = math.fsum(a * a for a in raw)
         if prob < 1e-300:
             scores.append((0.0, 0.0))
             continue
-        re = im = 0.0
-        for t, a, p in zip(problem.target, u, prod):
-            w = t.conjugate() * a
-            re += w.real * p
-            im += w.imag * p
-        scores.append(((re * re + im * im) / prob, prob))
+        overlap = sum(t.conjugate() * a for t, a in zip(problem.target, raw))
+        scores.append((abs(overlap) ** 2 / prob, prob))
     return scores
 
 
@@ -543,6 +547,30 @@ class TestProbeCaches:
         forever; the search now ends at the narrowest bracket it can reach."""
         x, v = design._golden_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0, 1e-300)
         assert x == pytest.approx(0.37, abs=1e-7) and v <= 0.0
+
+
+class TestOneKernel:
+    """Probes and states share one kernel, `catalysis._herald`."""
+
+    @pytest.mark.parametrize("ks, alpha_bounds, tol", [
+        ((1,), None, 1e-6), ((2,), (0.5, 2.0), 1e-2), ((1, 1), None, 1e-6),
+        ((1, 2, 1), (0.5, 2.0), 1e-4), ((2, 2, 2), None, 3e-2)])
+    def test_success_prob_is_the_printed_states(self, ks, alpha_bounds, tol):
+        """The printed success_prob is bitwise the herald probability that
+        iterated_pcoc gives the printed stages and alpha."""
+        problem = DesignProblem(TARGETS[0], stages=len(ks), ks=ks, alpha=1.0,
+                                tol=tol, alpha_bounds=alpha_bounds)
+        res = optimize_reflectivities(problem)
+        _, prob = iterated_pcoc(IteratedConfig(res.alpha,
+                                               tuple(zip(res.stages, ks))))
+        assert bits(res.success_prob) == bits(prob)
+
+    def test_a_begun_product_continues_bitwise(self):
+        stages = ((0.3, 1), (0.65, 2), (0.45, 3))
+        whole = catalysis._herald(1.3, 30, stages)
+        begun, _ = catalysis._herald(1.3, 30, stages[:1])
+        got = catalysis._herald(1.3, 30, stages[1:], begun)
+        assert bits(got[0]) == bits(whole[0]) and bits(got[1]) == bits(whole[1])
 
 
 class TestEqualStageOrder:
