@@ -7,7 +7,7 @@ vacuum variance is 1/4 and squeezing in dB is 10 log10(var / (1/4)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 import numpy as np
@@ -27,37 +27,29 @@ class DomainError(ValueError):
     """Locus evaluated outside the region where it is real."""
 
 
-@dataclass(frozen=True)
-class QuadratureStats:
-    var_x: float
-    var_p: float
-    product: float
-    squeeze_db_x: float
-    squeeze_db_p: float
+QuadratureStats = namedtuple("QuadratureStats",
+                             "var_x var_p product squeeze_db_x squeeze_db_p")
 
 
-@dataclass(frozen=True)
 class WignerGridSpec:
-    """Rectangular phase-space window sampled at cell centers (midpoint rule)."""
+    """Rectangular phase-space window sampled at cell centers (midpoint
+    rule), nx by np cells."""
 
-    x_min: float = -5.0
-    x_max: float = 5.0
-    p_min: float = -5.0
-    p_max: float = 5.0
-    nx: int = 201
-    np: int = 201
-
-    def __post_init__(self):
+    def __init__(self, x_min: float = -5.0, x_max: float = 5.0,
+                 p_min: float = -5.0, p_max: float = 5.0, nx: int = 201,
+                 np: int = 201):
         # bounds every |2 (x + i p)|^2 on the grid; NaN or inf gives NaN cells
-        reach = 4.0 * sum(v * v for v in (self.x_min, self.x_max, self.p_min, self.p_max))
+        reach = 4.0 * sum(v * v for v in (x_min, x_max, p_min, p_max))
         if not math.isfinite(reach):
             raise ValueError(
-                f"--grid bounds x {self.x_min}:{self.x_max}, p {self.p_min}:"
-                f"{self.p_max} must be finite, with |2(x + ip)|^2 finite")
-        if self.nx < 2 or self.np < 2:
+                f"--grid bounds x {x_min}:{x_max}, p {p_min}:"
+                f"{p_max} must be finite, with |2(x + ip)|^2 finite")
+        if nx < 2 or np < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if self.x_max <= self.x_min or self.p_max <= self.p_min:
+        if x_max <= x_min or p_max <= p_min:
             raise ValueError("grid bounds must be increasing")
+        self.x_min, self.x_max, self.p_min, self.p_max = x_min, x_max, p_min, p_max
+        self.nx, self.np = nx, np
 
     @property
     def dx(self) -> float:
@@ -74,11 +66,11 @@ class WignerGridSpec:
         return self.p_min + (np.arange(self.np) + 0.5) * self.dp
 
 
-@dataclass(frozen=True, eq=False)
 class WignerGrid:
-    spec: WignerGridSpec
-    values: np.ndarray           # indexed [ix, ip]
-    coverage_warning: str | None = None
+    """Values indexed [ix, ip] on ``spec``'s cells."""
+
+    def __init__(self, spec: WignerGridSpec, values, coverage_warning=None):
+        self.spec, self.values, self.coverage_warning = spec, values, coverage_warning
 
     def integral(self) -> float:
         return float(self.values.sum() * self.spec.dx * self.spec.dp)
@@ -356,13 +348,13 @@ def wigner_negativity(w: WignerGrid) -> tuple[float, float]:
 def wigner_to_csv(w: WignerGrid) -> str:
     """Row-major CSV with header x,p,w; 9 significant digits.
 
-    Each x row is one %-template with its x and p cells already in place."""
-    ps = [fmt9(p) for p in w.spec.p_axis()]
+    Each x row is one %-template: its x cell joins the row's ",p,%w\n"
+    suffixes, built once for the grid."""
+    suffixes = [f",{fmt9(p)},%{FMT9}\n" for p in w.spec.p_axis()]
     parts = ["x,p,w\n"]
     for x, row in zip(w.spec.x_axis(), w.values):
         x_cell = fmt9(x)
-        template = "".join(f"{x_cell},{p},%{FMT9}\n" for p in ps)
-        parts.append(template % tuple(row.tolist()))
+        parts.append((x_cell + x_cell.join(suffixes)) % tuple(row.tolist()))
     return "".join(parts)
 
 

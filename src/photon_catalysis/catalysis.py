@@ -6,10 +6,10 @@ with the interference coefficient
     C_n(r, t, k) = sum_j binom(n, j) binom(k, j) (-1)^j t^{n+k-2j} r^{2j}.
 
 catalysis_coefficient takes that sum one n at a time, as the reference; it
-cancels at large n k.  Every state takes C from a three-term recurrence over
-whole rows (`_row`), which does not.  The heralded-state kernel `_herald`,
-which every state and optimizer probe (`design`) takes, is standard-library
-Python, so the probes load no numpy.  A one-stage state's tail_mass is its
+cancels at large n k.  Every state takes C from the three-term recurrence
+over whole rows of `core._row`, which does not, and is built by the
+standard-library heralded-state kernel `core._herald`, the one every
+optimizer probe (`design`) takes.  A one-stage state's tail_mass is its
 own, against the untruncated herald probability of `frame`.  numpy is
 imported only where arrays are built: FockState, the two-mode output
 U|alpha>|k> from the displaced frame of `frame` (two_mode_output), and the
@@ -20,13 +20,13 @@ then projection) the closed forms are tested against; it alone needs scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from .core import (HERALD_CUTOFF, TAIL_GATE, TruncationError,
-                   UndefinedQuantityError, _check_stage, _stage_window,
-                   coherent_window)
+                   UndefinedQuantityError, _check_stage, _coherent, _herald,
+                   _stage_window, coherent_window)
+# The kernel's rows and window caches, also reachable from here.
+from .core import _coefficient_row, _row, _window  # noqa: F401
 
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
@@ -38,7 +38,7 @@ __all__ = [
 # The reference sum's binomials are exact integers up to this order, log-gamma beyond.
 _EXACT_BINOM_LIMIT = 64
 
-@dataclass(frozen=True)
+
 class BeamSplitter:
     """Intensity reflectivity r2 with derived real amplitudes r, t.
 
@@ -47,10 +47,9 @@ class BeamSplitter:
     (e.g. t^2 - r^2 = 0 at r2 = 0.5).
     """
 
-    r2: float
-
-    def __post_init__(self):
-        _check_stage(self.r2)
+    def __init__(self, r2: float):
+        _check_stage(r2)
+        self.r2 = r2
 
     @property
     def t2(self) -> float:
@@ -65,50 +64,37 @@ class BeamSplitter:
         return math.sqrt(self.t2)
 
 
-@dataclass(frozen=True)
 class CatalysisConfig:
-    """Interaction parameters for a single catalysis stage."""
+    """Interaction parameters for a single catalysis stage; ``dim`` is the
+    checked window (`core._stage_window`)."""
 
-    alpha: complex
-    bs: BeamSplitter
-    k: int
-    dim: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _stage_window(
-            self.alpha, ((self.bs.r2, self.k),), self.dim))
+    def __init__(self, alpha: complex, bs: BeamSplitter, k: int,
+                 dim: int | None = None):
+        self.alpha, self.bs, self.k = alpha, bs, k
+        self.dim = _stage_window(alpha, ((bs.r2, k),), dim)
 
 
-@dataclass(frozen=True)
 class IteratedConfig:
-    """A cascade of catalysis stages applied to one coherent input."""
+    """A cascade of catalysis stages (r2, k) applied to one coherent input."""
 
-    alpha: complex
-    stages: tuple[tuple[float, int], ...]
-    dim: int | None = None
-
-    def __post_init__(self):
-        if len(self.stages) == 0:
+    def __init__(self, alpha: complex, stages, dim: int | None = None):
+        if len(stages) == 0:
             raise ValueError("at least one stage required")
-        object.__setattr__(self, "stages",
-                           tuple((float(r2), int(k)) for r2, k in self.stages))
-        object.__setattr__(self, "dim",
-                           _stage_window(self.alpha, self.stages, self.dim))
+        self.alpha = alpha
+        self.stages = tuple((float(r2), int(k)) for r2, k in stages)
+        self.dim = _stage_window(alpha, self.stages, dim)
 
 
-@dataclass(frozen=True, eq=False)
 class TwoModeState:
     """Joint pure state on two truncated modes, amplitudes indexed (n_a, n_b)."""
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, amplitudes):
         import numpy as np
 
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(amplitudes, dtype=complex)
         if amps.ndim != 2:
             raise ValueError("two-mode amplitudes must be a matrix")
-        object.__setattr__(self, "amplitudes", amps)
+        self.amplitudes = amps
 
     def norm_squared(self) -> float:
         import numpy as np
@@ -138,59 +124,6 @@ def catalysis_coefficient(n: int, k: int, bs: BeamSplitter) -> float:
         term = _binom(n, j) * _binom(k, j) * tp * r2 ** j
         total += -term if j % 2 else term
     return total
-
-
-def _row(r2: float, k: int, dim: int) -> tuple[float, ...]:
-    """C_n = catalysis_coefficient(n, k, BeamSplitter(r2)) for n < dim.
-
-    C is symmetric in n and k.  With m = min(n, k) and h = max(n, k),
-    C = t^(h - m) D_m, and the generating function
-    sum_n C_n x^n = (t - x)^k / (1 - t x)^(k + 1) gives D_0 = 1 and
-
-        (j + 1) D_{j+1} = (2j + 1 - r2 (h + 1 + j)) D_j - j (1 - r2) D_{j-1},
-
-    k steps taken for every n at once; column n < k is read at step j = n.
-    """
-    t2 = 1.0 - r2
-    h1s = [max(n, k) + 1 for n in range(dim)]   # h + 1
-    d, d_prev, out = [1.0] * dim, [0.0] * dim, [0.0] * dim
-    for j in range(min(k, dim)):
-        out[j] = d[j]
-        lead, lag = 2 * j + 1, j * t2
-        d, d_prev = [((lead - r2 * (h1 + j)) * x - lag * x_prev) / (j + 1)
-                     for h1, x, x_prev in zip(h1s, d, d_prev)], d
-    out[k:] = d[k:]
-    t = math.sqrt(t2)
-    return tuple(t ** abs(n - k) * c for n, c in enumerate(out))
-
-
-# The stage rows of the heralds and the optimizer's probes, immutable.
-_coefficient_row = lru_cache(maxsize=1024)(_row)
-
-
-_window = lru_cache(maxsize=64)(coherent_window)
-
-
-def _coherent(alpha: complex, dim: int) -> tuple[tuple, float]:
-    """coherent_window(alpha, dim), cached for a real alpha.  A complex alpha
-    skips the cache: 0.8j and -0+0.8j are one key but differ in zero signs."""
-    if isinstance(alpha, complex):
-        return coherent_window(alpha, dim)
-    return _window(alpha, dim)
-
-
-def _herald(alpha: complex, dim: int, stages, raw=None) -> tuple[list, float]:
-    """(u P, |u P|^2): the window u of |alpha>, n < dim, times each stage's
-    row C_n in declaration order, and its herald probability.  ``raw``, if
-    given, is u times the stages before ``stages``.  Every state and every
-    optimizer probe is this product, so each keeps the others' bits."""
-    if raw is None:
-        raw = _coherent(alpha, dim)[0]
-    for r2, k in stages:
-        raw = list(map(mul, raw, _coefficient_row(r2, k, dim)))
-    if isinstance(alpha, complex):
-        return raw, math.fsum(abs(a) ** 2 for a in raw)
-    return raw, math.fsum(map(mul, raw, raw))   # bitwise abs(a) ** 2
 
 
 def _state(raw: list, prob: float, tail: float) -> FockState:

@@ -1,13 +1,22 @@
 """Standard-library core that every command shares: the error classes, the
-stage check and its truncation window, the coherent amplitudes, the scan
-grid, number formats and state-JSON validation, imported by the numpy
-modules and by the numpy-free paths (`frame`, `catalysis`'s kernel) alike."""
+stage check and its truncation window, the coherent amplitudes, the
+heralded-state kernel, the scan grid, number formats and state-JSON
+validation, imported by the numpy modules and by the numpy-free paths
+(`frame`, the optimizer of `design`) alike.
+
+The kernel `_herald` multiplies the coherent window by each stage's row of
+interference coefficients C_n (`_row`, a three-term recurrence over whole
+rows); every state of `catalysis` and every optimizer probe of `design` is
+its product, so `optimize` loads neither `catalysis` nor numpy."""
 
 from __future__ import annotations
 
 import cmath
 import math
 import sys
+from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 # Probability allowed to fall outside the truncation window before a
 # constructor refuses to build the state.
@@ -121,6 +130,60 @@ def coherent_window(alpha: complex, dim: int) -> tuple[tuple, float]:
             f"coherent tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}; "
             f"try dim={default_dim(alpha)}")
     return tuple(amps), tail
+
+
+def _row(r2: float, k: int, dim: int) -> tuple[float, ...]:
+    """C_n = catalysis_coefficient(n, k, BeamSplitter(r2)) for n < dim.
+
+    C is symmetric in n and k.  With m = min(n, k) and h = max(n, k),
+    C = t^(h - m) D_m, and the generating function
+    sum_n C_n x^n = (t - x)^k / (1 - t x)^(k + 1) gives D_0 = 1 and
+
+        (j + 1) D_{j+1} = (2j + 1 - r2 (h + 1 + j)) D_j - j (1 - r2) D_{j-1},
+
+    k steps taken for every n at once; column n < k is read at step j = n.
+    """
+    t2 = 1.0 - r2
+    h1s = [k + 1] * min(k, dim) + [*range(k + 1, dim + 1)]   # h + 1
+    d, d_prev, out = [1.0] * dim, [0.0] * dim, [0.0] * dim
+    for j in range(min(k, dim)):
+        out[j] = d[j]
+        lead, lag = 2 * j + 1, j * t2
+        d, d_prev = [((lead - r2 * (h1 + j)) * x - lag * x_prev) / (j + 1)
+                     for h1, x, x_prev in zip(h1s, d, d_prev)], d
+    out[k:] = d[k:]
+    # t^|n - k|, bitwise t ** abs(n - k)
+    powers = map(math.pow, repeat(math.sqrt(t2)), map(abs, range(-k, dim - k)))
+    return tuple(map(mul, powers, out))
+
+
+# The stage rows of the heralds and the optimizer's probes, immutable.
+_coefficient_row = lru_cache(maxsize=1024)(_row)
+
+
+_window = lru_cache(maxsize=64)(coherent_window)
+
+
+def _coherent(alpha: complex, dim: int) -> tuple[tuple, float]:
+    """coherent_window(alpha, dim), cached for a real alpha.  A complex alpha
+    skips the cache: 0.8j and -0+0.8j are one key but differ in zero signs."""
+    if isinstance(alpha, complex):
+        return coherent_window(alpha, dim)
+    return _window(alpha, dim)
+
+
+def _herald(alpha: complex, dim: int, stages, raw=None) -> tuple[list, float]:
+    """(u P, |u P|^2): the window u of |alpha>, n < dim, times each stage's
+    row C_n in declaration order, and its herald probability.  ``raw``, if
+    given, is u times the stages before ``stages``.  Every state and every
+    optimizer probe is this product, so each keeps the others' bits."""
+    if raw is None:
+        raw = _coherent(alpha, dim)[0]
+    for r2, k in stages:
+        raw = list(map(mul, raw, _coefficient_row(r2, k, dim)))
+    if isinstance(alpha, complex):
+        return raw, math.fsum(abs(a) ** 2 for a in raw)
+    return raw, math.fsum(map(mul, raw, raw))   # bitwise abs(a) ** 2
 
 
 FMT9 = ".8e"  # the 9-digit format spec; "%" + FMT9 formats a float to the same bytes

@@ -8,7 +8,7 @@ every consumer is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -24,60 +24,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LossChannel:
     """Each photon independently survives with probability eta."""
 
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class TMDConfig:
-    """Click-counting detector: loss eta followed by uniform routing into bins."""
-
-    eta: float
-    bins: int = 8
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError(f"--bins {self.bins} must be an integer >= 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
+    def __init__(self, eta: float):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta={eta} outside [0, 1]")
+        self.eta = eta
 
 
-@dataclass(frozen=True, eq=False)
+class TMDConfig(namedtuple("TMDConfig", "eta bins")):
+    """Click-counting detector: loss eta followed by uniform routing into
+    bins.  A value: equal configs share `_loss_click_matrix`'s cache entry."""
+
+    __slots__ = ()
+
+    def __new__(cls, eta: float, bins: int = 8):
+        if bins < 1:
+            raise ValueError(f"--bins {bins} must be an integer >= 1")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta={eta} outside [0, 1]")
+        return super().__new__(cls, eta, bins)
+
+
 class ClickDistribution:
     """Probabilities of observing 0..bins clicks."""
 
-    probabilities: np.ndarray
-    bins: int
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.size != self.bins + 1:
+    def __init__(self, probabilities, bins: int):
+        p = np.asarray(probabilities, dtype=float)
+        if p.size != bins + 1:
             raise ValueError("need bins + 1 click probabilities")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"click probabilities sum to {p.sum():.12g}")
-        object.__setattr__(self, "probabilities", p)
+        self.probabilities, self.bins = p, bins
 
 
-@dataclass(frozen=True, eq=False)
 class JointClickDistribution:
     """P[i, j] for i clicks on the first detector and j on the second."""
 
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+    def __init__(self, probabilities):
+        p = np.asarray(probabilities, dtype=float)
         if p.ndim != 2:
             raise ValueError("joint click probabilities must be a matrix")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"joint click probabilities sum to {p.sum():.12g}")
-        object.__setattr__(self, "probabilities", p)
+        self.probabilities = p
 
 
 def _photon_chain(n_max: int, stay: np.ndarray, step: np.ndarray) -> np.ndarray:

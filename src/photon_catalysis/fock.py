@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .core import (FMT9, TAIL_GATE, TruncationError, UndefinedQuantityError,
                    _parse_state, default_dim, fmt9, fmt17)
 
 
-@dataclass(frozen=True, eq=False)
 class FockState:
     """Single-mode pure state sum_n amplitudes[n] |n> over n = 0..dim-1.
 
@@ -21,14 +19,11 @@ class FockState:
     gate on truncation quality (`iterated_pcoc` keeps its input's).
     """
 
-    amplitudes: np.ndarray
-    tail_mass: float = 0.0
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, amplitudes, tail_mass: float = 0.0):
+        amps = np.asarray(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a non-empty 1d vector")
-        object.__setattr__(self, "amplitudes", amps)
+        self.amplitudes, self.tail_mass = amps, tail_mass
 
     @property
     def dim(self) -> int:
@@ -44,21 +39,18 @@ class FockState:
         return FockState(self.amplitudes / math.sqrt(n2), self.tail_mass)
 
 
-@dataclass(frozen=True, eq=False)
 class PhotonNumberDistribution:
     """Probability vector over photon number."""
 
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+    def __init__(self, probabilities):
+        p = np.asarray(probabilities, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probabilities must be a non-empty 1d vector")
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {p.sum():.12g}, expected 1")
-        object.__setattr__(self, "probabilities", np.clip(p, 0.0, 1.0))
+        self.probabilities = np.clip(p, 0.0, 1.0)
 
     @property
     def size(self) -> int:

@@ -549,8 +549,40 @@ class TestProbeCaches:
         assert x == pytest.approx(0.37, abs=1e-7) and v <= 0.0
 
 
+class TestProbeMemo:
+    """An optimizer run answers a repeated probe, and each line's begun
+    product, from a memo of its own; every probe still counts as an
+    evaluation."""
+
+    def test_one_stage_search_builds_each_distinct_probe_once(self, monkeypatch):
+        """A fixed-alpha line does not depend on the start, so all 8 starts
+        repeat one scan."""
+        herald, calls = design._herald, []
+
+        def counted(*args):
+            calls.append(args)
+            return herald(*args)
+
+        monkeypatch.setattr(design, "_herald", counted)
+        res = optimize_reflectivities(
+            DesignProblem(TARGETS[0], stages=1, ks=(2,), alpha=1.0))
+        assert res.evaluations == 961 and len(calls) <= 64
+
+    @pytest.mark.parametrize("ks, alpha_bounds, tol", [
+        ((2,), None, 1e-6), ((1,), (0.5, 2.0), 1e-2), ((1, 1), None, 1e-6),
+        ((2, 2, 2), None, 3e-2), ((1, 2), (0.6, 1.6), 1e-3)])
+    def test_results_equal_a_memo_free_run(self, ks, alpha_bounds, tol,
+                                           monkeypatch):
+        problem = DesignProblem(TARGETS[1], stages=len(ks), ks=ks, alpha=1.2,
+                                tol=tol, alpha_bounds=alpha_bounds)
+        memo = optimize_reflectivities(problem)
+        monkeypatch.setattr(design, "_LINES", 0)   # lru_cache(0) keeps nothing
+        monkeypatch.setattr(design, "_PROBES", 0)
+        assert optimize_reflectivities(problem) == memo
+
+
 class TestOneKernel:
-    """Probes and states share one kernel, `catalysis._herald`."""
+    """Probes and states share one kernel, `core._herald`."""
 
     @pytest.mark.parametrize("ks, alpha_bounds, tol", [
         ((1,), None, 1e-6), ((2,), (0.5, 2.0), 1e-2), ((1, 1), None, 1e-6),

@@ -312,6 +312,15 @@ class TestPhotonChain:
                                        composed.probabilities,
                                        rtol=1e-12, atol=1e-15)
 
+    def test_equal_configs_share_a_cache_entry(self):
+        """Each `joint` r2 step builds its TMDConfigs anew; equal ones are
+        one key of the matrix cache."""
+        before = detector._loss_click_matrix.cache_info().hits
+        first = detector._loss_click_matrix(37, TMDConfig(0.4321, 7))
+        again = detector._loss_click_matrix(37, TMDConfig(0.4321, 7))
+        assert again is first
+        assert detector._loss_click_matrix.cache_info().hits == before + 1
+
     def test_large_photon_numbers_stay_finite(self):
         """bins**n overflowed a float once n * log10(bins) passed 308."""
         t = detector._loss_click_matrix(300, TMDConfig(0.9, 200))

@@ -1,5 +1,5 @@
 """The package and every CLI command run without importing scipy, and each
-command loads only the package modules it runs.
+command loads only the package modules it runs, and no command `dataclasses`.
 
 scipy is needed only by the matrix-exponential oracle that the tests compare
 the closed forms against.  This guard keeps its import cost off the CLI, and
@@ -63,7 +63,8 @@ def _env() -> dict:
 
 
 # Runs one `catalysis` argv in a fresh interpreter and writes its exit code and
-# the numpy and package modules it loaded to the JSON file named first.
+# the numpy, dataclasses and package modules it loaded to the JSON file named
+# first.
 PROBE = r"""
 import json
 import sys
@@ -75,7 +76,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules
-                if m == "numpy" or m.split(".")[0] == "photon_catalysis")
+                if m in ("numpy", "dataclasses")
+                or m.split(".")[0] == "photon_catalysis")
 with open(sys.argv[1], "w") as fh:
     json.dump({"code": code, "loaded": loaded}, fh)
 """
@@ -89,8 +91,9 @@ STATE = WIGNER
 # Every sweep metric but wigner_min runs on the standard-library kernel.
 SWEEP = CORE + ["photon_catalysis.design", "photon_catalysis.frame"]
 WIGNER_SWEEP = WIGNER + ["photon_catalysis.design"]
-# The optimizer's probes run on the standard-library heralded-state kernel.
-OPTIMIZE = CORE + ["photon_catalysis.catalysis", "photon_catalysis.design"]
+# The optimizer's probes run on the standard-library heralded-state kernel
+# of `core`.
+OPTIMIZE = CORE + ["photon_catalysis.design"]
 JOINT = CORE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
                 "photon_catalysis.fock", "photon_catalysis.frame", "numpy"]
 
