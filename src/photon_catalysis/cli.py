@@ -6,8 +6,9 @@ truncation gate, which means a user-chosen --dim was too small), 3 numerical
 gate failure (pole in a closed form, zero-probability herald, overflow).
 Identical flags produce byte-identical output files.
 
-Each command imports the modules it runs, so --help, usage errors, `optimize`
-and every sweep but wigner_min finish without loading numpy.
+Each command imports the modules it runs, so --help, usage errors, `optimize`,
+every sweep but wigner_min and every `joint` up to _STDLIB_JOINT_WORK finish
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ _MAX_BINS = 999  # (bins + 1)^2 joint cells per r2 point, the Wigner grid cap
 _MAX_JOINT_CELLS = 2 * 10 ** 6
 _MAX_JOINT_WORK = 10 ** 8
 _JOINT_STEP_WORK = 2000
+# Up to this much work a joint command runs the standard-library kernel,
+# which skips numpy's import; above it numpy's products are faster.  The two
+# break even at 1.4-2.0M as subprocesses (five geometries, 2-core VM).
+_STDLIB_JOINT_WORK = 1_600_000
 
 
 def _die(msg: str, code: int) -> int:
@@ -169,10 +174,8 @@ def _parse_r2(text: str) -> tuple[float, float, int]:
 
 
 def cmd_joint(args) -> int:
-    from .catalysis import BeamSplitter, CatalysisConfig
-    from .core import _stage_window, scan
-    from .detector import TMDConfig, joint_output_distribution
-    from .fock import fmt9
+    from .core import FMT9, _stage_window, fmt9, scan
+    from .detector import TMDConfig, _joint_tables
 
     if args.alpha2 < 0:  # a non-finite one is refused by the window check
         raise ValueError(f"--alpha2 must be >= 0, got {args.alpha2}")
@@ -188,9 +191,9 @@ def cmd_joint(args) -> int:
     lo, hi, steps = _parse_r2(args.r2)
     # A scan's first r2 is LO at any step count, so it is checked, and the
     # budget too, before the scan is laid out.
-    dim = _stage_window(alpha, ((lo, args.k),), args.dim)
+    side = _stage_window(alpha, ((lo, args.k),), args.dim) + args.k
     cells = steps * (args.bins + 1) ** 2
-    work = steps * ((args.k + 1) * (dim + args.k) ** 2 + _JOINT_STEP_WORK)
+    work = steps * ((args.k + 1) * side ** 2 + _JOINT_STEP_WORK)
     if steps > 1 and (cells > _MAX_JOINT_CELLS or work > _MAX_JOINT_WORK):
         raise ValueError(
             f"--r2 scan of {steps} steps prints {cells:.2e} cells and builds "
@@ -198,17 +201,32 @@ def cmd_joint(args) -> int:
             f"cost included; the budget is {_MAX_JOINT_CELLS:.0e} "
             f"and {_MAX_JOINT_WORK:.0e}; use fewer --r2 steps or lower --bins, "
             f"--k, --alpha2 or --dim")
-    lines = ["r2,i,j,p"]
-    for r2 in scan(lo, hi, steps) if steps > 1 else [lo]:
-        cfg = CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim)
-        joint = joint_output_distribution(cfg, TMDConfig(args.eta1, args.bins),
-                                          TMDConfig(args.eta2, args.bins))
+    # The first step's stage check has passed, so its detectors come next.
+    det1, det2 = TMDConfig(args.eta1, args.bins), TMDConfig(args.eta2, args.bins)
+    r2s = scan(lo, hi, steps) if steps > 1 else [lo]
+    # The stdlib kernel's multiply-adds a step: side^2 amplitudes of k + 1
+    # paths, side^2 b / 2 for |A|^2 T2 and side b^2 / 2 for T1^T, b clicks.
+    b = min(args.bins + 1, side)
+    if steps * (side * side * (args.k + 1 + b / 2) + side * b * b / 2) \
+            <= _STDLIB_JOINT_WORK:
+        tables = _joint_tables(alpha, r2s, args.k, args.dim, det1, det2)
+    else:
+        from .catalysis import BeamSplitter, CatalysisConfig
+        from .detector import joint_output_distribution
+
+        tables = (joint_output_distribution(
+            CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim), det1,
+            det2).probabilities.tolist() for r2 in r2s)
+    # Each (r2, i) row is one %-template: its "r2,i" prefix joins the row's
+    # ",j,%p\n" suffixes, built once for the command.
+    suffixes = [f",{j},%{FMT9}\n" for j in range(args.bins + 1)]
+    parts = ["r2,i,j,p\n"]
+    for r2, rows in zip(r2s, tables):
         r2_cell = fmt9(r2)
-        p = joint.probabilities
-        for i in range(p.shape[0]):
-            for j in range(p.shape[1]):
-                lines.append(f"{r2_cell},{i},{j},{fmt9(p[i, j])}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+        for i, row in enumerate(rows):
+            prefix = f"{r2_cell},{i}"
+            parts.append((prefix + prefix.join(suffixes)) % tuple(row))
+    _write_text(args.out, "".join(parts))
     return 0
 
 

@@ -326,3 +326,92 @@ class TestPhotonChain:
         t = detector._loss_click_matrix(300, TMDConfig(0.9, 200))
         assert np.all(np.isfinite(t))
         np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_max, eta, bins", [(40, 0.37, 20), (60, 1.0, 8),
+                                                  (30, 0.0, 3), (25, 0.9, 1)])
+    def test_list_chain_is_the_array_recurrence_bit_for_bit(self, n_max, eta,
+                                                            bins):
+        """The chain in lists takes the array recurrence's operations in its
+        order, zeros past c = n included."""
+        c = np.arange(bins + 1, dtype=float)
+        stay, step = (1.0 - eta) + eta * c / bins, eta * (bins - c + 1.0) / bins
+        want = np.zeros((n_max + 1, bins + 1))
+        want[0, 0] = 1.0
+        for n in range(n_max):
+            want[n + 1] = want[n] * stay
+            want[n + 1, 1:] += want[n, :-1] * step[1:]
+        got = detector._loss_click_matrix(n_max, TMDConfig(eta, bins))
+        assert got.tobytes() == want.tobytes()
+
+
+def _table_or_error(build):
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestStandardLibraryTable:
+    """`_joint_tables`, the table `catalysis joint` prints below its work
+    bound, against joint_output_distribution's numpy products."""
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(alpha2=st.one_of(st.sampled_from([0.0, 12.0]), st.floats(0.0, 12.0)),
+           k=st.integers(0, 6), bins=st.integers(1, 20),
+           r2=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           eta1=ETA_DRAWS, eta2=ETA_DRAWS,
+           dim=st.one_of(st.none(), st.integers(1, 30)))
+    @example(alpha2=1.11, k=1, bins=8, r2=0.5, eta1=1.0, eta2=1.0, dim=13)
+    @example(alpha2=1.11, k=1, bins=8, r2=0.5, eta1=1.0, eta2=1.0, dim=12)
+    @example(alpha2=12.0, k=6, bins=20, r2=1.0, eta1=0.0, eta2=1.0, dim=None)
+    @example(alpha2=0.0, k=0, bins=1, r2=0.0, eta1=1.0, eta2=1.0, dim=None)
+    def test_both_kernels_give_one_table(self, alpha2, k, bins, r2, eta1, eta2,
+                                         dim):
+        alpha = math.sqrt(alpha2)
+        cfg1, cfg2 = TMDConfig(eta1, bins), TMDConfig(eta2, bins)
+        want, want_error = _table_or_error(lambda: joint_output_distribution(
+            CatalysisConfig(alpha, BeamSplitter(r2), k, dim), cfg1,
+            cfg2).probabilities)
+        got, got_error = _table_or_error(lambda: next(detector._joint_tables(
+            alpha, [r2], k, dim, cfg1, cfg2)))
+        assert got_error == want_error
+        if want_error:
+            return
+        assert len(got) == bins + 1 and {len(row) for row in got} == {bins + 1}
+        assert min(map(min, got)) >= 0.0
+        assert abs(math.fsum(map(math.fsum, got)) - 1.0) <= 1e-10
+        assert np.abs(np.array(got) - want).max() <= 1e-12 * want.max()
+
+    def test_scan_checks_each_step_in_turn(self):
+        """A scan past r2 = 1 yields its good steps, then refuses the first
+        bad one as CatalysisConfig does."""
+        tables = detector._joint_tables(1.0, [0.5, 1.0, 1.5], 1, None,
+                                        TMDConfig(1.0), TMDConfig(1.0))
+        assert len(next(tables)) == len(next(tables)) == 9
+        with pytest.raises(ValueError, match=r"r2=1.5 outside \[0, 1\]"):
+            next(tables)
+
+
+class TestJointPath:
+    """`catalysis joint` runs one kernel per command, chosen by its work."""
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("this command must take the other kernel")
+
+    def test_readme_joint_takes_the_standard_library_kernel(self, tmp_path,
+                                                            monkeypatch):
+        from photon_catalysis.cli import main
+
+        monkeypatch.setattr(detector, "joint_output_distribution", self._refuse)
+        assert main(["joint", "--alpha2", "1.11", "--r2", "0.3:0.7:41",
+                     "--eta1", "0.1", "--eta2", "0.1",
+                     "--out", str(tmp_path / "j.csv")]) == 0
+
+    def test_large_table_takes_numpy(self, tmp_path, monkeypatch):
+        from photon_catalysis.cli import main
+
+        monkeypatch.setattr(detector, "_joint_tables", self._refuse)
+        assert main(["joint", "--alpha2", "1", "--k", "500", "--r2", "0.5",
+                     "--out", str(tmp_path / "j.csv")]) == 0

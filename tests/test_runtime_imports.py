@@ -3,8 +3,9 @@ command loads only the package modules it runs, and no command `dataclasses`.
 
 scipy is needed only by the matrix-exponential oracle that the tests compare
 the closed forms against.  This guard keeps its import cost off the CLI, and
-keeps numpy off `catalysis --help`, usage errors, `optimize` and every sweep
-but wigner_min.
+keeps numpy off `catalysis --help`, usage errors, `optimize`, every sweep
+but wigner_min and every `joint` table below the standard-library kernel's
+work bound.
 """
 
 import importlib
@@ -94,8 +95,10 @@ WIGNER_SWEEP = WIGNER + ["photon_catalysis.design"]
 # The optimizer's probes run on the standard-library heralded-state kernel
 # of `core`.
 OPTIMIZE = CORE + ["photon_catalysis.design"]
-JOINT = CORE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
-                "photon_catalysis.fock", "photon_catalysis.frame", "numpy"]
+# A README-size joint table runs the standard-library kernel of `detector`;
+# a large one numpy's products on `catalysis`'s two-mode output.
+JOINT = CORE + ["photon_catalysis.detector", "photon_catalysis.frame"]
+LARGE_JOINT = JOINT + ["photon_catalysis.catalysis", "numpy"]
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -119,6 +122,8 @@ JOINT = CORE + ["photon_catalysis.catalysis", "photon_catalysis.detector",
     (["joint", "--alpha2", "1.11", "--r2", "0.5", "--out", "j.csv"], 0, JOINT),
     (["joint", "--alpha2", "1.11", "--r2", "0.3:0.7:3", "--out", "j.csv"],
      0, JOINT),
+    (["joint", "--alpha2", "1", "--k", "500", "--r2", "0.5", "--out", "j.csv"],
+     0, LARGE_JOINT),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, loaded):
     env = _env()
