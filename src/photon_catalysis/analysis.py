@@ -162,15 +162,13 @@ def g2(d: PhotonNumberDistribution) -> float:
     return m2 / m1 ** 2
 
 
-_BLOCK = 4                  # states that share one recurrence
 _WIGNER_CELLS = 10 ** 6     # grid points; about 0.1 GiB of recurrence buffers
 _WIGNER_BUDGET = 2e9        # recurrence cell-steps (`_wigner_work`), about 2 s
 
 
-def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W[state, ix, ip] for a block of states (one row of Fock amplitudes
-    each, shorter ones padded with zeros), summed over the grid's distinct
-    radii.  With gamma = 2(x + ip), y = |gamma|^2 and u = gamma / |gamma|,
+class _WignerKernel:
+    """Wigner values on the grid xs by ps, one state a call.  With
+    gamma = 2(x + ip), y = |gamma|^2 and u = gamma / |gamma|,
 
         W = (2/pi) sum_d w_d Re(u^d S_d(y)),   w_0 = 1, w_{d>0} = 2,
         S_d(y) = sum_n (-1)^n conj(c_{n+d}) c_n Q_{n,d}(y),
@@ -184,84 +182,110 @@ def _wigner_values(psis: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarr
     element, so no factorial ratios appear.  S_d depends on a cell only
     through y, so the recurrence and the sums run once per distinct y (about
     a fifth of a square grid's cells), and only u^d is applied per cell.
-    Each step is taken once for the block, in three rotating buffers; each
-    state keeps real sums of its own for the real and the imaginary part of
-    its couplings, so a grid is bitwise independent of its block.
+
+    The geometry (u, the distinct radii y and each cell's radius index) is
+    computed once, here, and only read by the calls; the phase, cell and
+    recurrence buffers are reused from call to call.  Each call returns an
+    array of its own, so a caller that drops one grid before asking for the
+    next holds one grid's working set.
     """
-    n_states, n_dim = psis.shape
-    gamma = 2.0 * (xs[:, None] + 1j * ps[None, :]).ravel()
-    r = np.abs(gamma)
-    unit = np.ones_like(gamma)
-    np.divide(gamma, r, out=unit, where=r > 0.0)
-    y, radius = np.unique(r ** 2, return_inverse=True)
-    del gamma, r
-    total = np.zeros((n_states, unit.size))
-    cell, phase_re, phase = np.empty(unit.size), np.empty(unit.size), np.ones_like(unit)
-    q_seed = np.exp(-y / 2.0)
-    # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
-    # seed.  Those radii take it in log form, -y/2 + (d/2) ln y - lgamma(d+1)/2,
-    # and carry Q 2^shift, a shift per radius that brings the seed near 1.  A
-    # step multiplies |Q| by at most y + 3 dim + 1, so checking every `every`
-    # steps for a Q past 2^512 and scaling its radius, sums and all, by 2^-512
-    # keeps Q below 2^1011.  Each sum is scaled back by its radius' shift.
-    far = int(np.count_nonzero(q_seed >= np.finfo(float).tiny))
-    log_far = np.log(y[far:])
-    every = max(1, int(499 // math.log2(y[-1] + 3 * n_dim + 1)))
-    q_prev, q_cur, spare, term = (np.empty_like(y) for _ in range(4))
-    for d in range(n_dim):
-        if d > 0:
-            np.divide(y, d, out=spare)
-            q_seed *= np.sqrt(spare, out=spare)
-            phase *= unit
-            if not np.any(q_seed) and d > y[-1]:   # past d = y seeds only fall
-                break
-            np.copyto(phase_re, phase.real)
-        if log_far.size:
-            log_seed = 0.5 * (d * log_far - y[far:] - math.lgamma(d + 1))
-            shift = np.rint(log_seed / -math.log(2.0))
-            q_seed[far:] = np.exp(log_seed + shift * math.log(2.0))
-        coup = np.conj(psis[:, d:]) * psis[:, :n_dim - d] * (2.0 if d else 1.0)
-        coup[:, 1::2] *= -1.0
-        # (state, imaginary?, couplings, sum); Re(u^d i s) = -Im(u^d) s
-        rows = [(s, imaginary, part.tolist(), np.zeros_like(y))
-                for s in range(n_states)
-                for imaginary, part in enumerate((coup[s].real, -coup[s].imag))
-                if part.any()]
-        if not rows:
-            continue
-        steps = int(np.flatnonzero(coup.any(axis=0))[-1]) + 1
-        np.copyto(q_cur, q_seed)
-        for n in range(steps):
-            for _, _, a, acc in rows:
-                if a[n]:
-                    np.multiply(q_cur, a[n], out=term)
-                    acc += term
-            if n + 1 == steps:
-                break
-            np.subtract(2 * n + 1 + d, y, out=spare)
-            spare *= q_cur
-            if n:               # Q_{-1,d} = 0, and x - 0 * 0 is x
-                q_prev *= math.sqrt(n * (n + d))
-                spare -= q_prev
-            spare /= math.sqrt((n + 1) * (n + 1 + d))
-            if log_far.size and n % every == 0:
-                big = far + np.flatnonzero(np.maximum(
-                    np.abs(spare[far:]), np.abs(q_cur[far:])) > 2.0 ** 512)
-                if big.size:
-                    for buffer in (spare, q_cur, *(row[3] for row in rows)):
-                        buffer[big] *= 2.0 ** -512
-                    shift[big - far] -= 512
-            q_prev, q_cur, spare = q_cur, spare, q_prev
-        for s, imaginary, _, acc in rows:
-            if log_far.size:
-                acc[far:] = np.ldexp(acc[far:], -shift.astype(int))
-            # every index is in range; "wrap" only skips the bounds check
-            np.take(acc, radius, out=cell, mode="wrap")
+
+    def __init__(self, xs: np.ndarray, ps: np.ndarray):
+        self.shape = (xs.size, ps.size)
+        unit = (xs[:, None] + 1j * ps[None, :]).ravel()
+        unit *= 2.0
+        r = np.abs(unit)
+        np.divide(unit, r, out=unit, where=r > 0.0)
+        unit[r == 0.0] = 1.0
+        r *= r
+        self.unit = unit
+        self.y, self.radius = np.unique(r, return_inverse=True)
+        del r
+        self.seed = np.exp(-self.y / 2.0)
+        # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
+        # seed.  Those radii take it in log form, -y/2 + (d/2) ln y - lgamma(d+1)/2,
+        # and carry Q 2^shift, a shift per radius that brings the seed near 1.  A
+        # step multiplies |Q| by at most y + 3 dim + 1, so checking every `every`
+        # steps for a Q past 2^512 and scaling its radius, sums and all, by 2^-512
+        # keeps Q below 2^1011.  Each sum is scaled back by its radius' shift.
+        self.far = int(np.count_nonzero(self.seed >= np.finfo(float).tiny))
+        self.log_far = np.log(self.y[self.far:])
+        self.cell, self.phase = np.empty(unit.size), np.empty_like(unit)
+        # q_seed, q_prev, q_cur, spare, term, and a sum each for the real
+        # and the imaginary part of the couplings
+        self.buffers = [np.empty_like(self.y) for _ in range(7)]
+
+    def __call__(self, psi: np.ndarray) -> np.ndarray:
+        """W[ix, ip] of the normalized state with Fock amplitudes ``psi``."""
+        y, far, log_far, cell, phase = (self.y, self.far, self.log_far,
+                                        self.cell, self.phase)
+        q_seed, q_prev, q_cur, spare, term, *sums = self.buffers
+        n_dim = psi.size
+        total = np.zeros(cell.size)
+        np.copyto(q_seed, self.seed)
+        phase.fill(1.0)
+        every = max(1, int(499 // math.log2(y[-1] + 3 * n_dim + 1)))
+        for d in range(n_dim):
             if d > 0:
-                cell *= phase.imag if imaginary else phase_re
-            total[s] += cell
-    total *= 2.0 / math.pi
-    return total.reshape(n_states, xs.size, ps.size)
+                np.divide(y, d, out=spare)
+                q_seed *= np.sqrt(spare, out=spare)
+                phase *= self.unit
+                if not np.any(q_seed) and d > y[-1]:   # past d = y seeds only fall
+                    break
+            if log_far.size:
+                log_seed = 0.5 * (d * log_far - y[far:] - math.lgamma(d + 1))
+                shift = np.rint(log_seed / -math.log(2.0))
+                q_seed[far:] = np.exp(log_seed + shift * math.log(2.0))
+            coup = np.conj(psi[d:]) * psi[:n_dim - d] * (2.0 if d else 1.0)
+            coup[1::2] *= -1.0
+            # (imaginary?, couplings, sum); Re(u^d i s) = -Im(u^d) s
+            parts = [(imaginary, part.tolist(), acc) for imaginary, part, acc
+                     in zip((False, True), (coup.real, -coup.imag), sums)
+                     if part.any()]
+            if not parts:
+                continue
+            for *_, acc in parts:
+                acc.fill(0.0)
+            steps = int(np.flatnonzero(coup)[-1]) + 1
+            np.copyto(q_cur, q_seed)
+            for n in range(steps):
+                for _, a, acc in parts:
+                    if a[n]:
+                        np.multiply(q_cur, a[n], out=term)
+                        acc += term
+                if n + 1 == steps:
+                    break
+                np.subtract(2 * n + 1 + d, y, out=spare)
+                spare *= q_cur
+                if n:               # Q_{-1,d} = 0, and x - 0 * 0 is x
+                    q_prev *= math.sqrt(n * (n + d))
+                    spare -= q_prev
+                spare /= math.sqrt((n + 1) * (n + 1 + d))
+                if log_far.size and n % every == 0:
+                    big = far + np.flatnonzero(np.maximum(
+                        np.abs(spare[far:]), np.abs(q_cur[far:])) > 2.0 ** 512)
+                    if big.size:
+                        for buffer in (spare, q_cur, *(part[2] for part in parts)):
+                            buffer[big] *= 2.0 ** -512
+                        shift[big - far] -= 512
+                q_prev, q_cur, spare = q_cur, spare, q_prev
+            for imaginary, _, acc in parts:
+                if log_far.size:
+                    acc[far:] = np.ldexp(acc[far:], -shift.astype(int))
+                # every index is in range; "wrap" only skips the bounds check
+                np.take(acc, self.radius, out=cell, mode="wrap")
+                if d > 0:
+                    cell *= phase.imag if imaginary else phase.real
+                total += cell
+        total *= 2.0 / math.pi
+        return total.reshape(self.shape)
+
+
+def _wigner_values(psis, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """W[state, ix, ip] for a sequence of Fock-amplitude vectors, each
+    evaluated alone by one `_WignerKernel`."""
+    kernel = _WignerKernel(xs, ps)
+    return np.array([kernel(psi) for psi in psis])
 
 
 def _wigner_work(dims, spec: WignerGridSpec) -> int:
@@ -301,8 +325,10 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
     """Wigner functions of normalized states on one grid, yielded in order.
 
     Every state is checked (normalization, work budget) before anything is
-    allocated; then blocks of states share one recurrence
-    (`_wigner_values`), and each grid is bitwise what a block of one gives.
+    allocated; then each grid is evaluated when it is asked for, alone, on
+    the grid geometry that one `_WignerKernel` computes for the whole call.
+    Each grid owns its values and stays valid after iteration; a caller that
+    drops each grid before asking for the next holds one grid at a time.
     """
     if spec is None:
         spec = WignerGridSpec()
@@ -311,18 +337,13 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
         if abs(s.norm_squared() - 1.0) > 1e-10:
             raise ValueError("state must be normalized")
         _check_wigner_work(s.dim, spec)
-    return _wigner_blocks(states, spec)
+    return _wigner_each(states, spec)
 
 
-def _wigner_blocks(states: list[FockState], spec: WignerGridSpec) -> Iterator[WignerGrid]:
-    xs, ps = spec.x_axis(), spec.p_axis()
-    for start in range(0, len(states), _BLOCK):
-        block = states[start:start + _BLOCK]
-        psis = np.zeros((len(block), max(s.dim for s in block)), dtype=complex)
-        for row, s in zip(psis, block):
-            row[:s.dim] = s.amplitudes
-        for s, values in zip(block, _wigner_values(psis, xs, ps)):
-            yield WignerGrid(spec, values, _coverage_warning(s, spec))
+def _wigner_each(states: list[FockState], spec: WignerGridSpec) -> Iterator[WignerGrid]:
+    kernel = _WignerKernel(spec.x_axis(), spec.p_axis())
+    for s in states:
+        yield WignerGrid(spec, kernel(s.amplitudes), _coverage_warning(s, spec))
 
 
 def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:
@@ -346,16 +367,19 @@ def wigner_negativity(w: WignerGrid) -> tuple[float, float]:
 
 
 def wigner_to_csv(w: WignerGrid) -> str:
-    """Row-major CSV with header x,p,w; 9 significant digits.
+    """Row-major CSV with header x,p,w; 9 significant digits."""
+    return "".join(_wigner_csv_rows(w))
 
-    Each x row is one %-template: its x cell joins the row's ",p,%w\n"
-    suffixes, built once for the grid."""
+
+def _wigner_csv_rows(w: WignerGrid) -> Iterator[str]:
+    """`wigner_to_csv`'s text in pieces: the header, then the lines of one x
+    row at a time, from one %-template: the row's x cell joins its
+    ",p,%w\n" suffixes, built once for the grid."""
     suffixes = [f",{fmt9(p)},%{FMT9}\n" for p in w.spec.p_axis()]
-    parts = ["x,p,w\n"]
+    yield "x,p,w\n"
     for x, row in zip(w.spec.x_axis(), w.values):
         x_cell = fmt9(x)
-        parts.append((x_cell + x_cell.join(suffixes)) % tuple(row.tolist()))
-    return "".join(parts)
+        yield (x_cell + x_cell.join(suffixes)) % tuple(row.tolist())
 
 
 def wigner_to_pgm(w: WignerGrid) -> bytes:

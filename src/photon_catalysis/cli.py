@@ -97,7 +97,7 @@ def _warn_coverage(*warnings: str | None):
 def cmd_state(args) -> int:
     """The first four summary lines come from the displaced-frame kernel,
     untruncated; the windowed state gives the JSON and the Wigner line."""
-    from .analysis import wigner, wigner_negativity
+    from .analysis import wigner
     from .core import fmt9
     from .fock import state_to_json
     from .frame import state_metrics
@@ -106,7 +106,7 @@ def cmd_state(args) -> int:
     summary = state_metrics(args.alpha, args.r2, args.k)
     grid = wigner(state)
     _warn_coverage(grid.coverage_warning)
-    min_w, _ = wigner_negativity(grid)
+    min_w = float(grid.values.min())
     for name, value in zip(("success_prob", "var_x_db", "var_p_db", "g2",
                             "wigner_min"), (*summary, min_w)):
         print(f"{name} = {fmt9(value)}")
@@ -142,7 +142,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    from .analysis import wigner, wigner_to_csv, wigner_to_pgm
+    from .analysis import _wigner_csv_rows, wigner, wigner_to_pgm
     from .fock import fmt9
 
     state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
@@ -150,7 +150,8 @@ def cmd_wigner(args) -> int:
     _warn_coverage(grid.coverage_warning)
     print(f"integral = {fmt9(grid.integral())}")
     if args.format == "csv":
-        _write_text(args.out, wigner_to_csv(grid))
+        with open(args.out, "w", newline="") as fh:
+            fh.writelines(_wigner_csv_rows(grid))
     else:
         with open(args.out, "wb") as fh:
             fh.write(wigner_to_pgm(grid))

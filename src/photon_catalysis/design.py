@@ -131,7 +131,8 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
 
     ``warn``, if given, is called with each Wigner coverage warning.  The
     wigner_min metric builds every point's state first, in row order, and
-    then takes all their Wigner grids in shared blocks (`wigner_grids`)."""
+    then takes their Wigner grids from one `wigner_grids` call, one grid at a
+    time: each is dropped before the next is computed."""
     names = [a.name for a in spec.axes]
     combos = list(itertools.product(*(a.values() for a in spec.axes)))
     points = [dict(zip(names, combo)) for combo in combos]
@@ -146,7 +147,7 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
                                     params.get("r2", spec.r2),
                                     params.get("k", spec.k), target)
                 for combo, params in zip(combos, points)]
-    from .analysis import wigner_grids, wigner_negativity
+    from .analysis import wigner_grids
     from .catalysis import pcoc_state
 
     states, probs = [], []
@@ -160,8 +161,8 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     for combo, prob, grid in zip(combos, probs, wigner_grids(states)):
         if warn and grid.coverage_warning:
             warn(grid.coverage_warning)
-        min_w, _ = wigner_negativity(grid)
-        rows.append(combo + (min_w, prob))
+        rows.append(combo + (float(grid.values.min()), prob))
+        del grid
     return rows
 
 

@@ -24,6 +24,7 @@ from photon_catalysis.fock import (FockState, PhotonNumberDistribution,
                                    UndefinedQuantityError, make_coherent,
                                    make_fock, number_distribution)
 
+from _traced_peak import traced_peak
 from _wigner_oracle import wigner_values_one_state
 
 ALPHAS = np.linspace(0.3, 2.2, 5)
@@ -433,6 +434,21 @@ class TestWignerDistinctRadii:
         want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
                                        spec.p_axis())
         _assert_near_oracle(wigner(state, spec).values, want)
+
+
+class TestWignerMemory:
+    def test_eight_grids_peak_near_one(self):
+        """Each grid is computed alone on one shared geometry, so keeping
+        the minimum of eight grids of one call holds about one grid's
+        working set: a traced peak within 1.2x one grid's (1.58x when
+        blocks of four shared a recurrence)."""
+        states = [pcoc_state(CatalysisConfig(2.7, BeamSplitter(r2), 2))[0]
+                  for r2 in np.linspace(0.1, 0.9, 8)]
+        wigner(states[0])
+        one = traced_peak(lambda: float(wigner(states[0]).values.min()))
+        eight = traced_peak(lambda: [float(grid.values.min())
+                                     for grid in wigner_grids(states)])
+        assert eight <= 1.2 * one
 
 
 class TestNegativity:

@@ -18,6 +18,7 @@ from photon_catalysis import cli
 from photon_catalysis.cli import main
 from photon_catalysis.fock import state_from_json
 from _mp_state import state_mp
+from _traced_peak import traced_peak
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -379,6 +380,26 @@ class TestWignerBytes:
                  str(out)], env=_env(), capture_output=True, timeout=120).returncode
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestWignerCsvStream:
+    def test_csv_adds_little_to_the_grid_peak(self, tmp_path, capsys):
+        """The CSV is written a line at a time, so writing a 201^2 grid's
+        1.9 MB file adds at most 0.25 MB to the traced peak of computing
+        the grid (the whole text held at once added 0.48 MB)."""
+        from photon_catalysis.analysis import wigner
+        from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
+                                                pcoc_state)
+
+        argv = ["wigner", "--alpha", "2.7", "--r2", "0.3", "--k", "2",
+                "--grid", "201", "--format", "csv", "--out",
+                str(tmp_path / "w.csv")]
+        assert main(argv) == 0
+        state, _ = pcoc_state(CatalysisConfig(2.7, BeamSplitter(0.3), 2))
+        grid = traced_peak(lambda: wigner(state))
+        command = traced_peak(lambda: main(argv))
+        capsys.readouterr()
+        assert command <= grid + 250_000
 
 
 class TestInputGates:

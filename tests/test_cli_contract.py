@@ -117,6 +117,10 @@ class TestContract:
     @example(metric="g2", axis=("k", "0", "inf", 3), alpha="1", r2="0.5", k="1")
     @example(metric="g2", axis=("r2", "-1e308", "1e308", 3), alpha="1",
              r2="0.5", k="1")
+    # drawn scans stop at 4 steps; 8 wigner_min points run the grid loop
+    # past four states
+    @example(metric="wigner_min", axis=("r2", "0.1", "0.9", 8), alpha="2.7",
+             r2="0.5", k="2")
     def test_sweep(self, workdir, metric, axis, alpha, r2, k):
         """A scan whose ends or width are not finite is refused naming its
         axis."""
