@@ -30,6 +30,15 @@ class DomainError(ValueError):
 QuadratureStats = namedtuple("QuadratureStats",
                              "var_x var_p product squeeze_db_x squeeze_db_p")
 
+# The largest |2(x + ip)|^2 = y a grid may reach.  Up to 2^52 the far radii's
+# log seed, about -y/2, and its power-of-2 shift cancel to within half a unit
+# in floating point, so every seed stays within a factor of about 2 of 1; the
+# shift fits an int64; and a step's growth y + 3 dim + 1 leaves
+# `_WignerKernel` nine steps or more between its 2^-512 rescales.  The
+# cancellation's error grows with y (about 100 units at 2^60), and past
+# y = 2^63 ln 4 the shift overflows an int64.
+_WIGNER_REACH = 2.0 ** 52
+
 
 class WignerGridSpec:
     """Rectangular phase-space window sampled at cell centers (midpoint
@@ -40,10 +49,11 @@ class WignerGridSpec:
                  np: int = 201):
         # bounds every |2 (x + i p)|^2 on the grid; NaN or inf gives NaN cells
         reach = 4.0 * sum(v * v for v in (x_min, x_max, p_min, p_max))
-        if not math.isfinite(reach):
+        if not reach <= _WIGNER_REACH:
             raise ValueError(
-                f"--grid bounds x {x_min}:{x_max}, p {p_min}:"
-                f"{p_max} must be finite, with |2(x + ip)|^2 finite")
+                f"--grid bounds x {x_min}:{x_max}, p {p_min}:{p_max} must be "
+                f"finite, with 4(x_min^2 + x_max^2 + p_min^2 + p_max^2) at "
+                f"most 2^52, which bounds every |2(x + ip)|^2 on the grid")
         if nx < 2 or np < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if x_max <= x_min or p_max <= p_min:
@@ -185,9 +195,12 @@ class _WignerKernel:
 
     The geometry (u, the distinct radii y and each cell's radius index) is
     computed once, here, and only read by the calls; the phase, cell and
-    recurrence buffers are reused from call to call.  Each call returns an
-    array of its own, so a caller that drops one grid before asking for the
-    next holds one grid's working set.
+    recurrence buffers are reused from call to call.  Per grid cell the
+    kernel holds u and the phase (complex, 32 B together), the radius index
+    (8 B) and the cell buffer (8 B), and a call adds its output (8 B); the
+    recurrence buffers are per distinct radius.  Each call returns an array
+    of its own unless given ``out``, so a caller that drops one grid before
+    asking for the next holds one grid's working set.
     """
 
     def __init__(self, xs: np.ndarray, ps: np.ndarray):
@@ -199,8 +212,23 @@ class _WignerKernel:
         unit[r == 0.0] = 1.0
         r *= r
         self.unit = unit
-        self.y, self.radius = np.unique(r, return_inverse=True)
+        # np.unique(r, return_inverse=True), bit for bit, without the
+        # grid-sized copies it holds at once: sort, mark where the sorted
+        # radius changes, number the distinct radii, scatter back to cells.
+        # Any sort kind gives the same y and index; with the stable one a
+        # `state` command peaked about 0.1 MiB lower than with quicksort.
+        order = np.argsort(r, kind="stable")
+        r = r[order]
+        new = np.empty(r.size, dtype=bool)
+        new[0] = True
+        np.not_equal(r[1:], r[:-1], out=new[1:])
+        self.y = r[new]
         del r
+        index = np.cumsum(new)
+        index -= 1
+        self.radius = np.empty_like(index)
+        self.radius[order] = index
+        del order, index, new
         self.seed = np.exp(-self.y / 2.0)
         # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
         # seed.  Those radii take it in log form, -y/2 + (d/2) ln y - lgamma(d+1)/2,
@@ -215,13 +243,17 @@ class _WignerKernel:
         # and the imaginary part of the couplings
         self.buffers = [np.empty_like(self.y) for _ in range(7)]
 
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """W[ix, ip] of the normalized state with Fock amplitudes ``psi``."""
+    def __call__(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """W[ix, ip] of the normalized state with Fock amplitudes ``psi``;
+        ``out``, a grid this kernel returned, is overwritten and returned."""
         y, far, log_far, cell, phase = (self.y, self.far, self.log_far,
                                         self.cell, self.phase)
         q_seed, q_prev, q_cur, spare, term, *sums = self.buffers
         n_dim = psi.size
-        total = np.zeros(cell.size)
+        if out is None:
+            out = np.empty(self.shape)
+        total = out.reshape(-1)     # a view: the kernel's grids are contiguous
+        total.fill(0.0)
         np.copyto(q_seed, self.seed)
         phase.fill(1.0)
         every = max(1, int(499 // math.log2(y[-1] + 3 * n_dim + 1)))
@@ -278,7 +310,7 @@ class _WignerKernel:
                     cell *= phase.imag if imaginary else phase.real
                 total += cell
         total *= 2.0 / math.pi
-        return total.reshape(self.shape)
+        return out
 
 
 def _wigner_values(psis, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -330,6 +362,14 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
     Each grid owns its values and stays valid after iteration; a caller that
     drops each grid before asking for the next holds one grid at a time.
     """
+    return _wigner_grids(states, spec, shared=False)
+
+
+def _wigner_grids(states, spec: WignerGridSpec | None,
+                  shared: bool) -> Iterator[WignerGrid]:
+    """`wigner_grids`; with ``shared`` every grid's values are one buffer
+    that the next grid overwrites, for a caller done with each grid before
+    it asks for the next."""
     if spec is None:
         spec = WignerGridSpec()
     states = list(states)
@@ -337,13 +377,16 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
         if abs(s.norm_squared() - 1.0) > 1e-10:
             raise ValueError("state must be normalized")
         _check_wigner_work(s.dim, spec)
-    return _wigner_each(states, spec)
+    return _wigner_each(states, spec, shared)
 
 
-def _wigner_each(states: list[FockState], spec: WignerGridSpec) -> Iterator[WignerGrid]:
+def _wigner_each(states: list[FockState], spec: WignerGridSpec,
+                 shared: bool) -> Iterator[WignerGrid]:
     kernel = _WignerKernel(spec.x_axis(), spec.p_axis())
+    values = None
     for s in states:
-        yield WignerGrid(spec, kernel(s.amplitudes), _coverage_warning(s, spec))
+        values = kernel(s.amplitudes, values if shared else None)
+        yield WignerGrid(spec, values, _coverage_warning(s, spec))
 
 
 def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:

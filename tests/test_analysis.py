@@ -10,7 +10,8 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from photon_catalysis.analysis import (DomainError, VACUUM_VARIANCE,
-                                       WignerGridSpec, _wigner_values, g2,
+                                       WignerGridSpec, _WignerKernel,
+                                       _wigner_values, g2,
                                        locus_alpha_max,
                                        locus_alpha_min, quadrature_variances,
                                        variance_p_analytic,
@@ -219,7 +220,7 @@ def _assert_near_oracle(got: np.ndarray, want: np.ndarray):
 
 
 class TestWignerKernel:
-    """The block kernel reproduces the one-state recurrence to 4e-15."""
+    """The kernel reproduces the one-state recurrence to 4e-15."""
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 40),
@@ -236,7 +237,8 @@ class TestWignerKernel:
         _assert_near_oracle(wigner(state, spec).values, want)
 
     def test_mixed_dim_blocks_equal_one_at_a_time(self):
-        """Six states in blocks of four and two, padded to the longest."""
+        """Seven states of different dims from one `wigner_grids` call, each
+        bitwise its own `wigner` grid."""
         states = [_random_state(i, dim, i % 2 == 1)
                   for i, dim in enumerate((3, 17, 1, 25, 9, 12))]
         states.append(make_coherent(2.5, dim=40))
@@ -268,7 +270,7 @@ class TestWignerKernel:
 
     @pytest.mark.parametrize("bounds", [
         (math.nan, 5.0), (-math.inf, math.inf), (-5.0, math.nan),
-        (-1e308, 1e308), (-1e200, 1e200)])
+        (-1e308, 1e308), (-1e200, 1e200), (-1e76, 1e76), (-2e9, 2e9)])
     def test_grid_bounds_must_be_finite(self, bounds):
         lo, hi = bounds
         with pytest.raises(ValueError, match="--grid"):
@@ -417,7 +419,8 @@ class TestWignerDistinctRadii:
         _assert_near_oracle(wigner(state, spec).values, want)
 
     def test_mixed_dim_blocks(self):
-        """Nine states of dim 1..40, real and complex, in blocks of 4, 4, 1."""
+        """Nine states of dim 1..40, real and complex, from one
+        `wigner_grids` call on one grid geometry."""
         rng = np.random.default_rng(17)
         states = [_random_state(i, int(rng.integers(1, 41)), i % 3 == 0)
                   for i in range(9)]
@@ -434,6 +437,29 @@ class TestWignerDistinctRadii:
         want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
                                        spec.p_axis())
         _assert_near_oracle(wigner(state, spec).values, want)
+
+    @pytest.mark.parametrize("bounds, nx, n_p", [
+        ((-5.0, 5.0, -5.0, 5.0), 201, 201),         # the default grid
+        ((-5.79, 5.79, -5.79, 5.79), 201, 201),
+        ((-2.0, 3.5, -1.25, 4.0), 37, 52),          # rectangular, asymmetric
+        ((-4.0, 4.0, -4.0, 4.0), 40, 40),           # even n: no origin cell
+        ((-4.0, 4.0, -4.0, 4.0), 41, 41),           # odd n: y = 0 at the origin
+        ((-28.5, 28.5, -28.5, 28.5), 57, 57),       # far radii, y up to 6,272
+    ])
+    def test_geometry_is_np_unique_bit_for_bit(self, bounds, nx, n_p):
+        """The kernel's distinct radii and each cell's index into them are
+        np.unique(r, return_inverse=True)'s, in dtype and in every bit."""
+        spec = WignerGridSpec(*bounds, nx=nx, np=n_p)
+        xs, ps = spec.x_axis(), spec.p_axis()
+        kernel = _WignerKernel(xs, ps)
+        gamma = (xs[:, None] + 1j * ps[None, :]).ravel()
+        gamma *= 2.0
+        r = np.abs(gamma)
+        r *= r
+        y, index = np.unique(r, return_inverse=True)
+        assert kernel.y.dtype == y.dtype and kernel.radius.dtype == index.dtype
+        assert np.array_equal(_bits(kernel.y), _bits(y))
+        assert np.array_equal(kernel.radius, index)
 
 
 class TestWignerMemory:

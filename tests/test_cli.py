@@ -346,7 +346,7 @@ class TestTopLevel:
 
 
 class TestWignerBytes:
-    """README Wigner commands and a padded-block wigner_min sweep.  The PGM
+    """README Wigner commands and a wigner_min sweep over k = 1..3.  The PGM
     and the sweep keep the hashes of the per-cell recurrence.  The CSV was
     re-hashed when the sums moved onto the grid's distinct radii: 11,257 of
     its 40,401 cells print differently, each by at most 1e-16, all of them
@@ -531,7 +531,8 @@ class TestInputGates:
                               "--out", str(out))
         assert code == 0 and stderr == ""
 
-    @pytest.mark.parametrize("grid", ["nan:5:21", "-inf:inf:21", "-5:nan:21"])
+    @pytest.mark.parametrize("grid", ["nan:5:21", "-inf:inf:21", "-5:nan:21",
+                                      "-1e76:1e76:3"])
     def test_wigner_rejects_non_finite_grid(self, tmp_path, capsys, grid):
         """Each used to exit 0 with integral = nan and a CSV of nan."""
         out = tmp_path / "w.csv"

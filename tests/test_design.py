@@ -23,6 +23,7 @@ from photon_catalysis.design import (Axis, DesignProblem, SweepSpec, METRICS,
 from photon_catalysis.fock import (UndefinedQuantityError, fidelity,
                                    make_fock, number_distribution)
 from _mp_state import state_mp
+from _traced_peak import traced_peak
 
 
 class TestAxes:
@@ -224,7 +225,8 @@ class TestSweepMatchesOracle:
 
 class TestWignerMinBlocks:
     def test_alpha_by_k_sweep_equals_per_point_wigner(self):
-        """Nine points in blocks of 4, 4 and 1 whose states differ in dim."""
+        """Nine points whose states differ in dim, each the minimum of its
+        own `wigner` grid."""
         spec = SweepSpec((Axis("alpha", 0.5, 3.5, 3), Axis("k", 1, 3, 3)),
                          "wigner_min", r2=0.4)
         warnings = []
@@ -239,6 +241,18 @@ class TestWignerMinBlocks:
                 want_rows.append((alpha, k, wigner_negativity(grid)[0], prob))
         assert rows == want_rows
         assert warnings == want_warnings and warnings
+
+    def test_sweep_peaks_at_one_grid(self):
+        """Every point's grid is evaluated into one buffer, so an 8-point
+        sweep's traced peak is one grid's plus at most 64 KiB (3.21 MB
+        against 2.88 MB when each point's grid had an array of its own)."""
+        spec = SweepSpec((Axis("r2", 0.1, 0.9, 8),), "wigner_min", alpha=2.7,
+                         k=2)
+        state, _ = pcoc_state(CatalysisConfig(2.7, BeamSplitter(0.1), 2))
+        sweep(spec)
+        one = traced_peak(lambda: wigner(state))
+        eight = traced_peak(lambda: sweep(spec))
+        assert eight <= one + 64 * 1024
 
     def test_first_failing_point_raises(self):
         """States are built in row order before any grid, so the error is
