@@ -199,8 +199,8 @@ class _WignerKernel:
     kernel holds u and the phase (complex, 32 B together), the radius index
     (8 B) and the cell buffer (8 B), and a call adds its output (8 B); the
     recurrence buffers are per distinct radius.  Each call returns an array
-    of its own unless given ``out``, so a caller that drops one grid before
-    asking for the next holds one grid's working set.
+    of its own, so a caller that drops one grid before asking for the next
+    holds one grid's working set.
     """
 
     def __init__(self, xs: np.ndarray, ps: np.ndarray):
@@ -243,17 +243,13 @@ class _WignerKernel:
         # and the imaginary part of the couplings
         self.buffers = [np.empty_like(self.y) for _ in range(7)]
 
-    def __call__(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """W[ix, ip] of the normalized state with Fock amplitudes ``psi``;
-        ``out``, a grid this kernel returned, is overwritten and returned."""
+    def __call__(self, psi: np.ndarray) -> np.ndarray:
+        """W[ix, ip] of the normalized state with Fock amplitudes ``psi``."""
         y, far, log_far, cell, phase = (self.y, self.far, self.log_far,
                                         self.cell, self.phase)
         q_seed, q_prev, q_cur, spare, term, *sums = self.buffers
         n_dim = psi.size
-        if out is None:
-            out = np.empty(self.shape)
-        total = out.reshape(-1)     # a view: the kernel's grids are contiguous
-        total.fill(0.0)
+        total = np.zeros(cell.size)
         np.copyto(q_seed, self.seed)
         phase.fill(1.0)
         every = max(1, int(499 // math.log2(y[-1] + 3 * n_dim + 1)))
@@ -310,7 +306,7 @@ class _WignerKernel:
                     cell *= phase.imag if imaginary else phase.real
                 total += cell
         total *= 2.0 / math.pi
-        return out
+        return total.reshape(self.shape)
 
 
 def _wigner_values(psis, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -362,14 +358,6 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
     Each grid owns its values and stays valid after iteration; a caller that
     drops each grid before asking for the next holds one grid at a time.
     """
-    return _wigner_grids(states, spec, shared=False)
-
-
-def _wigner_grids(states, spec: WignerGridSpec | None,
-                  shared: bool) -> Iterator[WignerGrid]:
-    """`wigner_grids`; with ``shared`` every grid's values are one buffer
-    that the next grid overwrites, for a caller done with each grid before
-    it asks for the next."""
     if spec is None:
         spec = WignerGridSpec()
     states = list(states)
@@ -377,16 +365,13 @@ def _wigner_grids(states, spec: WignerGridSpec | None,
         if abs(s.norm_squared() - 1.0) > 1e-10:
             raise ValueError("state must be normalized")
         _check_wigner_work(s.dim, spec)
-    return _wigner_each(states, spec, shared)
+    return _wigner_each(states, spec)
 
 
-def _wigner_each(states: list[FockState], spec: WignerGridSpec,
-                 shared: bool) -> Iterator[WignerGrid]:
+def _wigner_each(states: list[FockState], spec: WignerGridSpec) -> Iterator[WignerGrid]:
     kernel = _WignerKernel(spec.x_axis(), spec.p_axis())
-    values = None
     for s in states:
-        values = kernel(s.amplitudes, values if shared else None)
-        yield WignerGrid(spec, values, _coverage_warning(s, spec))
+        yield WignerGrid(spec, kernel(s.amplitudes), _coverage_warning(s, spec))
 
 
 def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:

@@ -131,8 +131,8 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
 
     ``warn``, if given, is called with each Wigner coverage warning.  The
     wigner_min metric builds every point's state first, in row order, and
-    then evaluates their Wigner grids one at a time on one grid geometry,
-    each into the buffer of the one before once its minimum is taken."""
+    then takes their Wigner grids from one `wigner_grids` call, one grid at a
+    time: each is dropped before the next is computed."""
     names = [a.name for a in spec.axes]
     combos = list(itertools.product(*(a.values() for a in spec.axes)))
     points = [dict(zip(names, combo)) for combo in combos]
@@ -147,7 +147,7 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
                                     params.get("r2", spec.r2),
                                     params.get("k", spec.k), target)
                 for combo, params in zip(combos, points)]
-    from .analysis import _wigner_grids
+    from .analysis import wigner_grids
     from .catalysis import pcoc_state
 
     states, probs = [], []
@@ -157,12 +157,16 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
         state, prob = pcoc_state(cfg)
         states.append(state)
         probs.append(prob)
+    # next() rather than zip: zip's reused result tuple would keep each grid
+    # alive while the generator computes the next one
+    grids = wigner_grids(states)
     rows = []
-    for combo, prob, grid in zip(combos, probs,
-                                 _wigner_grids(states, None, shared=True)):
+    for combo, prob in zip(combos, probs):
+        grid = next(grids)
         if warn and grid.coverage_warning:
             warn(grid.coverage_warning)
         rows.append(combo + (float(grid.values.min()), prob))
+        del grid
     return rows
 
 

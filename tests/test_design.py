@@ -243,9 +243,10 @@ class TestWignerMinBlocks:
         assert warnings == want_warnings and warnings
 
     def test_sweep_peaks_at_one_grid(self):
-        """Every point's grid is evaluated into one buffer, so an 8-point
-        sweep's traced peak is one grid's plus at most 64 KiB (3.21 MB
-        against 2.88 MB when each point's grid had an array of its own)."""
+        """Each point's grid is dropped before the next is computed, so an
+        8-point sweep's traced peak is one grid's plus at most 64 KiB (3.21
+        MB against 2.88 MB when zip's result tuple held each grid while the
+        next was computed)."""
         spec = SweepSpec((Axis("r2", 0.1, 0.9, 8),), "wigner_min", alpha=2.7,
                          k=2)
         state, _ = pcoc_state(CatalysisConfig(2.7, BeamSplitter(0.1), 2))
