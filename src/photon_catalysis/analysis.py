@@ -12,10 +12,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import VACUUM_VARIANCE
-from .fock import (FMT9, FockState, PhotonNumberDistribution, TAIL_GATE,
-                   TruncationError, UndefinedQuantityError, factorial_moments,
-                   fmt9)
+from .core import (FMT9, TAIL_GATE, VACUUM_VARIANCE, TruncationError,
+                   UndefinedQuantityError, fmt9)
+from .fock import FockState, PhotonNumberDistribution, factorial_moments
 from .frame import _quadratures
 
 
@@ -194,13 +193,13 @@ class _WignerKernel:
     a fifth of a square grid's cells), and only u^d is applied per cell.
 
     The geometry (u, the distinct radii y and each cell's radius index) is
-    computed once, here, and only read by the calls; the phase, cell and
-    recurrence buffers are reused from call to call.  Per grid cell the
-    kernel holds u and the phase (complex, 32 B together), the radius index
-    (8 B) and the cell buffer (8 B), and a call adds its output (8 B); the
-    recurrence buffers are per distinct radius.  Each call returns an array
-    of its own, so a caller that drops one grid before asking for the next
-    holds one grid's working set.
+    computed here, once a `wigner_grids` call, and only read by the calls;
+    the phase, cell and recurrence buffers are reused from call to call.
+    Per grid cell the kernel holds u and the phase (complex, 32 B together),
+    the radius index (8 B) and the cell buffer (8 B), and a call adds its
+    output (8 B); the recurrence buffers are per distinct radius.  Each call
+    returns an array of its own, so a caller that drops one grid before
+    asking for the next holds one grid's working set.
     """
 
     def __init__(self, xs: np.ndarray, ps: np.ndarray):
@@ -309,13 +308,6 @@ class _WignerKernel:
         return total.reshape(self.shape)
 
 
-def _wigner_values(psis, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W[state, ix, ip] for a sequence of Fock-amplitude vectors, each
-    evaluated alone by one `_WignerKernel`."""
-    kernel = _WignerKernel(xs, ps)
-    return np.array([kernel(psi) for psi in psis])
-
-
 def _wigner_work(dims, spec: WignerGridSpec) -> int:
     """Recurrence cell-steps of the grids ``spec`` of states with these dims:
     nx np dim (dim + 1) / 2 a state, one step a cell and pair n <= m."""
@@ -353,9 +345,9 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
     """Wigner functions of normalized states on one grid, yielded in order.
 
     Every state is checked (normalization, work budget) before anything is
-    allocated; then each grid is evaluated when it is asked for, alone, on
-    the grid geometry that one `_WignerKernel` computes for the whole call.
-    Each grid owns its values and stays valid after iteration; a caller that
+    allocated; then this call builds the one `_WignerKernel` all grids
+    share, and each grid is evaluated alone, when it is asked for.  Each
+    grid owns its values and stays valid after iteration; a caller that
     drops each grid before asking for the next holds one grid at a time.
     """
     if spec is None:
@@ -365,13 +357,9 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
         if abs(s.norm_squared() - 1.0) > 1e-10:
             raise ValueError("state must be normalized")
         _check_wigner_work(s.dim, spec)
-    return _wigner_each(states, spec)
-
-
-def _wigner_each(states: list[FockState], spec: WignerGridSpec) -> Iterator[WignerGrid]:
     kernel = _WignerKernel(spec.x_axis(), spec.p_axis())
-    for s in states:
-        yield WignerGrid(spec, kernel(s.amplitudes), _coverage_warning(s, spec))
+    return (WignerGrid(spec, kernel(s.amplitudes), _coverage_warning(s, spec))
+            for s in states)
 
 
 def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:

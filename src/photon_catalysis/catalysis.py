@@ -10,11 +10,11 @@ cancels at large n k.  Every state takes C from the three-term recurrence
 over whole rows of `core._row`, which does not, and is built by the
 standard-library heralded-state kernel `core._herald`, the one every
 optimizer probe (`design`) takes.  A one-stage state's tail_mass is its
-own, against the untruncated herald probability of `frame`.  numpy is
-imported only where arrays are built: FockState, the two-mode output
-U|alpha>|k> from the displaced frame of `frame` (two_mode_output), and the
-independent brute-force oracle (two-mode unitary from a matrix exponential,
-then projection) the closed forms are tested against; it alone needs scipy.
+own, against the untruncated herald probability of `frame`.  numpy loads
+with the module: FockState, the two-mode output U|alpha>|k> from the
+displaced frame of `frame` (two_mode_output), and the brute-force oracle
+(two-mode unitary from a matrix exponential, then projection) the closed
+forms are tested against, which alone loads scipy, at its first use.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .core import (HERALD_CUTOFF, TAIL_GATE, TruncationError,
                    UndefinedQuantityError, _check_stage, _coherent, _herald,
                    _stage_window, coherent_window)
-# The kernel's rows and window caches, also reachable from here.
-from .core import _coefficient_row, _row, _window  # noqa: F401
+from .frame import _displaced_columns, _weights, heralded_frame
 
 __all__ = [
     "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
@@ -89,16 +90,12 @@ class TwoModeState:
     """Joint pure state on two truncated modes, amplitudes indexed (n_a, n_b)."""
 
     def __init__(self, amplitudes):
-        import numpy as np
-
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.ndim != 2:
             raise ValueError("two-mode amplitudes must be a matrix")
         self.amplitudes = amps
 
     def norm_squared(self) -> float:
-        import numpy as np
-
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
@@ -145,8 +142,6 @@ def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
     The state's tail_mass is the output's own, 1 - probability / |phi|^2
     with |phi|^2 untruncated (`frame.heralded_frame`), gated at TAIL_GATE.
     """
-    from .frame import heralded_frame
-
     stage = (cfg.bs.r2, int(cfg.k))
     raw, prob = _herald(cfg.alpha, cfg.dim, (stage,))
     tail = max(0.0, 1.0 - prob / heralded_frame(cfg.alpha, *stage)[2])
@@ -188,10 +183,6 @@ def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
     set to zero, where the frame leaves the amplitudes beyond the window or
     rounding residue.  Heralding l = k leaves C_n.
     """
-    import numpy as np
-
-    from .frame import _displaced_columns, _weights
-
     coherent_window(cfg.alpha, cfg.dim)   # refuses a tail above TAIL_GATE
     k, side, r, t = cfg.k, cfg.dim + cfg.k, cfg.bs.r, cfg.bs.t
     a = np.array(_displaced_columns(t * cfg.alpha, side, k + 1)).T * _weights(r, t, k)
@@ -214,7 +205,6 @@ def _block_unitary(r2: float, n_total: int) -> np.ndarray:
     as atan2(r, t): asin(sqrt(r2)) loses t near r2 = 1 (at r2 = 1 - 1.1e-16
     it gives t = 1.5e-8 for 1.05e-8).
     """
-    import numpy as np
     from scipy.linalg import expm
 
     if n_total == 0:
@@ -235,8 +225,6 @@ def bs_transform(s: TwoModeState, bs: BeamSplitter) -> TwoModeState:
     Any populated amplitude whose block does not fit inside both mode windows is
     a hard error: a conserved block is never silently truncated.
     """
-    import numpy as np
-
     amps = s.amplitudes
     da, db = amps.shape
     out = np.zeros_like(amps)
@@ -262,8 +250,6 @@ def herald(s: TwoModeState, herald_mode: int, k: int) -> tuple[FockState | None,
     A zero-probability outcome returns (None, 0.0) rather than raising: the
     None state is the unnormalizable-outcome flag.
     """
-    import numpy as np
-
     from .fock import FockState
 
     if herald_mode not in (0, 1):
@@ -284,8 +270,6 @@ def pcoc_oracle(cfg: CatalysisConfig) -> tuple[FockState, float]:
     Makes no use of the closed-form coefficients; this is the independent
     reference for the closed-form path.
     """
-    import numpy as np
-
     from .fock import FockState
 
     coh, _ = coherent_window(cfg.alpha, cfg.dim)

@@ -143,7 +143,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_wigner(args) -> int:
     from .analysis import _wigner_csv_rows, wigner, wigner_to_pgm
-    from .fock import fmt9
+    from .core import fmt9
 
     state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
     grid = wigner(state, _parse_grid(args.grid))

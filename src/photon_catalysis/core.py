@@ -40,11 +40,15 @@ class UndefinedQuantityError(ValueError):
 
 def _check_stage(r2: float = 0.0, k: int = 0):
     """Refuse a catalysis stage: a reflectivity r2 outside [0, 1] first, then
-    a negative catalyst photon number k.  Each caller passes what it holds."""
+    a catalyst photon number k below 0 or above _MAX_WINDOW, compared before
+    any float conversion.  Each caller passes what it holds."""
     if not 0.0 <= r2 <= 1.0:
         raise ValueError(f"r2={r2} outside [0, 1]")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k > _MAX_WINDOW:
+        raise ValueError(f"--k exceeds {_MAX_WINDOW}, the largest window side "
+                         f"dim + k")
 
 
 def _stage_window(alpha: complex, stages, dim: int | None = None) -> int:
@@ -98,6 +102,8 @@ def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
     # and default_dim overflows on it once |alpha| passes 1e154.
     if abs(alpha) > math.sqrt(_MAX_WINDOW):
         size = f"|alpha|^2 = ({abs(alpha):.6g})^2"
+    elif dim is not None and dim > _MAX_WINDOW:   # of any size, not printed
+        size = "--dim"
     else:
         dim = default_dim(alpha, k) if dim is None else dim
         if dim + k <= _MAX_WINDOW:

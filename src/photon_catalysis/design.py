@@ -17,8 +17,8 @@ from functools import lru_cache
 from operator import mul
 
 from . import METRICS
-from .core import (HERALD_CUTOFF, _check_stage, _herald, _window_dim, fmt17,
-                   scan)
+from .core import (_MAX_WINDOW, HERALD_CUTOFF, _check_stage, _herald,
+                   _window_dim, fmt17, scan)
 
 __all__ = [
     "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
@@ -88,8 +88,9 @@ class SweepSpec:
 def _check_wigner_sweep(spec: SweepSpec, points: list[dict]) -> list:
     """Each point's CatalysisConfig, or the ValueError that refused it, once
     the configs that were accepted are checked to need no more than the
-    budget of Wigner recurrence cell-steps; a refused point adds none."""
-    from .analysis import WignerGridSpec, _wigner_work
+    sweep's budget of Wigner recurrence cell-steps, and the largest no more
+    than one grid's; a refused point adds none."""
+    from .analysis import _WIGNER_BUDGET, WignerGridSpec, _wigner_work
     from .catalysis import BeamSplitter, CatalysisConfig
 
     configs = []
@@ -100,13 +101,19 @@ def _check_wigner_sweep(spec: SweepSpec, points: list[dict]) -> list:
                                            int(params.get("k", spec.k))))
         except ValueError as exc:
             configs.append(exc)
-    work = _wigner_work([c.dim for c in configs if not isinstance(c, ValueError)],
-                        WignerGridSpec())
+    dims = [c.dim for c in configs if not isinstance(c, ValueError)]
+    work = _wigner_work(dims, WignerGridSpec())
     if work > _MAX_WIGNER_WORK:
         raise ValueError(f"wigner_min sweep of {len(points)} points needs "
                          f"{work:.2e} Wigner cell-steps; the budget is "
                          f"{_MAX_WIGNER_WORK:.0e}; use fewer --axis steps or "
                          f"lower --alpha or --k")
+    top = max(dims, default=0)
+    if _wigner_work([top], WignerGridSpec()) > _WIGNER_BUDGET:
+        raise ValueError(f"wigner_min sweep point at dim {top} needs more than "
+                         f"{_WIGNER_BUDGET:.0e} Wigner cell-steps, one grid's "
+                         f"budget; lower --alpha or --k, on --axis or as the "
+                         f"base value")
     return configs
 
 
@@ -114,10 +121,10 @@ def _check_fidelity_sweep(spec: SweepSpec, points: list[dict], levels: int):
     """Refuse a fidelity_to_target sweep whose points need more than the
     budget of recurrence steps: (target levels)(k + 4) a point, k + 1
     entries per level and a displacement seed that costs about three.  A
-    point with a negative or undefined k adds none; it is refused as a
-    point."""
+    point with a k that is negative, undefined or above the largest window
+    side adds none; it is refused as a point."""
     ks = (params.get("k", spec.k) for params in points)
-    work = levels * sum(k + 4 for k in ks if k >= 0)
+    work = levels * sum(k + 4 for k in ks if 0 <= k <= _MAX_WINDOW)
     if work > _MAX_FIDELITY_WORK:
         raise ValueError(f"fidelity_to_target sweep of {len(points)} points "
                          f"needs {work:.2e} recurrence steps, (target levels)"

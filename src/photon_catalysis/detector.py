@@ -22,8 +22,8 @@ from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import add, mul
 
-from .core import (TruncationError, UndefinedQuantityError, _stage_window,
-                   coherent_window)
+from .core import (TruncationError, UndefinedQuantityError, _check_stage,
+                   _stage_window, coherent_window)
 from .frame import _displaced_columns, _weights
 
 __all__ = [
@@ -171,10 +171,12 @@ def _check_table_norm(tail: float, dim: int):
 
 def _joint_tables(alpha: float, r2s, k: int, dim: int | None,
                   cfg1: TMDConfig, cfg2: TMDConfig):
-    """Yield, for each r2 of ``r2s``, the rows of
+    """Yield, for each r2 of the sequence ``r2s``, the rows of
     joint_output_distribution(CatalysisConfig(alpha, BeamSplitter(r2), k,
     dim), cfg1, cfg2).probabilities for a real alpha >= 0, in standard-library
-    Python, with the same refusals in the same order.
+    Python, with the same refusals in the same order.  The window, its
+    coherent tail and the click columns depend on alpha, k and dim alone, so
+    a scan resolves them once, at its first r2, and then checks each r2.
 
     The amplitudes A[m][l] = sum_j w_j a_j[m] b_{k-j}[l], with a_j and b_j the
     displacement columns of D(t alpha) and D(-r alpha), are built only on the
@@ -183,10 +185,14 @@ def _joint_tables(alpha: float, r2s, k: int, dim: int | None,
     T[n][c] = 0 for c > n and the clicks past dim + k - 1, so no cell can
     come out negative, as expanding |A|^2 into cross terms could.
     """
-    cols = None
+    side = _stage_window(alpha, ((r2s[0], k),), dim) + k
+    coherent_window(alpha, side - k)   # refuses a tail above TAIL_GATE
+    # T[c..][c], the click columns below c = side
+    cols = [[col[c:] for c, col in
+             enumerate(islice(zip(*_click_chain(side - 1, cfg)), side))]
+            for cfg in (cfg1, cfg2)]
     for r2 in r2s:
-        side = _stage_window(alpha, ((r2, k),), dim) + k
-        coherent_window(alpha, side - k)   # refuses a tail above TAIL_GATE
+        _check_stage(r2)
         r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
         a = [[z.real * w for z in col] for col, w in
              zip(_displaced_columns(t * alpha, side, k + 1), _weights(r, t, k))]
@@ -201,10 +207,6 @@ def _joint_tables(alpha: float, r2s, k: int, dim: int | None,
                 amps = map(add, amps, map(mul, repeat(a[j][m], n), bm[j]))
             q.append([0.0] * lo + [x * x for x in amps])
         _check_table_norm(1.0 - math.fsum(chain.from_iterable(q)), side - k)
-        if cols is None:   # T[c..][c], the click columns below c = side
-            cols = [[col[c:] for c, col in
-                     enumerate(islice(zip(*_click_chain(side - 1, cfg)), side))]
-                    for cfg in (cfg1, cfg2)]
         # R[m][c] = sum_l q[m][l] T2[l][c], column by column, 0 past m = side - c
         r_cols = [[sum(map(mul, q_m[c:], col), 0.0) for q_m in islice(q, side - c)]
                   for c, col in enumerate(cols[1])]

@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from . import core
-from .core import (FMT9, TAIL_GATE, TruncationError, UndefinedQuantityError,
-                   _parse_state, default_dim, fmt9, fmt17)
+from .core import (TAIL_GATE, TruncationError, UndefinedQuantityError,
+                   _parse_state, default_dim, fmt17)
 
 
 class FockState:

@@ -10,8 +10,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from photon_catalysis.analysis import (DomainError, VACUUM_VARIANCE,
-                                       WignerGridSpec, _WignerKernel,
-                                       _wigner_values, g2,
+                                       WignerGridSpec, _WignerKernel, g2,
                                        locus_alpha_max,
                                        locus_alpha_min, quadrature_variances,
                                        variance_p_analytic,
@@ -351,7 +350,7 @@ class TestWignerAccuracy:
         W(0, 0) = (2/pi) sum_n (-1)^n |c_n|^2."""
         state = _random_state(seed, dim, complex_amps)
         axis = np.array([-0.5, 0.0, 0.5])
-        got = _wigner_values(state.amplitudes[None], axis, axis)[0, 1, 1]
+        got = _WignerKernel(axis, axis)(state.amplitudes)[1, 1]
         probs = np.abs(state.amplitudes) ** 2
         parity = probs[::2].sum() - probs[1::2].sum()
         assert abs(got - 2 / math.pi * parity) <= 1e-15
@@ -368,7 +367,7 @@ class TestWignerAccuracy:
         assert float(want[0, 0]) == pytest.approx(1.076e-2, abs=1e-5)
         assert abs(got - float(want[0, 0])) <= 1e-10
         xs, ps = np.array([18.073170731707314]), np.array([6.658536585365852])
-        got = _wigner_values(state.amplitudes[None], xs, ps)[0, 0, 0]
+        got = _WignerKernel(xs, ps)(state.amplitudes)[0, 0]
         assert abs(got - float(_wigner_extended(state.amplitudes, xs, ps)[0, 0])) <= 1e-10
         # Past |2(x + ip)|^2 = 2,790 even a seed scaled by a fixed 2^990 was
         # subnormal for small d, and the diagonals were lost where the state
@@ -377,7 +376,7 @@ class TestWignerAccuracy:
         # 2.8e-3.  Each radius now carries a scale of its own.
         state, _ = pcoc_state(CatalysisConfig(27.0, BeamSplitter(0.05), 1))
         xs, ps = np.array([27.0, 28.0]), np.array([0.0])
-        got = _wigner_values(state.amplitudes[None], xs, ps)[0, :, 0]
+        got = _WignerKernel(xs, ps)(state.amplitudes)[:, 0]
         want = _wigner_extended(state.amplitudes, xs, ps)[:, 0].astype(float)
         assert want == pytest.approx([0.2766, 2.805e-3], rel=1e-3)
         assert np.abs(got - want).max() <= 1e-10

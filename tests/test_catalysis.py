@@ -10,14 +10,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         IteratedConfig, TwoModeState, _herald,
-                                        _row, bs_transform,
+                                        bs_transform,
                                         catalysis_coefficient, herald,
                                         iterated_pcoc, oracle_discrepancy,
                                         pcoc_oracle, pcoc_state,
                                         success_probability_analytic,
                                         two_mode_output)
 from photon_catalysis import core
-from photon_catalysis.core import HERALD_CUTOFF, _stage_window
+from photon_catalysis.core import HERALD_CUTOFF, _row, _stage_window
 from photon_catalysis.frame import sweep_point
 from photon_catalysis.fock import (UndefinedQuantityError, coherent_amplitudes,
                                    fidelity)

@@ -554,6 +554,63 @@ class TestInputGates:
         assert "points; lower --grid" in stderr
         assert stdout == "" and not out.exists()
 
+    HUGE = "9" * 400
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["state", "--alpha", "1", "--r2", "0.5", "--k", HUGE], "--k"),
+        (["state", "--alpha", "1", "--r2", "0.5", "--dim", HUGE], "--dim"),
+        (["sweep", "--metric", "g2", "--axis", "r2:0.1:0.9:3", "--k", HUGE],
+         "--k"),
+        (["sweep", "--metric", "fidelity_to_target", "--axis", "r2:0.1:0.9:3",
+          "--k", HUGE], "--k"),
+        (["sweep", "--metric", "wigner_min", "--axis", "r2:0.1:0.9:3",
+          "--k", HUGE], "--k"),
+        (["wigner", "--alpha", "1", "--r2", "0.5", "--k", HUGE], "--k"),
+        (["joint", "--alpha2", "1", "--r2", "0.5", "--k", HUGE], "--k"),
+        (["optimize", "--stages", "1", "--alpha", "1", "--k", HUGE], "--k"),
+    ])
+    def test_k_or_dim_past_the_float_range_is_a_usage_error(
+            self, tmp_path, capsys, argv, flag):
+        """A 400-digit --k exited 3, "numerical gate: int too large to convert
+        to float", from default_dim's float sum or the fidelity budget's
+        message; a 400-digit --dim exited 2 printing dim + k in full."""
+        if "fidelity_to_target" in argv or argv[0] == "optimize":
+            target = tmp_path / "t.json"
+            assert main(["state", "--alpha", "1", "--r2", "0.37",
+                         "--out", str(target)]) == 0
+            capsys.readouterr()
+            argv = argv + ["--target", str(target)]
+        out = tmp_path / "o.csv"
+        if argv[0] != "optimize":
+            argv = argv + ["--out", str(out)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stderr.startswith(f"error: {flag} exceeds 1030")
+        assert len(stderr) < 200
+        assert stdout == "" and not out.exists()
+
+    def test_wigner_min_sweep_checks_each_grid_before_building(
+            self, tmp_path, capsys, monkeypatch):
+        """Within the sweep's 10^10 cell-steps (4.5e9), the dim-352 point
+        needs more than one grid's 2e9: the sweep built both states, then
+        `wigner_grids` refused it naming --dim and --grid, which sweep does
+        not have."""
+        from photon_catalysis import catalysis
+
+        def refuse(*args):
+            raise AssertionError("the sweep is refused before any state")
+
+        monkeypatch.setattr(catalysis, "pcoc_state", refuse)
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run(capsys, "sweep", "--metric", "wigner_min",
+                                   "--axis", "alpha:14:15:2", "--k", "1",
+                                   "--out", str(out))
+        assert code == 2
+        assert stderr.startswith("error: wigner_min sweep point at dim 352 ")
+        assert "--axis" in stderr and "--alpha" in stderr and "--k" in stderr
+        assert "--dim" not in stderr and "--grid" not in stderr
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--metric", "g2", "--axis", "k:0:inf:3"], "--axis k"),
         (["sweep", "--metric", "g2", "--axis", "alpha:0:inf:3"], "--axis alpha"),

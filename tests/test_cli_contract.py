@@ -3,9 +3,10 @@ exit code 0, 2 or 3 with no exception escaping `cli.main`, and what a
 successful command writes means what it says.
 
 Flags are mostly valid, sometimes not, and bounded so that no example can
-run long: |alpha| <= 4 (plus refused extremes), k <= 12, Wigner grids of at
-most 41 points a side outside `state` (plus counts of up to 200 digits, which
-are refused), scans of at most 4 steps (with ends that may be non-finite) and
+run long: |alpha| <= 4 and k <= 12 (each plus refused extremes, a --k or
+--dim of up to 400 digits among them), Wigner grids of at most 41 points a
+side outside `state` (plus counts of up to 200 digits, which are refused),
+scans of at most 4 steps (with ends that may be non-finite) and
 optimizer tolerances of at least 1e-2."""
 
 import contextlib
@@ -17,9 +18,8 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from photon_catalysis.catalysis import _row
 from photon_catalysis.cli import main
-from photon_catalysis.core import coherent_amplitudes
+from photon_catalysis.core import _row, coherent_amplitudes
 
 
 def mostly(valid, *others):
@@ -35,8 +35,9 @@ def number(lo: float, hi: float, *others: str):
 
 ALPHA = number(-4.0, 4.0, "nan", "inf", "-inf", "1e6", "40", "31")
 R2 = number(0.0, 1.0, "nan", "inf", "-0.1", "1.1", "0", "1")
-K = mostly(st.integers(0, 12), -1).map(str)
-DIM = mostly(st.none(), *range(1, 61))
+# past the largest window side, and past the float range
+K = mostly(st.integers(0, 12), -1, 1031, 10 ** 400 - 1).map(str)
+DIM = mostly(st.none(), *range(1, 61), 1031, 10 ** 400 - 1)
 
 
 def end(values):

@@ -462,7 +462,7 @@ class TestBatchedLineScan:
 
 def reference_scores(problem, coords, stage, xs):
     """(fidelity, success probability) per probe, straight from
-    `catalysis._row` and `core.coherent_window` with no cache in between, by
+    `core._row` and `core.coherent_window` with no cache in between, by
     the rule of the kernel `catalysis._herald`: the window u times each row
     in declaration order is raw, prob = fsum(raw^2) and fidelity =
     |sum conj(target) raw|^2 / prob."""
@@ -472,7 +472,7 @@ def reference_scores(problem, coords, stage, xs):
     for x in xs:
         raw = list(u)
         for s, (r2, k) in enumerate(cfg.stages):
-            row = catalysis._row(x if s == stage else r2, k, cfg.dim)
+            row = core._row(x if s == stage else r2, k, cfg.dim)
             raw = [a * c for a, c in zip(raw, row)]
         prob = math.fsum(a * a for a in raw)
         if prob < 1e-300:
@@ -515,8 +515,8 @@ class TestProbeCaches:
             bits(reference_scores(problem, coords, None, [None])[0])
 
     def test_cached_arrays_are_read_only(self):
-        row = catalysis._coefficient_row(0.3, 2, 30)
-        amps, _ = catalysis._window(1.1, 30)
+        row = core._coefficient_row(0.3, 2, 30)
+        amps, _ = core._window(1.1, 30)
         for array in (row, amps):
             assert isinstance(array, tuple)
             with pytest.raises(TypeError):
@@ -528,8 +528,8 @@ class TestProbeCaches:
         optimize_reflectivities(problem)
         for alpha in np.linspace(0.5, 2.0, 100):  # more windows than the bound
             design._fidelity_at(problem, [0.3, 0.6, float(alpha)])
-        for cache, bound in ((catalysis._coefficient_row, 1024),
-                             (catalysis._window, 64)):
+        for cache, bound in ((core._coefficient_row, 1024),
+                             (core._window, 64)):
             info = cache.cache_info()
             assert info.maxsize == bound
             assert 0 < info.currsize <= bound
@@ -550,7 +550,7 @@ class TestProbeCaches:
         for alpha in (complex(0.0, 0.8), complex(-0.0, 0.8)):
             state, _ = iterated_pcoc(IteratedConfig(alpha, ((1.0, 2),)))
             u, _ = core.coherent_window(alpha, state.dim)
-            raw = [a * c for a, c in zip(u, catalysis._row(1.0, 2, state.dim))]
+            raw = [a * c for a, c in zip(u, core._row(1.0, 2, state.dim))]
             norm = math.sqrt(math.fsum(abs(a) ** 2 for a in raw))
             want = np.array([a / norm for a in raw])
             got.append(bits(state.amplitudes.view(float)))

@@ -392,6 +392,26 @@ class TestStandardLibraryTable:
         with pytest.raises(ValueError, match=r"r2=1.5 outside \[0, 1\]"):
             next(tables)
 
+    def test_scan_resolves_its_window_once(self, monkeypatch):
+        """The window and its coherent tail depend on alpha, k and dim
+        alone; a scan ran both checks again at every r2 step."""
+        calls = []
+
+        def counted(name):
+            real = getattr(detector, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("_stage_window", "coherent_window"):
+            monkeypatch.setattr(detector, name, counted(name))
+        tables = list(detector._joint_tables(1.0, [0.1, 0.3, 0.5, 0.7, 0.9], 1,
+                                             None, TMDConfig(1.0), TMDConfig(1.0)))
+        assert len(tables) == 5
+        assert sorted(calls) == ["_stage_window", "coherent_window"]
+
 
 class TestJointPath:
     """`catalysis joint` runs one kernel per command, chosen by its work."""
