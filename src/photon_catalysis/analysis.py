@@ -41,7 +41,10 @@ _WIGNER_REACH = 2.0 ** 52
 
 class WignerGridSpec:
     """Rectangular phase-space window sampled at cell centers (midpoint
-    rule), nx by np cells."""
+    rule), nx by np cells.  The centres of an axis lo:hi of n cells are
+    c + (i - (n - 1)/2) step with c = (lo + hi)/2, the midpoints
+    lo + (i + 0.5) step to within 4 ulp of max(|lo|, |hi|); for lo = -hi,
+    c is 0.0 and the axis is exactly antisymmetric, bit for bit."""
 
     def __init__(self, x_min: float = -5.0, x_max: float = 5.0,
                  p_min: float = -5.0, p_max: float = 5.0, nx: int = 201,
@@ -69,10 +72,15 @@ class WignerGridSpec:
         return (self.p_max - self.p_min) / self.np
 
     def x_axis(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.nx) + 0.5) * self.dx
+        return _centres(self.x_min, self.x_max, self.nx, self.dx)
 
     def p_axis(self) -> np.ndarray:
-        return self.p_min + (np.arange(self.np) + 0.5) * self.dp
+        return _centres(self.p_min, self.p_max, self.np, self.dp)
+
+
+def _centres(lo: float, hi: float, n: int, step: float) -> np.ndarray:
+    """The n cell centres of the axis lo:hi (see `WignerGridSpec`)."""
+    return (lo + hi) / 2.0 + (np.arange(n) - (n - 1) / 2.0) * step
 
 
 class WignerGrid:
@@ -195,11 +203,13 @@ class _WignerKernel:
     The geometry (u, the distinct radii y and each cell's radius index) is
     computed here, once a `wigner_grids` call, and only read by the calls;
     the phase, cell and recurrence buffers are reused from call to call.
-    Per grid cell the kernel holds u and the phase (complex, 32 B together),
-    the radius index (8 B) and the cell buffer (8 B), and a call adds its
-    output (8 B); the recurrence buffers are per distinct radius.  Each call
-    returns an array of its own, so a caller that drops one grid before
-    asking for the next holds one grid's working set.
+    Per cell of xs by ps the kernel holds u and the phase (complex, 32 B
+    together), the radius index (8 B) and the cell buffer (8 B), and a call
+    adds its output (8 B); the recurrence buffers are per distinct radius.
+    For a real state on a window with p_min = -p_max, `wigner_grids` builds
+    the kernel on the columns p >= 0 only, so these count about half the
+    window's cells.  Each call returns an array of its own, so a caller that
+    drops one grid before asking for the next holds one grid's working set.
     """
 
     def __init__(self, xs: np.ndarray, ps: np.ndarray):
@@ -346,8 +356,14 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
 
     Every state is checked (normalization, work budget) before anything is
     allocated; then this call builds the one `_WignerKernel` all grids
-    share, and each grid is evaluated alone, when it is asked for.  Each
-    grid owns its values and stays valid after iteration; a caller that
+    share, and each grid is evaluated alone, when it is asked for.  When no
+    state has an imaginary amplitude and p_min = -p_max, W(x, -p) = W(x, p):
+    the kernel runs on the columns p >= 0, half the cells and half the
+    distinct radii, and each grid mirrors them onto p < 0.  The p axis is
+    then exactly antisymmetric, u(x, -p) = conj u(x, p) bit for bit, and
+    both halves share every radius, so the mirrored grid is the full-plane
+    kernel's bit for bit.  Otherwise the kernel covers the whole window.
+    Each grid owns its values and stays valid after iteration; a caller that
     drops each grid before asking for the next holds one grid at a time.
     """
     if spec is None:
@@ -357,9 +373,23 @@ def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerG
         if abs(s.norm_squared() - 1.0) > 1e-10:
             raise ValueError("state must be normalized")
         _check_wigner_work(s.dim, spec)
-    kernel = _WignerKernel(spec.x_axis(), spec.p_axis())
-    return (WignerGrid(spec, kernel(s.amplitudes), _coverage_warning(s, spec))
-            for s in states)
+    # the columns p < 0 each grid mirrors, none on the full plane
+    real = not any(np.imag(s.amplitudes).any() for s in states)
+    half = spec.np // 2 if real and spec.p_min == -spec.p_max else 0
+    kernel = _WignerKernel(spec.x_axis(), spec.p_axis()[half:])
+    return (WignerGrid(spec, _mirrored(kernel(s.amplitudes), half),
+                       _coverage_warning(s, spec)) for s in states)
+
+
+def _mirrored(upper: np.ndarray, half: int) -> np.ndarray:
+    """The grid whose columns from ``half`` on are ``upper`` and whose first
+    ``half`` columns mirror them, W(x, -p) = W(x, p); ``upper`` for 0."""
+    if not half:
+        return upper
+    full = np.empty((upper.shape[0], half + upper.shape[1]))
+    full[:, half:] = upper
+    full[:, :half] = upper[:, ::-1][:, :half]
+    return full
 
 
 def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:

@@ -104,6 +104,8 @@ def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
         size = f"|alpha|^2 = ({abs(alpha):.6g})^2"
     elif dim is not None and dim > _MAX_WINDOW:   # of any size, not printed
         size = "--dim"
+    elif dim is not None and dim < 1:
+        raise ValueError("--dim must be at least 1")
     else:
         dim = default_dim(alpha, k) if dim is None else dim
         if dim + k <= _MAX_WINDOW:

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
@@ -461,7 +461,109 @@ class TestWignerDistinctRadii:
         assert np.array_equal(kernel.radius, index)
 
 
+class TestWignerHalfPlane:
+    """A real state on a grid with p_min = -p_max is computed on the columns
+    p >= 0 and mirrored, bit for bit the full-plane kernel's grid; any other
+    state or grid takes the full plane."""
+
+    @staticmethod
+    def _kernel_columns(monkeypatch) -> list:
+        """The p-axis size of every kernel `wigner_grids` builds."""
+        from photon_catalysis import analysis
+
+        columns, kernel = [], analysis._WignerKernel
+
+        def counted(xs, ps):
+            columns.append(ps.size)
+            return kernel(xs, ps)
+
+        monkeypatch.setattr(analysis, "_WignerKernel", counted)
+        return columns
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 40),
+           nx=st.integers(2, 24), n_p=st.integers(2, 24),
+           x_bounds=st.tuples(st.floats(0.5, 6.0), st.floats(0.5, 6.0)),
+           p_extent=st.floats(0.5, 6.0))
+    @example(seed=5, dim=40, nx=21, n_p=21, x_bounds=(5.0, 5.0), p_extent=5.0)
+    @example(seed=6, dim=30, nx=20, n_p=13, x_bounds=(4.0, 4.0), p_extent=4.0)
+    def test_real_state_equals_the_full_plane(self, seed, dim, nx, n_p,
+                                              x_bounds, p_extent):
+        state = _random_state(seed, dim, False)
+        spec = WignerGridSpec(-x_bounds[0], x_bounds[1], -p_extent, p_extent,
+                              nx=nx, np=n_p)
+        [grid] = wigner_grids([state], spec)
+        full = _WignerKernel(spec.x_axis(), spec.p_axis())(state.amplitudes)
+        assert np.array_equal(_bits(grid.values), _bits(full))
+
+    @pytest.mark.parametrize("alpha, extent, n", [(19.0, 21.0, 21),
+                                                  (27.0, 28.5, 57)])
+    def test_far_radii_equal_the_full_plane(self, monkeypatch, alpha, extent,
+                                            n):
+        """The log-form seeds and the 2^-512 rescales run on the same
+        distinct radii on either half."""
+        state, _ = pcoc_state(CatalysisConfig(alpha, BeamSplitter(0.05), 1))
+        spec = WignerGridSpec(-extent, extent, -extent, extent, n, n)
+        columns = self._kernel_columns(monkeypatch)
+        got = wigner(state, spec).values
+        assert columns == [n - n // 2]
+        full = _WignerKernel(spec.x_axis(), spec.p_axis())(state.amplitudes)
+        assert np.array_equal(_bits(got), _bits(full))
+
+    @pytest.mark.parametrize("complex_amps, bounds", [
+        (True, (-4.0, 4.0, -4.0, 4.0)),
+        (False, (-4.0, 4.0, -3.5, 4.0)),
+        (False, (-4.0, 4.0, -4.0, 3.0)),
+    ])
+    def test_other_states_and_grids_take_the_full_plane(
+            self, monkeypatch, complex_amps, bounds):
+        state = _random_state(11, 30, complex_amps)
+        spec = WignerGridSpec(*bounds, nx=31, np=30)
+        columns = self._kernel_columns(monkeypatch)
+        got = wigner(state, spec).values
+        assert columns == [30]
+        want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
+                                       spec.p_axis())
+        _assert_near_oracle(got, want)
+
+    def test_one_complex_state_takes_every_grid_to_the_full_plane(
+            self, monkeypatch):
+        states = [_random_state(i, 20, i == 2) for i in range(4)]
+        spec = WignerGridSpec(nx=21, np=21)
+        columns = self._kernel_columns(monkeypatch)
+        for state, grid in zip(states, wigner_grids(states, spec)):
+            want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
+                                           spec.p_axis())
+            _assert_near_oracle(grid.values, want)
+        assert columns == [21]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
+           n=st.integers(2, 500), symmetric=st.booleans())
+    @example(lo=-5.0, width=10.0, n=201, symmetric=True)
+    @example(lo=-5.0, width=10.0, n=200, symmetric=True)
+    def test_centres(self, lo, width, n, symmetric):
+        """Symmetric bounds give an exactly antisymmetric axis; any bounds
+        give centres within 4 ulp of x_min + (i + 0.5) dx."""
+        hi = -lo if symmetric else lo + width
+        assume(hi - lo >= 1e-6)     # a subnormal step loses its digits
+        spec = WignerGridSpec(lo, hi, lo, hi, nx=n, np=n)
+        xs, ps = spec.x_axis(), spec.p_axis()
+        if symmetric:
+            assert np.array_equal(ps, -ps[::-1])
+        old = lo + (np.arange(n) + 0.5) * spec.dx
+        assert np.abs(xs - old).max() <= 4 * np.spacing(max(abs(lo), abs(hi)))
+
+
 class TestWignerMemory:
+    def test_real_state_grid_peak(self):
+        """A real state's 201^2 grid runs the kernel on its 20,301 cells
+        p >= 0 and mirrors them: a traced peak below 2.0 MB (2,883,350 B on
+        the full plane)."""
+        state, _ = pcoc_state(CatalysisConfig(2.7, BeamSplitter(0.5), 2))
+        wigner(state)
+        assert traced_peak(lambda: wigner(state)) <= 2_000_000
+
     def test_eight_grids_peak_near_one(self):
         """Each grid is computed alone on one shared geometry, so keeping
         the minimum of eight grids of one call holds about one grid's

@@ -354,13 +354,16 @@ class TestWignerBytes:
     rows moved from the binomial sum to the recurrence: 10,971 cells, each
     by at most 1e-16, all below 2.8e-8 in magnitude; and again when the
     heralded states moved to the standard-library kernel: 10,880 cells,
-    each by at most 1e-16, all below 2.8e-8 in magnitude."""
+    each by at most 1e-16, all below 2.8e-8 in magnitude; and again when
+    the cell centres became exactly symmetric and real states moved to the
+    half plane p >= 0: 11,080 cells, each by at most 1e-16, all below 2.8e-8
+    in magnitude, with no x or p cell changed."""
 
     @pytest.mark.parametrize("entry", ["main", "process"])
     @pytest.mark.parametrize("argv, digest", [
         (["wigner", "--alpha", "1", "--r2", "0.332", "--grid", "201",
           "--format", "csv"],
-         "ea15f4df5bba1a72fcfeab595e58fd61ee498f662626b38e2d7fb11530bd1896"),
+         "3f365b4c4b32294b7847681799df5914356b9ccada44a1cd74306badf2815088"),
         (["wigner", "--alpha", "2", "--r2", "0.5", "--k", "2", "--grid=-5:5:201",
           "--format", "pgm"],
          "0e071d1a50bd2be098310819e746beba97c67a7573917de411ef42a8f658736a"),
@@ -587,6 +590,21 @@ class TestInputGates:
         assert code == 2
         assert stderr.startswith(f"error: {flag} exceeds 1030")
         assert len(stderr) < 200
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "--alpha", "1", "--r2", "0.5", "--dim=-" + "9" * 26],
+        ["state", "--alpha", "1", "--r2", "0.5", "--dim", "0"],
+        ["wigner", "--alpha", "1", "--r2", "0.5", "--dim=-5"],
+        ["joint", "--alpha2", "1", "--r2", "0.5", "--dim=-5"],
+    ])
+    def test_dim_below_one_is_refused_naming_it(self, tmp_path, capsys, argv):
+        """A --dim below 1 was refused as "k=1 must be below dim=-99...9",
+        printing every digit and naming no flag."""
+        out = tmp_path / "o.csv"
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stderr == "error: --dim must be at least 1\n"
         assert stdout == "" and not out.exists()
 
     def test_wigner_min_sweep_checks_each_grid_before_building(

@@ -48,6 +48,11 @@ def end(values):
 
 # a grid point count past every budget, up to a 200-digit one
 HUGE = st.integers(4, 200).map(lambda digits: "9" * digits)
+# an extent spec lo:hi:n, mostly -E:E (a real state's half plane p >= 0),
+# else asymmetric (the full plane), with odd or even n
+EXTENT = st.tuples(st.floats(0.5, 6.0), st.floats(0.5, 6.0),
+                   mostly(st.just(True), False), st.integers(2, 41)).map(
+    lambda t: f"{-t[0]!r}:{t[0] if t[2] else t[1]!r}:{t[3]}")
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +148,15 @@ class TestContract:
            grid=st.one_of(
                mostly(st.integers(2, 41).map(str), "1", "-4:4:25", "4:-4:25",
                       "-30:30:9", "nan:1:5", "0:0:3", "1001"),
-               HUGE, HUGE.map(lambda n: "-5:5:" + n)),
+               EXTENT, HUGE, HUGE.map(lambda n: "-5:5:" + n)),
            fmt=st.sampled_from(["csv", "pgm"]))
     @example(alpha="1", r2="0.3", k="1", dim=None, grid="1" + "0" * 180,
+             fmt="csv")
+    @example(alpha="2", r2="0.5", k="2", dim=None, grid="-4.5:4.5:20",
+             fmt="csv")
+    @example(alpha="2", r2="0.5", k="2", dim=None, grid="-4.5:4.5:21",
+             fmt="pgm")
+    @example(alpha="2", r2="0.5", k="2", dim=None, grid="-3.0:5.5:21",
              fmt="csv")
     def test_wigner(self, workdir, alpha, r2, k, dim, grid, fmt):
         """A grid past the point budget, of any size, is a usage error once

@@ -167,7 +167,9 @@ class TestSweep:
         recurrence: 10 of the 14 wigner_min and success_prob values moved,
         each by at most 1.1e-16.  Re-hashed again when the heralded states
         moved to the standard-library kernel: 9 of the 14 (5 wigner_min, 4
-        success_prob), each by at most 1.1e-16."""
+        success_prob), each by at most 1.1e-16; and again when the cell
+        centres became exactly symmetric and real states moved to the half
+        plane p >= 0: 6 of the 14 (all wigner_min), each by at most 2.8e-16."""
         spec = SweepSpec((Axis("alpha", 0.5, 2.5, 7),), "wigner_min", k=2)
         calls = []
         window_dim = core._window_dim
@@ -180,7 +182,7 @@ class TestSweep:
         rows = sweep(spec)
         assert len(calls) == 7
         assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == \
-            "847292150dc583c3a0e81cf1d64f1a5ca08d0ec25613c145324bce532873e7a0"
+            "0dc7e8e10807b331b0a6bb2c78ac7145b371a800463c591782ee574c3773b869"
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         spec = SweepSpec((Axis("r2", 0.1, 0.9, 7),), "g2")
