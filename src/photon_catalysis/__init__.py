@@ -26,8 +26,8 @@ _EXPORTS = {
     "analysis": ("DomainError", "PoleError", "QuadratureStats", "WignerGrid",
                  "WignerGridSpec", "g2", "locus_alpha_max", "locus_alpha_min",
                  "quadrature_variances", "variance_p_analytic",
-                 "variance_x_analytic", "wigner", "wigner_grids",
-                 "wigner_negativity", "wigner_to_csv", "wigner_to_pgm"),
+                 "variance_x_analytic", "wigner", "wigner_negativity",
+                 "wigner_to_csv", "wigner_to_pgm"),
     "detector": ("ClickDistribution", "JointClickDistribution", "LossChannel",
                  "TMDConfig", "apply_loss", "g2_from_clicks",
                  "joint_output_distribution", "tmd_click_distribution"),

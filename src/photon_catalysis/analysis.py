@@ -201,15 +201,12 @@ class _WignerKernel:
     a fifth of a square grid's cells), and only u^d is applied per cell.
 
     The geometry (u, the distinct radii y and each cell's radius index) is
-    computed here, once a `wigner_grids` call, and only read by the calls;
-    the phase, cell and recurrence buffers are reused from call to call.
-    Per cell of xs by ps the kernel holds u and the phase (complex, 32 B
-    together), the radius index (8 B) and the cell buffer (8 B), and a call
-    adds its output (8 B); the recurrence buffers are per distinct radius.
-    For a real state on a window with p_min = -p_max, `wigner_grids` builds
-    the kernel on the columns p >= 0 only, so these count about half the
-    window's cells.  Each call returns an array of its own, so a caller that
-    drops one grid before asking for the next holds one grid's working set.
+    computed here and only read by a call.  Per cell of xs by ps the kernel
+    holds u and the phase (complex, 32 B together), the radius index (8 B)
+    and the cell buffer (8 B), and a call adds its output (8 B); the
+    recurrence buffers are per distinct radius.  For a real state on a
+    window with p_min = -p_max, `wigner` builds the kernel on the columns
+    p >= 0 only, so these count about half the window's cells.
     """
 
     def __init__(self, xs: np.ndarray, ps: np.ndarray):
@@ -351,36 +348,6 @@ def _coverage_warning(s: FockState, spec: WignerGridSpec) -> str | None:
     return None
 
 
-def wigner_grids(states, spec: WignerGridSpec | None = None) -> Iterator[WignerGrid]:
-    """Wigner functions of normalized states on one grid, yielded in order.
-
-    Every state is checked (normalization, work budget) before anything is
-    allocated; then this call builds the one `_WignerKernel` all grids
-    share, and each grid is evaluated alone, when it is asked for.  When no
-    state has an imaginary amplitude and p_min = -p_max, W(x, -p) = W(x, p):
-    the kernel runs on the columns p >= 0, half the cells and half the
-    distinct radii, and each grid mirrors them onto p < 0.  The p axis is
-    then exactly antisymmetric, u(x, -p) = conj u(x, p) bit for bit, and
-    both halves share every radius, so the mirrored grid is the full-plane
-    kernel's bit for bit.  Otherwise the kernel covers the whole window.
-    Each grid owns its values and stays valid after iteration; a caller that
-    drops each grid before asking for the next holds one grid at a time.
-    """
-    if spec is None:
-        spec = WignerGridSpec()
-    states = list(states)
-    for s in states:
-        if abs(s.norm_squared() - 1.0) > 1e-10:
-            raise ValueError("state must be normalized")
-        _check_wigner_work(s.dim, spec)
-    # the columns p < 0 each grid mirrors, none on the full plane
-    real = not any(np.imag(s.amplitudes).any() for s in states)
-    half = spec.np // 2 if real and spec.p_min == -spec.p_max else 0
-    kernel = _WignerKernel(spec.x_axis(), spec.p_axis()[half:])
-    return (WignerGrid(spec, _mirrored(kernel(s.amplitudes), half),
-                       _coverage_warning(s, spec)) for s in states)
-
-
 def _mirrored(upper: np.ndarray, half: int) -> np.ndarray:
     """The grid whose columns from ``half`` on are ``upper`` and whose first
     ``half`` columns mirror them, W(x, -p) = W(x, p); ``upper`` for 0."""
@@ -397,11 +364,25 @@ def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:
 
     Normalized so that the vacuum gives W(0,0) = 2/pi and the full-plane
     integral is 1.  If the window covers less than 5 standard deviations of
-    the state's quadrature spread a coverage warning is recorded.  This is
-    the one-state case of `wigner_grids`.
+    the state's quadrature spread a coverage warning is recorded.  The state
+    is checked (normalization, work budget) before anything is allocated.
+    For a real state and p_min = -p_max, W(x, -p) = W(x, p): the kernel runs
+    on the columns p >= 0, half the cells and half the distinct radii, and
+    the grid mirrors them onto p < 0.  The p axis is then exactly
+    antisymmetric, u(x, -p) = conj u(x, p) bit for bit, and both halves
+    share every radius, so the mirrored grid is the full-plane kernel's bit
+    for bit.  Otherwise the kernel covers the whole window.
     """
-    [grid] = wigner_grids([s], spec)
-    return grid
+    if spec is None:
+        spec = WignerGridSpec()
+    if abs(s.norm_squared() - 1.0) > 1e-10:
+        raise ValueError("state must be normalized")
+    _check_wigner_work(s.dim, spec)
+    # the columns p < 0 the grid mirrors, none on the full plane
+    real = not np.imag(s.amplitudes).any()
+    half = spec.np // 2 if real and spec.p_min == -spec.p_max else 0
+    upper = _WignerKernel(spec.x_axis(), spec.p_axis()[half:])(s.amplitudes)
+    return WignerGrid(spec, _mirrored(upper, half), _coverage_warning(s, spec))
 
 
 def wigner_negativity(w: WignerGrid) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (HERALD_CUTOFF, TAIL_GATE, TruncationError,
-                   UndefinedQuantityError, _check_stage, _coherent, _herald,
+                   UndefinedQuantityError, _check_stage, _herald,
                    _stage_window, coherent_window)
 from .frame import _displaced_columns, _weights, heralded_frame
 
@@ -165,7 +165,7 @@ def iterated_pcoc(cfg: IteratedConfig) -> tuple[FockState, float]:
     heralds, which for a cascade factorizes through the product coefficients.
     The state's tail_mass is the coherent input's tail beyond the window.
     """
-    u, tail = _coherent(cfg.alpha, cfg.dim)
+    u, tail = coherent_window(cfg.alpha, cfg.dim)
     raw, prob = _herald(cfg.alpha, cfg.dim, cfg.stages, u)
     return _state(raw, prob, tail), prob
 

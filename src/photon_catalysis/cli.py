@@ -262,7 +262,8 @@ def cmd_optimize(args) -> int:
 
 def _read_target(path: str) -> list[complex]:
     """The amplitudes of the --target state JSON; an unreadable or malformed
-    file is a usage error naming it."""
+    file, or one whose squared amplitudes miss 1 by more than the 1e-10
+    `wigner` allows, is a usage error naming it."""
     from .core import _parse_state
 
     try:
@@ -271,7 +272,13 @@ def _read_target(path: str) -> list[complex]:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
     try:
-        return _parse_state(text)[0]
+        amplitudes = _parse_state(text)[0]
+        # abs(a) * abs(a), not abs(a) ** 2, which raises past 1e154
+        norm = math.fsum(abs(a) * abs(a) for a in amplitudes)
+        if abs(norm - 1.0) > 1e-10:
+            raise ValueError(f"amplitudes must be normalized, with squared "
+                             f"moduli summing to 1 within 1e-10, got {norm:.9g}")
+        return amplitudes
     except ValueError as exc:
         raise ValueError(f"--target {path}: {exc}") from None
 

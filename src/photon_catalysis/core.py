@@ -126,7 +126,7 @@ def coherent_amplitudes(alpha: complex, dim: int) -> list:
     return amps[:dim]
 
 
-def coherent_window(alpha: complex, dim: int) -> tuple[tuple, float]:
+def coherent_window(alpha: complex, dim: int) -> tuple[list, float]:
     """coherent_amplitudes inside the window and the Poisson tail beyond it.
 
     Raises TruncationError when the tail exceeds TAIL_GATE.
@@ -137,7 +137,7 @@ def coherent_window(alpha: complex, dim: int) -> tuple[tuple, float]:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} exceeds {TAIL_GATE:.0e} at dim={dim}; "
             f"try dim={default_dim(alpha)}")
-    return tuple(amps), tail
+    return amps, tail
 
 
 def _row(r2: float, k: int, dim: int) -> tuple[float, ...]:
@@ -169,24 +169,13 @@ def _row(r2: float, k: int, dim: int) -> tuple[float, ...]:
 _coefficient_row = lru_cache(maxsize=1024)(_row)
 
 
-_window = lru_cache(maxsize=64)(coherent_window)
-
-
-def _coherent(alpha: complex, dim: int) -> tuple[tuple, float]:
-    """coherent_window(alpha, dim), cached for a real alpha.  A complex alpha
-    skips the cache: 0.8j and -0+0.8j are one key but differ in zero signs."""
-    if isinstance(alpha, complex):
-        return coherent_window(alpha, dim)
-    return _window(alpha, dim)
-
-
 def _herald(alpha: complex, dim: int, stages, raw=None) -> tuple[list, float]:
     """(u P, |u P|^2): the window u of |alpha>, n < dim, times each stage's
     row C_n in declaration order, and its herald probability.  ``raw``, if
     given, is u times the stages before ``stages``.  Every state and every
     optimizer probe is this product, so each keeps the others' bits."""
     if raw is None:
-        raw = _coherent(alpha, dim)[0]
+        raw = coherent_window(alpha, dim)[0]
     for r2, k in stages:
         raw = list(map(mul, raw, _coefficient_row(r2, k, dim)))
     if isinstance(alpha, complex):

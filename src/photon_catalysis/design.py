@@ -137,9 +137,8 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     """Row-major table over the declared axes: (*axis values, metric, success_prob).
 
     ``warn``, if given, is called with each Wigner coverage warning.  The
-    wigner_min metric builds every point's state first, in row order, and
-    then takes their Wigner grids from one `wigner_grids` call, one grid at a
-    time: each is dropped before the next is computed."""
+    wigner_min metric takes each point in row order: it builds the state,
+    takes the minimum of its Wigner grid, and drops the grid."""
     names = [a.name for a in spec.axes]
     combos = list(itertools.product(*(a.values() for a in spec.axes)))
     points = [dict(zip(names, combo)) for combo in combos]
@@ -154,26 +153,19 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
                                     params.get("r2", spec.r2),
                                     params.get("k", spec.k), target)
                 for combo, params in zip(combos, points)]
-    from .analysis import wigner_grids
+    from .analysis import wigner
     from .catalysis import pcoc_state
 
-    states, probs = [], []
-    for cfg in _check_wigner_sweep(spec, points):
+    rows = []
+    for combo, cfg in zip(combos, _check_wigner_sweep(spec, points)):
         if isinstance(cfg, ValueError):
             raise cfg
         state, prob = pcoc_state(cfg)
-        states.append(state)
-        probs.append(prob)
-    # next() rather than zip: zip's reused result tuple would keep each grid
-    # alive while the generator computes the next one
-    grids = wigner_grids(states)
-    rows = []
-    for combo, prob in zip(combos, probs):
-        grid = next(grids)
+        grid = wigner(state)
         if warn and grid.coverage_warning:
             warn(grid.coverage_warning)
         rows.append(combo + (float(grid.values.min()), prob))
-        del grid
+        del grid    # dropped before the next grid is computed
     return rows
 
 

@@ -143,23 +143,18 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
     mode carrying the transformed coherent input, detector 2 the mode the
     catalyst was injected into.  The table holds the input window's photon
     numbers only, so it misses its norm by the coherent tail beyond --dim; a
-    miss above 1e-10 is refused as a TruncationError.
+    miss above 1e-10 is refused as a TruncationError.  `catalysis` is
+    imported here, so that importing this module loads neither it nor numpy.
     """
     import numpy as np
+
+    from .catalysis import two_mode_output
 
     q = np.abs(two_mode_output(cfg).amplitudes) ** 2
     _check_table_norm(1.0 - q.sum(), cfg.dim)
     n_max = q.shape[0] - 1
     return JointClickDistribution(
         _loss_click_matrix(n_max, cfg1).T @ q @ _loss_click_matrix(n_max, cfg2))
-
-
-def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
-    """`catalysis.two_mode_output`, imported at the first numpy-side table,
-    so that importing this module loads neither `catalysis` nor numpy."""
-    from .catalysis import two_mode_output
-
-    return two_mode_output(cfg)
 
 
 def _check_table_norm(tail: float, dim: int):

@@ -18,8 +18,12 @@ def _digits(side: int) -> int:
 def _coefficients(r2: float, k: int, dim: int) -> list:
     """C_n for n < dim as mpf, at the working precision."""
     r2m = mpmath.mpf(r2)
-    t = mpmath.sqrt(1 - r2m)
-    t_pow = [t ** e for e in range(dim + k)]
+    t2 = 1 - r2m
+    t = mpmath.sqrt(t2)
+    # t^e as (1 - r2)^(e // 2), times t for an odd e, the rule of
+    # `catalysis.catalysis_coefficient`: at r2 = 0.5, n = k = 5 the exact
+    # C_5 = 0, where t^e in powers of a rounded sqrt left a residue of 1e-36
+    t_pow = [t2 ** (e // 2) * (t if e % 2 else 1) for e in range(dim + k)]
     r2_pow = [r2m ** j for j in range(k + 1)]
     return [mpmath.fsum((-1) ** j * math.comb(n, j) * math.comb(k, j)
                         * t_pow[n + k - 2 * j] * r2_pow[j]
@@ -28,7 +32,7 @@ def _coefficients(r2: float, k: int, dim: int) -> list:
 
 
 def coefficient_row_mp(r2: float, k: int, dim: int) -> np.ndarray:
-    """`catalysis._row(r2, k, dim)`, rounded from the exact sum."""
+    """`core._row(r2, k, dim)`, rounded from the exact sum."""
     with mpmath.workdps(_digits(dim + k)):
         return np.array([float(c) for c in _coefficients(r2, k, dim)])
 

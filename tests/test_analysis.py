@@ -15,8 +15,8 @@ from photon_catalysis.analysis import (DomainError, VACUUM_VARIANCE,
                                        locus_alpha_min, quadrature_variances,
                                        variance_p_analytic,
                                        variance_x_analytic, wigner,
-                                       wigner_grids, wigner_negativity,
-                                       wigner_to_csv, wigner_to_pgm)
+                                       wigner_negativity, wigner_to_csv,
+                                       wigner_to_pgm)
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         pcoc_state,
                                         success_probability_analytic)
@@ -235,26 +235,10 @@ class TestWignerKernel:
                                        spec.p_axis())
         _assert_near_oracle(wigner(state, spec).values, want)
 
-    def test_mixed_dim_blocks_equal_one_at_a_time(self):
-        """Seven states of different dims from one `wigner_grids` call, each
-        bitwise its own `wigner` grid."""
-        states = [_random_state(i, dim, i % 2 == 1)
-                  for i, dim in enumerate((3, 17, 1, 25, 9, 12))]
-        states.append(make_coherent(2.5, dim=40))
-        spec = WignerGridSpec(x_min=-2.5, x_max=3.0, p_min=-3.5, p_max=2.0,
-                              nx=18, np=13)
-        grids = list(wigner_grids(states, spec))
-        assert len(grids) == len(states)
-        for state, grid in zip(states, grids):
-            alone = wigner(state, spec)
-            assert np.array_equal(_bits(grid.values), _bits(alone.values))
-            assert grid.coverage_warning == alone.coverage_warning
-        assert grids[-1].coverage_warning is not None
-
-    def test_every_state_checked_before_any_grid(self):
+    def test_unnormalized_state_is_refused(self):
         unnormalized = FockState(np.array([1.0, 1.0]), 0.0)
         with pytest.raises(ValueError, match="normalized"):
-            wigner_grids([make_fock(0, 3), unnormalized])
+            wigner(unnormalized)
 
     def test_work_budget_names_the_flags(self):
         """nx np dim (dim + 1) / 2 above 2e9 cell-steps is refused up front."""
@@ -418,16 +402,15 @@ class TestWignerDistinctRadii:
         _assert_near_oracle(wigner(state, spec).values, want)
 
     def test_mixed_dim_blocks(self):
-        """Nine states of dim 1..40, real and complex, from one
-        `wigner_grids` call on one grid geometry."""
+        """Nine states of dim 1..40, real and complex, on one grid."""
         rng = np.random.default_rng(17)
         states = [_random_state(i, int(rng.integers(1, 41)), i % 3 == 0)
                   for i in range(9)]
         spec = self._square(-3.7, 2.9, 30)
-        for state, grid in zip(states, wigner_grids(states, spec)):
+        for state in states:
             want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
                                            spec.p_axis())
-            _assert_near_oracle(grid.values, want)
+            _assert_near_oracle(wigner(state, spec).values, want)
 
     def test_rectangular_grid(self):
         spec = WignerGridSpec(x_min=-2.0, x_max=3.0, p_min=-2.0, p_max=3.0,
@@ -468,7 +451,7 @@ class TestWignerHalfPlane:
 
     @staticmethod
     def _kernel_columns(monkeypatch) -> list:
-        """The p-axis size of every kernel `wigner_grids` builds."""
+        """The p-axis size of every kernel `wigner` builds."""
         from photon_catalysis import analysis
 
         columns, kernel = [], analysis._WignerKernel
@@ -492,7 +475,7 @@ class TestWignerHalfPlane:
         state = _random_state(seed, dim, False)
         spec = WignerGridSpec(-x_bounds[0], x_bounds[1], -p_extent, p_extent,
                               nx=nx, np=n_p)
-        [grid] = wigner_grids([state], spec)
+        grid = wigner(state, spec)
         full = _WignerKernel(spec.x_axis(), spec.p_axis())(state.amplitudes)
         assert np.array_equal(_bits(grid.values), _bits(full))
 
@@ -526,16 +509,16 @@ class TestWignerHalfPlane:
                                        spec.p_axis())
         _assert_near_oracle(got, want)
 
-    def test_one_complex_state_takes_every_grid_to_the_full_plane(
-            self, monkeypatch):
+    def test_each_state_takes_its_own_plane(self, monkeypatch):
+        """Among four states, the complex one alone takes the full plane."""
         states = [_random_state(i, 20, i == 2) for i in range(4)]
         spec = WignerGridSpec(nx=21, np=21)
         columns = self._kernel_columns(monkeypatch)
-        for state, grid in zip(states, wigner_grids(states, spec)):
+        for state in states:
             want = wigner_values_one_state(state.amplitudes, spec.x_axis(),
                                            spec.p_axis())
-            _assert_near_oracle(grid.values, want)
-        assert columns == [21]
+            _assert_near_oracle(wigner(state, spec).values, want)
+        assert columns == [11, 11, 21, 11]
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
@@ -565,16 +548,15 @@ class TestWignerMemory:
         assert traced_peak(lambda: wigner(state)) <= 2_000_000
 
     def test_eight_grids_peak_near_one(self):
-        """Each grid is computed alone on one shared geometry, so keeping
-        the minimum of eight grids of one call holds about one grid's
-        working set: a traced peak within 1.2x one grid's (1.58x when
-        blocks of four shared a recurrence)."""
+        """Each grid is computed alone, so keeping the minimum of eight
+        grids holds about one grid's working set: a traced peak within 1.2x
+        one grid's."""
         states = [pcoc_state(CatalysisConfig(2.7, BeamSplitter(r2), 2))[0]
                   for r2 in np.linspace(0.1, 0.9, 8)]
         wigner(states[0])
         one = traced_peak(lambda: float(wigner(states[0]).values.min()))
-        eight = traced_peak(lambda: [float(grid.values.min())
-                                     for grid in wigner_grids(states)])
+        eight = traced_peak(lambda: [float(wigner(state).values.min())
+                                     for state in states])
         assert eight <= 1.2 * one
 
 

@@ -388,6 +388,7 @@ class TestLargeAlphaK:
     @example(alpha=20.0, stages=[(0.5, 60)])
     @example(alpha=20.0, stages=[(1e-12, 60), (0.8, 17)])
     @example(alpha=20.0, stages=[(1.0 - 2.0 ** -52, 60)])
+    @example(alpha=1.0, stages=[(0.5, 5), (1.0, 5)])  # C_5 = 0 exactly
     def test_states_match_high_precision_sums(self, alpha, stages):
         """pcoc_state of the first stage and iterated_pcoc of the cascade,
         on one window; a herald that cannot fire must be one whose exact

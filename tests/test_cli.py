@@ -611,8 +611,8 @@ class TestInputGates:
             self, tmp_path, capsys, monkeypatch):
         """Within the sweep's 10^10 cell-steps (4.5e9), the dim-352 point
         needs more than one grid's 2e9: the sweep built both states, then
-        `wigner_grids` refused it naming --dim and --grid, which sweep does
-        not have."""
+        the grid's own budget check refused it naming --dim and --grid,
+        which sweep does not have."""
         from photon_catalysis import catalysis
 
         def refuse(*args):
@@ -861,11 +861,18 @@ class TestInputGates:
          "must be finite numbers"),
         ('{"dim": 1, "amplitudes": [[1,0]], "tail_mass": "0"}',
          "must be finite numbers"),
+        ('{"dim": 2, "amplitudes": [[2, 0], [0, 0]], "tail_mass": 0}',
+         "amplitudes must be normalized, with squared moduli summing to 1 "
+         "within 1e-10, got 4"),
+        ('{"dim": 2, "amplitudes": [[0, 0], [0, 0]], "tail_mass": 0}',
+         "amplitudes must be normalized, with squared moduli summing to 1 "
+         "within 1e-10, got 0"),
     ])
     def test_malformed_target_names_flag_and_file(self, tmp_path, capsys,
                                                   command, text, problem):
         """Each exited 1 with a TypeError or KeyError traceback, or 2 with
-        json's bare message."""
+        json's bare message; an unnormalized target exited 0, printing
+        fidelities above 1 (up to 3.97 at alpha 0.5), or 0 for all zeros."""
         target, out = tmp_path / "t.json", tmp_path / "out"
         target.write_text(text)
         argv = (["optimize", "--stages", "1", "--k", "1", "--alpha", "1"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from photon_catalysis.analysis import g2
-from photon_catalysis import detector
+from photon_catalysis import catalysis, detector
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         TwoModeState, bs_transform, pcoc_state)
 from photon_catalysis.detector import (ClickDistribution,
@@ -238,7 +238,7 @@ class TestJointMatchesOracle:
         cfg = CatalysisConfig(1.7, BeamSplitter(r2), k)
         det1, det2 = TMDConfig(0.6), TMDConfig(0.9, 4)
         got = joint_output_distribution(cfg, det1, det2).probabilities
-        monkeypatch.setattr(detector, "two_mode_output", oracle_two_mode_output)
+        monkeypatch.setattr(catalysis, "two_mode_output", oracle_two_mode_output)
         want = joint_output_distribution(cfg, det1, det2).probabilities
         assert np.abs(got - want).max() <= 1e-12
 
