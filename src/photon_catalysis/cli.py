@@ -175,7 +175,7 @@ def _parse_r2(text: str) -> tuple[float, float, int]:
 
 
 def cmd_joint(args) -> int:
-    from .core import FMT9, _stage_window, fmt9, scan
+    from .core import FMT9, _check_stage, _stage_window, fmt9, scan
     from .detector import TMDConfig, _joint_tables
 
     if args.alpha2 < 0:  # a non-finite one is refused by the window check
@@ -205,6 +205,8 @@ def cmd_joint(args) -> int:
     # The first step's stage check has passed, so its detectors come next.
     det1, det2 = TMDConfig(args.eta1, args.bins), TMDConfig(args.eta2, args.bins)
     r2s = scan(lo, hi, steps) if steps > 1 else [lo]
+    for r2 in r2s[1:]:   # every step's r2, before either kernel builds a table
+        _check_stage(r2)
     # The stdlib kernel's multiply-adds a step: side^2 amplitudes of k + 1
     # paths, side^2 b / 2 for |A|^2 T2 and side b^2 / 2 for T1^T, b clicks.
     b = min(args.bins + 1, side)

@@ -94,8 +94,10 @@ def default_dim(alpha: complex, k: int = 0) -> int:
     return max(25, math.ceil(u + 8.0 * math.sqrt(u + 1.0) + k + 5))
 
 
-def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
-    """dim, or default_dim(alpha, k) when None, checked before anything is allocated."""
+def _window_dim(alpha: complex, dim: int | None, k: int,
+                lower: str = "--alpha/--alpha2, --k or --dim") -> int:
+    """dim, or default_dim(alpha, k) when None, checked before anything is
+    allocated; a window past _MAX_WINDOW is refused naming ``lower``."""
     if not cmath.isfinite(alpha):
         raise ValueError(f"--alpha/--alpha2 must be finite, got {alpha}")
     # A mean photon number |alpha|^2 above the largest window fits no window,
@@ -113,7 +115,7 @@ def _window_dim(alpha: complex, dim: int | None, k: int) -> int:
         size = f"dim + k = {dim + k}"
     raise ValueError(
         f"{size} exceeds {_MAX_WINDOW}, the largest window side dim + k; "
-        f"lower --alpha/--alpha2, --k or --dim")
+        f"lower {lower}")
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> list:

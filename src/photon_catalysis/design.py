@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import METRICS
-from .core import (_MAX_WINDOW, HERALD_CUTOFF, _check_stage, _herald,
+from .core import (HERALD_CUTOFF, _check_stage, _herald, _stage_window,
                    _window_dim, fmt17, scan)
 
 __all__ = [
@@ -85,46 +85,32 @@ class SweepSpec:
                              f"budget of {_MAX_POINTS}; use fewer steps")
 
 
-def _check_wigner_sweep(spec: SweepSpec, points: list[dict]) -> list:
-    """Each point's CatalysisConfig, or the ValueError that refused it, once
-    the configs that were accepted are checked to need no more than the
-    sweep's budget of Wigner recurrence cell-steps, and the largest no more
-    than one grid's; a refused point adds none."""
+def _check_wigner_sweep(dims: list[int]):
+    """Refuse a wigner_min sweep whose windows ``dims`` need more than the
+    sweep's budget of Wigner recurrence cell-steps, or whose largest needs
+    more than one grid's."""
     from .analysis import _WIGNER_BUDGET, WignerGridSpec, _wigner_work
-    from .catalysis import BeamSplitter, CatalysisConfig
 
-    configs = []
-    for params in points:
-        try:
-            configs.append(CatalysisConfig(params.get("alpha", spec.alpha),
-                                           BeamSplitter(params.get("r2", spec.r2)),
-                                           int(params.get("k", spec.k))))
-        except ValueError as exc:
-            configs.append(exc)
-    dims = [c.dim for c in configs if not isinstance(c, ValueError)]
     work = _wigner_work(dims, WignerGridSpec())
     if work > _MAX_WIGNER_WORK:
-        raise ValueError(f"wigner_min sweep of {len(points)} points needs "
+        raise ValueError(f"wigner_min sweep of {len(dims)} points needs "
                          f"{work:.2e} Wigner cell-steps; the budget is "
                          f"{_MAX_WIGNER_WORK:.0e}; use fewer --axis steps or "
                          f"lower --alpha or --k")
-    top = max(dims, default=0)
+    top = max(dims)
     if _wigner_work([top], WignerGridSpec()) > _WIGNER_BUDGET:
         raise ValueError(f"wigner_min sweep point at dim {top} needs more than "
                          f"{_WIGNER_BUDGET:.0e} Wigner cell-steps, one grid's "
                          f"budget; lower --alpha or --k, on --axis or as the "
                          f"base value")
-    return configs
 
 
-def _check_fidelity_sweep(spec: SweepSpec, points: list[dict], levels: int):
-    """Refuse a fidelity_to_target sweep whose points need more than the
-    budget of recurrence steps: (target levels)(k + 4) a point, k + 1
-    entries per level and a displacement seed that costs about three.  A
-    point with a k that is negative, undefined or above the largest window
-    side adds none; it is refused as a point."""
-    ks = (params.get("k", spec.k) for params in points)
-    work = levels * sum(k + 4 for k in ks if 0 <= k <= _MAX_WINDOW)
+def _check_fidelity_sweep(points: list[tuple], levels: int):
+    """Refuse a fidelity_to_target sweep of (alpha, r2, k) ``points``, each
+    checked, that needs more than the budget of recurrence steps: (target
+    levels)(k + 4) a point, k + 1 entries per level and a displacement seed
+    that costs about three."""
+    work = levels * sum(k + 4 for _, _, k in points)
     if work > _MAX_FIDELITY_WORK:
         raise ValueError(f"fidelity_to_target sweep of {len(points)} points "
                          f"needs {work:.2e} recurrence steps, (target levels)"
@@ -136,30 +122,34 @@ def _check_fidelity_sweep(spec: SweepSpec, points: list[dict], levels: int):
 def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     """Row-major table over the declared axes: (*axis values, metric, success_prob).
 
-    ``warn``, if given, is called with each Wigner coverage warning.  The
-    wigner_min metric takes each point in row order: it builds the state,
-    takes the minimum of its Wigner grid, and drops the grid."""
+    Every point's stage and window, then the budget, is checked before any
+    point is computed.  ``warn``, if given, is called with each Wigner
+    coverage warning.  wigner_min takes each point in row order: it builds
+    the state, takes the minimum of its Wigner grid, and drops the grid."""
     names = [a.name for a in spec.axes]
     combos = list(itertools.product(*(a.values() for a in spec.axes)))
-    points = [dict(zip(names, combo)) for combo in combos]
+    points = [(p.get("alpha", spec.alpha), p.get("r2", spec.r2),
+               p.get("k", spec.k))
+              for p in (dict(zip(names, combo)) for combo in combos)]
     if spec.metric != "wigner_min":
         from .frame import sweep_point
 
+        for alpha, r2, k in points:
+            _stage_window(alpha, ((r2, k),))
         target = spec.target
         if target is not None:
             target = [complex(a) for a in getattr(target, "amplitudes", target)]
-            _check_fidelity_sweep(spec, points, len(target))
-        return [combo + sweep_point(spec.metric, params.get("alpha", spec.alpha),
-                                    params.get("r2", spec.r2),
-                                    params.get("k", spec.k), target)
-                for combo, params in zip(combos, points)]
+            _check_fidelity_sweep(points, len(target))
+        return [combo + sweep_point(spec.metric, alpha, r2, int(k), target)
+                for combo, (alpha, r2, k) in zip(combos, points)]
     from .analysis import wigner
-    from .catalysis import pcoc_state
+    from .catalysis import BeamSplitter, CatalysisConfig, pcoc_state
 
+    configs = [CatalysisConfig(alpha, BeamSplitter(r2), int(k))
+               for alpha, r2, k in points]
+    _check_wigner_sweep([cfg.dim for cfg in configs])
     rows = []
-    for combo, cfg in zip(combos, _check_wigner_sweep(spec, points)):
-        if isinstance(cfg, ValueError):
-            raise cfg
+    for combo, cfg in zip(combos, configs):
         state, prob = pcoc_state(cfg)
         grid = wigner(state)
         if warn and grid.coverage_warning:
@@ -170,11 +160,12 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
 
 
 class DesignProblem:
-    """Find stage reflectivities, one (lo, hi) ``bounds`` pair per stage,
-    maximizing fidelity to ``target``, a FockState or a sequence of its
-    amplitudes (kept as a tuple of complex)."""
+    """Find stage reflectivities on [0, 1] maximizing fidelity to ``target``,
+    a FockState or a sequence of its amplitudes (kept as a tuple of complex).
+    The largest window a probe takes, at the largest k and at alpha or the
+    farther end of ``alpha_bounds``, is checked before the first probe."""
 
-    def __init__(self, target, stages: int, ks, alpha: float, bounds=(),
+    def __init__(self, target, stages: int, ks, alpha: float,
                  tol: float = 1e-6, alpha_bounds=None):
         if stages < 1:
             raise ValueError(f"--stages {stages} must be an integer >= 1")
@@ -188,19 +179,18 @@ class DesignProblem:
             raise ValueError(f"--k has {len(ks)} entries for --stages "
                              f"{stages}; expected K1,K2,... with one "
                              f"catalyst photon number per stage")
-        bounds = bounds or tuple((0.0, 1.0) for _ in range(stages))
-        if len(bounds) != stages:
-            raise ValueError("one bounds pair per stage required")
-        for lo, hi in bounds:
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValueError(f"stage bounds ({lo}, {hi}) invalid")
         self.ks = tuple(int(k) for k in ks)
         for k in self.ks:
             _check_stage(k=k)
         self.target = tuple(
             complex(a) for a in getattr(target, "amplitudes", target))
-        self.stages, self.alpha, self.bounds = stages, alpha, tuple(bounds)
+        self.stages, self.alpha = stages, alpha
         self.tol, self.alpha_bounds = tol, alpha_bounds
+        if alpha_bounds is None:
+            _window_dim(alpha, None, max(self.ks), "--alpha or --k")
+        else:
+            _window_dim(max(map(abs, alpha_bounds)), None, max(self.ks),
+                        "--alpha-bounds or --k")
 
 
 OptimizeResult = namedtuple("OptimizeResult", "stages alpha fidelity success_prob "
@@ -256,27 +246,21 @@ def _start_points(problem: DesignProblem) -> list[list[float]]:
         point = []
         for i in range(dims):
             frac = ((j + 0.5) / 8.0 + i * _INV_PHI) % 1.0
-            lo, hi = (problem.bounds[i] if i < problem.stages
-                      else problem.alpha_bounds)
+            lo, hi = (0.0, 1.0) if i < problem.stages else problem.alpha_bounds
             point.append(lo + frac * (hi - lo))
         starts.append(point)
     return starts
 
 
-def _fidelity_at(problem: DesignProblem, coords) -> tuple[float, float]:
-    """(fidelity, success probability) at one point; a probe whose heralds
-    cannot all fire scores (0, 0)."""
-    return _line(problem, coords, 0)(coords[0])
-
-
 def _line(problem: DesignProblem, coords, i: int):
-    """score(x): _fidelity_at with coordinate i of coords set to x, the
-    fidelity |sum conj(tau) u P|^2 / prob to the target tau of the
-    amplitudes u P and probability that `core._herald` gives the state.
-    An r2 line takes u times the stages before stage i once, and its probes
-    continue that product, so each is bitwise _fidelity_at's.  No probe
-    reads coordinate i of coords.  A line checks only its window:
-    DesignProblem checked the ks and bounds."""
+    """score(x): (fidelity, success probability) at coords with coordinate
+    i set to x, the fidelity |sum conj(tau) u P|^2 / prob to the target tau
+    of the amplitudes u P and probability that `core._herald` gives the
+    state; a probe whose heralds cannot all fire scores (0, 0).  An r2 line
+    takes u times the stages before stage i once, and its probes continue
+    that product, which keeps the whole product's bits.  No probe reads
+    coordinate i of coords.  DesignProblem checked the ks and the largest
+    window."""
     conj_target = [t.conjugate() for t in problem.target]
     stages = [(float(r2), k) for r2, k in zip(coords, problem.ks)]
     top = max(problem.ks)
@@ -301,12 +285,12 @@ def _line(problem: DesignProblem, coords, i: int):
 
 
 def _canonical(problem: DesignProblem, coords: list[float]) -> list[float]:
-    """coords with r2 ascending within each group of stages that share k and
-    bounds: the stage product commutes, so all orders of a group are one
-    answer, and the search may end on any of them."""
-    out, keys = list(coords), list(zip(problem.ks, problem.bounds))
-    for key in set(keys):
-        stages = [s for s, other in enumerate(keys) if other == key]
+    """coords with r2 ascending within each group of stages that share k: the
+    stage product commutes, so all orders of a group are one answer, and the
+    search may end on any of them."""
+    out = list(coords)
+    for k in set(problem.ks):
+        stages = [s for s, other in enumerate(problem.ks) if other == k]
         for s, r2 in zip(stages, sorted(coords[s] for s in stages)):
             out[s] = r2
     return out
@@ -341,7 +325,7 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
         return probe(i, others, x)
 
     def coord_bounds(i: int) -> tuple[float, float]:
-        return problem.bounds[i] if i < problem.stages else problem.alpha_bounds
+        return (0.0, 1.0) if i < problem.stages else problem.alpha_bounds
 
     dims = problem.stages + (1 if problem.alpha_bounds else 0)
     starts = _start_points(problem)

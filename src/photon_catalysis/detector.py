@@ -22,8 +22,8 @@ from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import add, mul
 
-from .core import (TruncationError, UndefinedQuantityError, _check_stage,
-                   _stage_window, coherent_window)
+from .core import (TruncationError, UndefinedQuantityError, _stage_window,
+                   coherent_window)
 from .frame import _displaced_columns, _weights
 
 __all__ = [
@@ -168,10 +168,10 @@ def _joint_tables(alpha: float, r2s, k: int, dim: int | None,
                   cfg1: TMDConfig, cfg2: TMDConfig):
     """Yield, for each r2 of the sequence ``r2s``, the rows of
     joint_output_distribution(CatalysisConfig(alpha, BeamSplitter(r2), k,
-    dim), cfg1, cfg2).probabilities for a real alpha >= 0, in standard-library
-    Python, with the same refusals in the same order.  The window, its
-    coherent tail and the click columns depend on alpha, k and dim alone, so
-    a scan resolves them once, at its first r2, and then checks each r2.
+    dim), cfg1, cfg2).probabilities for a real alpha >= 0 and r2s in [0, 1],
+    in standard-library Python.  The window, its coherent tail and the click
+    columns depend on alpha, k and dim alone, so a scan resolves them once,
+    at its first r2; `cli.cmd_joint` checks every r2 before the first table.
 
     The amplitudes A[m][l] = sum_j w_j a_j[m] b_{k-j}[l], with a_j and b_j the
     displacement columns of D(t alpha) and D(-r alpha), are built only on the
@@ -187,7 +187,6 @@ def _joint_tables(alpha: float, r2s, k: int, dim: int | None,
              enumerate(islice(zip(*_click_chain(side - 1, cfg)), side))]
             for cfg in (cfg1, cfg2)]
     for r2 in r2s:
-        _check_stage(r2)
         r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
         a = [[z.real * w for z in col] for col, w in
              zip(_displaced_columns(t * alpha, side, k + 1), _weights(r, t, k))]

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .core import (HERALD_CUTOFF, VACUUM_VARIANCE, UndefinedQuantityError,
-                   _stage_window)
+from .core import HERALD_CUTOFF, VACUUM_VARIANCE, UndefinedQuantityError
 
 
 def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[complex]]:
@@ -182,15 +181,11 @@ def state_metrics(alpha: complex, r2: float, k: int) -> tuple[float, float, floa
     return (prob, *_squeezing_db(phi, prob), _g2(beta, phi, prob))
 
 
-def sweep_point(metric: str, alpha: complex, r2: float, k,
+def sweep_point(metric: str, alpha: complex, r2: float, k: int,
                 target: list[complex] | None = None) -> tuple[float, float]:
     """(metric value, success probability) at one sweep point, for every
-    metric but wigner_min.
-
-    The point is refused by the stage check CatalysisConfig runs
-    (`core._stage_window`), on the default window, then by the herald."""
-    _stage_window(alpha, ((r2, k),))
-    k = int(k)
+    metric but wigner_min, refused here only by the herald: `design.sweep`
+    checks every point's stage and window first."""
     beta, phi, prob = heralded_frame(alpha, r2, k)
     if metric == "success_prob":
         value = prob

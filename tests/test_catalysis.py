@@ -18,7 +18,7 @@ from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         two_mode_output)
 from photon_catalysis import core
 from photon_catalysis.core import HERALD_CUTOFF, _row, _stage_window
-from photon_catalysis.frame import sweep_point
+from photon_catalysis.design import Axis, SweepSpec, sweep
 from photon_catalysis.fock import (UndefinedQuantityError, coherent_amplitudes,
                                    fidelity)
 from _mp_state import coefficient_row_mp, state_mp
@@ -478,8 +478,10 @@ class TestConfigValidation:
          "r2=1.5 outside [0, 1]"),
         (lambda: _stage_window(math.nan, ((0.5, -1),)), "k must be non-negative"),
         (lambda: _stage_window(1.0, ((0.5, 30),), 10), "k=30 must be below dim=10"),
-        (lambda: sweep_point("g2", 1.0, 1.5, -1), "r2=1.5 outside [0, 1]"),
-        (lambda: sweep_point("g2", 1.0, 0.5, -1.0), "k must be non-negative"),
+        (lambda: sweep(SweepSpec((Axis("k", -1, -1, 2),), "g2", r2=1.5)),
+         "r2=1.5 outside [0, 1]"),
+        (lambda: sweep(SweepSpec((Axis("k", -1, -1, 2),), "g2")),
+         "k must be non-negative"),
     ])
     def test_each_stage_check_words_and_orders_alike(self, build, message):
         """r2 is refused before k, and both before alpha and the window, in

@@ -405,6 +405,81 @@ class TestWignerCsvStream:
         assert command <= grid + 250_000
 
 
+class TestRefusedBeforeAnyWork:
+    """A scan or search with a refused point exits 2 before it builds any
+    state, grid, table or probe; each of these computed for up to 2.6 s
+    first."""
+
+    KERNELS = ("heralded_frame", "wigner", "two_mode_output",
+               "_displaced_columns", "_herald")
+
+    @classmethod
+    def count_kernel_calls(cls, monkeypatch) -> list:
+        """Wrap each kernel in every module that binds it; returns the list
+        of the names called."""
+        from photon_catalysis import (analysis, catalysis, core, design,
+                                      detector, frame)
+
+        calls = []
+        for module in (analysis, catalysis, core, design, detector, frame):
+            for name in cls.KERNELS:
+                if hasattr(module, name):
+                    def counted(*args, real=getattr(module, name), name=name,
+                                **kwargs):
+                        calls.append(name)
+                        return real(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--metric", "fidelity_to_target", "--axis",
+          "r2:0.1:1.5:9999", "--alpha", "2.7", "--k", "3"], "outside [0, 1]"),
+        (["sweep", "--metric", "wigner_min", "--axis", "r2:0.1:1.5:7",
+          "--alpha", "2.7", "--k", "3"], "outside [0, 1]"),
+        (["joint", "--alpha2", "7", "--k", "2", "--bins", "16",
+          "--r2", "0.1:1.5:6900"], "outside [0, 1]"),
+        (["joint", "--alpha2", "1", "--k", "0", "--bins", "1",
+          "--r2", "0.1:1.5:1200"], "outside [0, 1]"),
+        (["optimize", "--stages", "1", "--k", "1", "--alpha", "1",
+          "--alpha-bounds", "0.5:40"], "lower --alpha-bounds or --k"),
+    ])
+    def test_nothing_is_computed(self, tmp_path, capsys, monkeypatch, argv,
+                                 message):
+        target, out = tmp_path / "t.json", tmp_path / "o.csv"
+        assert main(["state", "--alpha", "1.35", "--r2", "0.77", "--k", "1",
+                     "--out", str(target)]) == 0
+        capsys.readouterr()
+        if "fidelity_to_target" in argv or argv[0] == "optimize":
+            argv = argv + ["--target", str(target)]
+        if argv[0] != "optimize":
+            argv = argv + ["--out", str(out)]
+        calls = self.count_kernel_calls(monkeypatch)
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, calls, stdout) == (2, [], "")
+        assert message in stderr and not out.exists()
+
+    @pytest.mark.parametrize("flags, size, lower", [
+        (["--alpha", "30"], "dim + k = 1150", "--alpha or --k"),
+        (["--alpha", "1", "--alpha-bounds", "0.5:40"], "|alpha|^2 = (40)^2",
+         "--alpha-bounds or --k"),
+        (["--alpha", "1", "--alpha-bounds=-31:2"], "dim + k = 1219",
+         "--alpha-bounds or --k"),
+    ])
+    def test_optimize_window_names_its_own_flags(self, tmp_path, capsys,
+                                                  flags, size, lower):
+        """optimize has neither --alpha2 nor --dim; its largest window, at
+        the farther end of --alpha-bounds, is refused before any probe."""
+        target = tmp_path / "t.json"
+        assert main(["state", "--alpha", "1.35", "--r2", "0.77", "--k", "1",
+                     "--out", str(target)]) == 0
+        capsys.readouterr()
+        code, stdout, stderr = run(capsys, "optimize", "--target", str(target),
+                                   "--stages", "2", "--k", "1,2", *flags)
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"error: {size} exceeds 1030, the largest window "
+                          f"side dim + k; lower {lower}\n")
+
+
 class TestInputGates:
     """Inputs that used to hang, exhaust memory or fail late exit 2 at once."""
 

@@ -278,18 +278,22 @@ class TestScanBudget:
     def test_wigner_work_boundary(self):
         """dim 25 costs 201^2 * 25 * 26 / 2 = 1.31e7 cell-steps a point, so
         761 points fit 1e10 and 762 do not."""
-        spec = SweepSpec((Axis("r2", 0.01, 0.99, 2),), "wigner_min", alpha=1.0)
-        design._check_wigner_sweep(spec, [{"r2": 0.5}] * 761)
+        design._check_wigner_sweep([25] * 761)
         with pytest.raises(ValueError, match="--axis"):
-            design._check_wigner_sweep(spec, [{"r2": 0.5}] * 762)
+            design._check_wigner_sweep([25] * 762)
 
-    def test_refused_points_add_no_work(self):
-        """A point whose config fails keeps its own error when built."""
-        spec = SweepSpec((Axis("r2", 0.5, 2.0, 2),), "wigner_min", alpha=1.0)
-        design._check_wigner_sweep(spec, [{"r2": 2.0}] * 10 ** 4)
-        with pytest.raises(ValueError, match="r2=2.0 outside"):
+    def test_refused_point_is_raised_before_any_budget_or_state(self,
+                                                                monkeypatch):
+        """10^4 points at dim 25 are over the budget; the first point past
+        r2 = 1 is refused before it, and before any state is built."""
+        def built(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(catalysis, "pcoc_state", built)
+        spec = SweepSpec((Axis("r2", 0.5, 2.0, 10 ** 4),), "wigner_min",
+                         alpha=1.0)
+        with pytest.raises(ValueError, match=r"r2=1\.000\d+ outside"):
             sweep(spec)
-
 
     def test_fidelity_work_boundary(self, monkeypatch):
         """A 1000-level target costs 1000 * (1 + 4) steps a point at k = 1,
@@ -309,13 +313,13 @@ class TestScanBudget:
 
     def test_fidelity_work_counts_each_point_k(self):
         """A k axis is costed point by point; a negative k is refused as a
-        point, not counted."""
-        spec = SweepSpec((Axis("k", -1, 6, 8),), "fidelity_to_target",
-                         target=[1.0])
-        points = [{"k": k} for k in spec.axes[0].values()]
-        design._check_fidelity_sweep(spec, points, 10 ** 7 // 49)
+        point, before the budget."""
+        points = [(1.0, 0.5, k) for k in Axis("k", 0, 6, 7).values()]
+        design._check_fidelity_sweep(points, 10 ** 7 // 49)
         with pytest.raises(ValueError, match="--axis"):
-            design._check_fidelity_sweep(spec, points, 10 ** 7 // 49 + 1)
+            design._check_fidelity_sweep(points, 10 ** 7 // 49 + 1)
+        spec = SweepSpec((Axis("k", -1, 6, 8),), "fidelity_to_target",
+                         target=[1.0] + [0.0] * (10 ** 7 // 49))
         with pytest.raises(ValueError, match="k must be non-negative"):
             sweep(spec)
 
@@ -325,18 +329,9 @@ class TestDesignProblem:
         state, _ = pcoc_state(CatalysisConfig(1.0, BeamSplitter(r2), 1))
         return state
 
-    def test_default_bounds(self):
-        p = DesignProblem(self.make_target(), stages=2, ks=(1, 1), alpha=1.0)
-        assert p.bounds == ((0.0, 1.0), (0.0, 1.0))
-
     def test_ks_length_must_match(self):
         with pytest.raises(ValueError):
             DesignProblem(self.make_target(), stages=2, ks=(1,), alpha=1.0)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            DesignProblem(self.make_target(), stages=1, ks=(1,), alpha=1.0,
-                          bounds=((0.8, 0.2),))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -393,11 +388,11 @@ class TestOptimizer:
         assert res.alpha == pytest.approx(1.3, abs=1e-3)
         assert res.stages[0] == pytest.approx(0.45, abs=1e-3)
 
-    def test_stagnation_on_degenerate_interval(self):
+    def test_stagnation_on_a_flat_landscape(self):
+        """A k = 0 stage on the vacuum heralds the vacuum at every r2."""
         target, _ = pcoc_state(CatalysisConfig(1.0, BeamSplitter(0.3), 1))
         res = optimize_reflectivities(
-            DesignProblem(target, stages=1, ks=(1,), alpha=1.0, tol=1e-6,
-                          bounds=((0.3, 0.3 + 1e-10),)))
+            DesignProblem(target, stages=1, ks=(0,), alpha=0.0, tol=1e-6))
         assert res.stagnated
 
 
@@ -405,9 +400,15 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+def point_score(problem, coords):
+    """(fidelity, success probability) at one point, as a line along
+    coordinate 0 scores it."""
+    return design._line(problem, coords, 0)(coords[0])
+
+
 def pointwise_scan(problem, coords, stage, xs):
     """The coarse line scan as one evaluation per probe."""
-    return [design._fidelity_at(
+    return [point_score(
         problem, [*coords[:stage], float(x), *coords[stage + 1:]])[0] for x in xs]
 
 
@@ -512,8 +513,8 @@ class TestProbeCaches:
             assert bits(got) == bits([fid for fid, _ in ref])
             for x, want in zip(xs, ref):
                 trial = [*coords[:stage], x, *coords[stage + 1:]]
-                assert bits(design._fidelity_at(problem, trial)) == bits(want)
-        assert bits(design._fidelity_at(problem, coords)) == \
+                assert bits(point_score(problem, trial)) == bits(want)
+        assert bits(point_score(problem, coords)) == \
             bits(reference_scores(problem, coords, None, [None])[0])
 
     def test_cached_arrays_are_read_only(self):
@@ -535,8 +536,8 @@ class TestProbeCaches:
         k = 1 stage cancels it (C_1 = t^2 - r^2 = 0)."""
         problem = DesignProblem(TARGETS[0], stages=2, ks=(1, 1), alpha=1.0)
         for _ in range(2):
-            assert design._fidelity_at(problem, [1.0, 0.5]) == (0.0, 0.0)
-        assert design._fidelity_at(problem, [0.9, 0.5])[0] > 0.0
+            assert point_score(problem, [1.0, 0.5]) == (0.0, 0.0)
+        assert point_score(problem, [0.9, 0.5])[0] > 0.0
 
     def test_complex_alphas_with_signed_zero_parts_keep_their_bits(self):
         """0.8j and -0+0.8j are equal numbers whose windows differ in the
@@ -617,8 +618,8 @@ class TestOneKernel:
 
 
 class TestEqualStageOrder:
-    """Stages that share k and bounds commute, so the search can end on any
-    order of them; the result lists them in one order, scored as listed."""
+    """Stages that share k commute, so the search can end on any order of
+    them; the result lists them in one order, scored as listed."""
 
     @pytest.mark.parametrize("ks, alpha, tol", [
         ((2, 2, 2), 1.6554, 3e-2), ((2, 2), 1.9619, 1e-2), ((1, 2, 1), 1.3, 3e-2)])
@@ -633,7 +634,7 @@ class TestEqualStageOrder:
         stages = list(res.stages)
         assert stages == design._canonical(problem, stages)
         assert (res.fidelity, res.success_prob) == \
-            design._fidelity_at(problem, stages)
+            point_score(problem, stages)
         printed = optimize_result_to_json(res)
         canonical = design._canonical
         for perm in itertools.permutations(range(len(ks))):
@@ -646,12 +647,11 @@ class TestEqualStageOrder:
             assert optimize_result_to_json(optimize_reflectivities(problem)) \
                 == printed
 
-    def test_only_stages_with_equal_k_and_bounds_are_sorted(self):
+    def test_only_stages_with_equal_k_are_sorted(self):
         problem = DesignProblem(TARGETS[0], stages=4, ks=(2, 1, 2, 2),
-                                alpha=1.0, bounds=((0.0, 1.0), (0.0, 1.0),
-                                                   (0.0, 1.0), (0.0, 0.5)))
+                                alpha=1.0)
         assert design._canonical(problem, [0.9, 0.1, 0.2, 0.4]) == \
-            [0.2, 0.1, 0.9, 0.4]
+            [0.2, 0.1, 0.4, 0.9]
 
 
 class TestOptimizeAgainstHighPrecision:

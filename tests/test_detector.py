@@ -383,14 +383,21 @@ class TestStandardLibraryTable:
         assert abs(math.fsum(map(math.fsum, got)) - 1.0) <= 1e-10
         assert np.abs(np.array(got) - want).max() <= 1e-12 * want.max()
 
-    def test_scan_checks_each_step_in_turn(self):
-        """A scan past r2 = 1 yields its good steps, then refuses the first
-        bad one as CatalysisConfig does."""
-        tables = detector._joint_tables(1.0, [0.5, 1.0, 1.5], 1, None,
-                                        TMDConfig(1.0), TMDConfig(1.0))
-        assert len(next(tables)) == len(next(tables)) == 9
-        with pytest.raises(ValueError, match=r"r2=1.5 outside \[0, 1\]"):
-            next(tables)
+    def test_scan_is_refused_before_its_first_table(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """A scan past r2 = 1 is refused as CatalysisConfig refuses its first
+        bad step, before any step's table is built."""
+        from photon_catalysis.cli import main
+
+        def built(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(detector, "_displaced_columns", built)
+        out = tmp_path / "j.csv"
+        assert main(["joint", "--alpha2", "1", "--r2", "0.5:1.5:3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: r2=1.5 outside [0, 1]\n"
+        assert not out.exists()
 
     def test_scan_resolves_its_window_once(self, monkeypatch):
         """The window and its coherent tail depend on alpha, k and dim

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from photon_catalysis.analysis import g2, quadrature_variances
 from photon_catalysis.catalysis import BeamSplitter, CatalysisConfig, pcoc_state
 from photon_catalysis.core import HERALD_CUTOFF, UndefinedQuantityError
+from photon_catalysis.design import Axis, SweepSpec, sweep
 from photon_catalysis.frame import (_displaced_columns, _displaced_row,
                                     heralded_frame, sweep_point)
 from photon_catalysis.fock import fidelity, number_distribution
@@ -129,10 +130,12 @@ class TestRefusals:
         (1.0, 2.0, 1), (1.0, math.nan, 1), (1.0, 0.5, -1), (40.0, 0.5, 1),
         (math.inf, 0.5, 1), (0.0, 1.0, 1), (0.0, 2.0, -1), (30.0, 0.5, 2)])
     def test_points_are_refused_as_the_state_path_refuses_them(self, alpha, r2, k):
+        """`design.sweep` checks every point's stage and window before the
+        kernel takes any; the kernel refuses only a herald that cannot fire."""
         with pytest.raises(ValueError) as want:
             pcoc_state(CatalysisConfig(alpha, BeamSplitter(r2), int(k)))
         with pytest.raises(type(want.value)) as got:
-            sweep_point("g2", alpha, r2, k)
+            sweep(SweepSpec((Axis("k", k, k, 2),), "g2", alpha=alpha, r2=r2))
         assert str(got.value) == str(want.value)
 
     def test_g2_of_vacuum_is_undefined(self):
