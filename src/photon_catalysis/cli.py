@@ -95,20 +95,20 @@ def _warn_coverage(*warnings: str | None):
 
 
 def cmd_state(args) -> int:
-    """The first four summary lines come from the displaced-frame kernel,
-    untruncated; the windowed state gives the JSON and the Wigner line."""
+    """The first four summary lines are `frame.sweep_point`'s, untruncated;
+    the windowed state gives the JSON and the Wigner line."""
     from .analysis import wigner
     from .core import fmt9
     from .fock import state_to_json
-    from .frame import state_metrics
+    from .frame import sweep_point
 
+    names = ("success_prob", "var_x_db", "var_p_db", "g2")
     state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
-    summary = state_metrics(args.alpha, args.r2, args.k)
+    values = [sweep_point(name, args.alpha, args.r2, args.k)[0] for name in names]
     grid = wigner(state)
     _warn_coverage(grid.coverage_warning)
-    min_w = float(grid.values.min())
-    for name, value in zip(("success_prob", "var_x_db", "var_p_db", "g2",
-                            "wigner_min"), (*summary, min_w)):
+    values.append(float(grid.values.min()))
+    for name, value in zip((*names, "wigner_min"), values):
         print(f"{name} = {fmt9(value)}")
     if args.out:
         _write_text(args.out, state_to_json(state))
@@ -116,7 +116,7 @@ def cmd_state(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .core import fmt9
+    from .core import FMT9
     from .design import SweepSpec, sweep
 
     axes = [_parse_axis(spec_text) for spec_text in args.axis]
@@ -127,17 +127,10 @@ def cmd_sweep(args) -> int:
     rows = sweep(spec, warnings.append)
     _warn_coverage(*warnings)
     header = ",".join([a.name for a in axes] + [args.metric, "success_prob"])
-    lines = [header]
-    n_axes = len(axes)
-    for row in rows:
-        cells = []
-        for i, v in enumerate(row):
-            if i < n_axes and axes[i].name == "k":
-                cells.append(str(int(v)))
-            else:
-                cells.append(fmt9(v))
-        lines.append(",".join(cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # one %-template a row: %d for a k axis, fmt9's bytes for every other cell
+    template = ",".join(["%d" if a.name == "k" else f"%{FMT9}" for a in axes]
+                        + [f"%{FMT9}"] * 2) + "\n"
+    _write_text(args.out, header + "\n" + "".join(template % row for row in rows))
     return 0
 
 

@@ -63,7 +63,7 @@ class Axis:
 
 class SweepSpec:
     """``target``, for fidelity_to_target, is a FockState or a sequence of
-    its amplitudes."""
+    its amplitudes, kept as a list of complex amplitudes."""
 
     def __init__(self, axes, metric: str, alpha: float = 1.0, r2: float = 0.5,
                  k: int = 1, target=None):
@@ -75,7 +75,8 @@ class SweepSpec:
         if metric == "fidelity_to_target" and target is None:
             raise ValueError("fidelity_to_target requires a target state")
         self.metric, self.alpha, self.r2, self.k = metric, alpha, r2, k
-        self.target = target
+        self.target = None if target is None else [
+            complex(a) for a in getattr(target, "amplitudes", target)]
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("duplicate sweep axes")
@@ -136,11 +137,9 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
 
         for alpha, r2, k in points:
             _stage_window(alpha, ((r2, k),))
-        target = spec.target
-        if target is not None:
-            target = [complex(a) for a in getattr(target, "amplitudes", target)]
-            _check_fidelity_sweep(points, len(target))
-        return [combo + sweep_point(spec.metric, alpha, r2, int(k), target)
+        if spec.target is not None:
+            _check_fidelity_sweep(points, len(spec.target))
+        return [combo + sweep_point(spec.metric, alpha, r2, int(k), spec.target)
                 for combo, (alpha, r2, k) in zip(combos, points)]
     from .analysis import wigner
     from .catalysis import BeamSplitter, CatalysisConfig, pcoc_state
@@ -238,15 +237,14 @@ def _line_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, v
 
 
-def _start_points(problem: DesignProblem) -> list[list[float]]:
-    """8 stratified starts; coordinate i uses a golden-ratio-shifted lattice."""
-    dims = problem.stages + (1 if problem.alpha_bounds else 0)
+def _start_points(bounds: list[tuple[float, float]]) -> list[list[float]]:
+    """8 stratified starts in the coordinate box ``bounds``; coordinate i
+    uses a golden-ratio-shifted lattice."""
     starts = []
     for j in range(8):
         point = []
-        for i in range(dims):
+        for i, (lo, hi) in enumerate(bounds):
             frac = ((j + 0.5) / 8.0 + i * _INV_PHI) % 1.0
-            lo, hi = (0.0, 1.0) if i < problem.stages else problem.alpha_bounds
             point.append(lo + frac * (hi - lo))
         starts.append(point)
     return starts
@@ -260,7 +258,7 @@ def _line(problem: DesignProblem, coords, i: int):
     takes u times the stages before stage i once, and its probes continue
     that product, which keeps the whole product's bits.  No probe reads
     coordinate i of coords.  DesignProblem checked the ks and the largest
-    window."""
+    window, and every x lies in coordinate i's box."""
     conj_target = [t.conjugate() for t in problem.target]
     stages = [(float(r2), k) for r2, k in zip(coords, problem.ks)]
     top = max(problem.ks)
@@ -276,12 +274,7 @@ def _line(problem: DesignProblem, coords, i: int):
     dim = _window_dim(alpha, None, top)
     before, _ = _herald(alpha, dim, stages[:i])
     after, k = stages[i + 1:], problem.ks[i]
-
-    def score(x: float) -> tuple[float, float]:
-        _check_stage(x)
-        return scored(*_herald(alpha, dim, [(x, k), *after], before))
-
-    return score
+    return lambda x: scored(*_herald(alpha, dim, [(x, k), *after], before))
 
 
 def _canonical(problem: DesignProblem, coords: list[float]) -> list[float]:
@@ -324,11 +317,10 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
         evaluations += 1
         return probe(i, others, x)
 
-    def coord_bounds(i: int) -> tuple[float, float]:
-        return (0.0, 1.0) if i < problem.stages else problem.alpha_bounds
-
-    dims = problem.stages + (1 if problem.alpha_bounds else 0)
-    starts = _start_points(problem)
+    bounds = [(0.0, 1.0)] * problem.stages
+    if problem.alpha_bounds:
+        bounds.append(problem.alpha_bounds)
+    starts = _start_points(bounds)
     best_initial = -1.0
     local_optima = []
     best = None  # (fidelity, success_prob, coords)
@@ -342,8 +334,7 @@ def optimize_reflectivities(problem: DesignProblem) -> OptimizeResult:
         while improved and passes < 60:
             improved = False
             passes += 1
-            for i in range(dims):
-                lo, hi = coord_bounds(i)
+            for i, (lo, hi) in enumerate(bounds):
                 others = (*coords[:i], *coords[i + 1:])
                 x_new, f_new = _line_max(lambda x: evaluate(i, others, x)[0],
                                          lo, hi, problem.tol)

@@ -84,6 +84,11 @@ def _displaced_row(gamma: complex, k: int) -> list[complex]:
     u = gamma / abs(gamma)
     sqrt, root_y = math.sqrt, math.sqrt(y)
     seed, exponent = math.exp(-0.5 * y), 0
+    if seed < 2.0 ** -1022:   # subnormal, past y = 1416: start from a normal one,
+        # 2^q e^(-y/2 - q ln 2), where q times ln 2's leading 32 bits is exact
+        exponent = round(-0.5 * y / math.log(2))
+        seed = math.exp(-0.5 * y - exponent * 6.93147180369123816490e-01
+                        - exponent * 1.90821492927058770002e-10)
     for i in range(1, k + 1):
         seed, e = math.frexp(seed * root_y / sqrt(i))
         exponent += e
@@ -147,13 +152,6 @@ def _quadratures(phi: list[complex], prob: float) -> tuple[complex, float, float
             (1.0 + 2.0 * n - 2.0 * a2.real) / 4.0 - a1.imag ** 2)
 
 
-def _squeezing_db(phi: list[complex], prob: float) -> tuple[float, float]:
-    """X and P variances in dB over the vacuum's; displacement leaves them as phi's."""
-    _, var_x, var_p = _quadratures(phi, prob)
-    return (10.0 * math.log10(var_x / VACUUM_VARIANCE),
-            10.0 * math.log10(var_p / VACUUM_VARIANCE))
-
-
 def _g2(beta: complex, phi: list[complex], prob: float) -> float:
     """<a^+2 a^2> / <n>^2 of D(beta) phi, expanded in phi's moments."""
     n, a1, a2, na1, nn = _moments(phi, prob)
@@ -175,26 +173,20 @@ def _fidelity(beta: complex, phi: list[complex], prob: float,
     return abs(overlap) ** 2 / prob
 
 
-def state_metrics(alpha: complex, r2: float, k: int) -> tuple[float, float, float, float]:
-    """(success_prob, var_x_db, var_p_db, g2) of the heralded state."""
-    beta, phi, prob = heralded_frame(alpha, r2, k)
-    return (prob, *_squeezing_db(phi, prob), _g2(beta, phi, prob))
-
-
 def sweep_point(metric: str, alpha: complex, r2: float, k: int,
                 target: list[complex] | None = None) -> tuple[float, float]:
     """(metric value, success probability) at one sweep point, for every
     metric but wigner_min, refused here only by the herald: `design.sweep`
-    checks every point's stage and window first."""
+    checks every point's stage and window first, and `SweepSpec` the metric."""
     beta, phi, prob = heralded_frame(alpha, r2, k)
     if metric == "success_prob":
         value = prob
     elif metric == "fidelity_to_target":
         value = _fidelity(beta, phi, prob, target)
     elif metric in ("var_x_db", "var_p_db"):
-        value = _squeezing_db(phi, prob)[metric == "var_p_db"]
-    elif metric == "g2":
-        value = _g2(beta, phi, prob)
+        # in dB over the vacuum's; displacement leaves the variances as phi's
+        var = _quadratures(phi, prob)[1 + (metric == "var_p_db")]
+        value = 10.0 * math.log10(var / VACUUM_VARIANCE)
     else:
-        raise AssertionError(metric)
+        value = _g2(beta, phi, prob)
     return value, prob

@@ -68,6 +68,27 @@ class TestState:
                           "g2 = 7.60172942e-01\n"
                           "wigner_min = -6.07746318e-01\n")
 
+    @pytest.mark.parametrize("alpha, r2, k", [
+        ("1.35", "0.77", "1"), ("2.7", "0.05", "1"), ("0.4", "0.9", "3"),
+        ("2", "0.5", "0"), ("1.2", "0.3", "6")])
+    def test_summary_lines_are_one_point_sweep_cells(self, tmp_path, capsys,
+                                                     alpha, r2, k):
+        """Each of the five lines is, byte for byte, the metric cell of a
+        sweep over the one point."""
+        code, stdout, _ = run(capsys, "state", "--alpha", alpha, "--r2", r2,
+                              "--k", k)
+        assert code == 0
+        summary = dict(line.split(" = ") for line in stdout.strip().split("\n"))
+        assert len(summary) == 5
+        out = tmp_path / "s.csv"
+        for metric, value in summary.items():
+            code, _, _ = run(capsys, "sweep", "--metric", metric, "--axis",
+                             f"r2:{r2}:{r2}:2", "--alpha", alpha, "--k", k,
+                             "--out", str(out))
+            assert code == 0
+            rows = out.read_text().split("\n")[1:-1]
+            assert [row.split(",")[1] for row in rows] == [value, value]
+
     def test_large_alpha_k_json_is_exact(self, tmp_path, capsys):
         """The JSON holds the state the summary lines describe.  Its
         coefficients were once alternating binomial sums, which missed the
@@ -185,6 +206,12 @@ class TestSweep:
          "5352f1f587e32fc1934904a0e5a32ecda571bc52cf76c9f414b71f704c7a3f8c"),
         (["--metric", "g2", "--axis", "r2:0.01:0.99:99", "--alpha", "1.0536"],
          "12fc7787f49da9fce1f9129d80bdee3b456de51bb6c22d8fce884228539ab2f1"),
+        # a k axis, first and second: its cells print as integers
+        (["--metric", "g2", "--axis", "k:0:4:5", "--axis", "r2:0.2:0.8:3"],
+         "ce20b710adcc84b28822652e4d1789160f81ed63ca407c329a1f805eabafc519"),
+        (["--metric", "var_p_db", "--axis", "r2:0.2:0.8:3", "--axis", "k:0:2:3",
+          "--alpha", "2"],
+         "c35fa2ae11853853680765cade3168c447d35c7e4dbe610ff57b6eed1f1d7cd7"),
     ])
     def test_readme_sweep_bytes_are_pinned(self, tmp_path, capsys, argv, digest):
         """Hashed from the windowed state path; the kernel prints the same

@@ -593,6 +593,29 @@ class TestProbeMemo:
         assert optimize_reflectivities(problem) == memo
 
 
+class TestProbesStayInTheirBox:
+    """No probe is checked, so each must lie in its coordinate's box: every
+    r2 in [0, 1], and alpha fixed or inside alpha_bounds."""
+
+    @pytest.mark.parametrize("ks, alpha_bounds, tol", [
+        ((1,), None, 1e-6), ((2, 2), None, 1e-3), ((1,), (0.5, 2.0), 1e-4)])
+    def test_every_probe_is_inside_the_box(self, ks, alpha_bounds, tol,
+                                           monkeypatch):
+        herald, calls = design._herald, []
+
+        def recorded(alpha, dim, stages, *raw):
+            calls.append((alpha, [r2 for r2, _ in stages]))
+            return herald(alpha, dim, stages, *raw)
+
+        monkeypatch.setattr(design, "_herald", recorded)
+        problem = DesignProblem(TARGETS[0], stages=len(ks), ks=ks, alpha=1.2,
+                                tol=tol, alpha_bounds=alpha_bounds)
+        optimize_reflectivities(problem)
+        lo, hi = alpha_bounds or (1.2, 1.2)
+        assert calls and all(0.0 <= r2 <= 1.0 for _, r2s in calls for r2 in r2s)
+        assert all(lo <= alpha <= hi for alpha, _ in calls)
+
+
 class TestOneKernel:
     """Probes and states share one kernel, `core._herald`."""
 

@@ -80,7 +80,9 @@ class TestAgainstMpmath:
 
     @pytest.mark.parametrize("gamma, k", [
         (0.0, 5), (-12.6, 60), (3.0 - 2.0j, 40), (1e-3, 480), (25.0, 3),
-        (1e-160, 40)])
+        (1e-160, 40),
+        # e^(-y/2) is subnormal from y = 1416 and 0 from y = 1490
+        (-38.4, 650), (-38.7, 700), (-40.0, 1000)])
     def test_displaced_row(self, gamma, k):
         """<k|D|n> by one three-term step along row k: 7e-15 from mpmath
         at gamma = 1e-3, k = 480, where the seed is 1e-1449."""
