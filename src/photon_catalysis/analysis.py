@@ -12,8 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (FMT9, TAIL_GATE, VACUUM_VARIANCE, TruncationError,
-                   UndefinedQuantityError, fmt9)
+from .core import (FMT9, NORM_TOL, TAIL_GATE, VACUUM_VARIANCE,
+                   TruncationError, UndefinedQuantityError, fmt9)
 from .fock import FockState, PhotonNumberDistribution, factorial_moments
 from .frame import _quadratures
 
@@ -33,7 +33,7 @@ QuadratureStats = namedtuple("QuadratureStats",
 # log seed, about -y/2, and its power-of-2 shift cancel to within half a unit
 # in floating point, so every seed stays within a factor of about 2 of 1; the
 # shift fits an int64; and a step's growth y + 3 dim + 1 leaves
-# `_WignerKernel` nine steps or more between its 2^-512 rescales.  The
+# `_wigner_values` nine steps or more between its 2^-512 rescales.  The
 # cancellation's error grows with y (about 100 units at 2^60), and past
 # y = 2^63 ln 4 the shift overflows an int64.
 _WIGNER_REACH = 2.0 ** 52
@@ -98,7 +98,7 @@ def quadrature_variances(s: FockState) -> QuadratureStats:
     if s.tail_mass > TAIL_GATE:
         raise TruncationError(
             f"tail mass {s.tail_mass:.3e} too large for reliable variances")
-    if abs(s.norm_squared() - 1.0) > 1e-10:
+    if abs(s.norm_squared() - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
     _, var_x, var_p = _quadratures(s.amplitudes.tolist(), 1.0)
     return QuadratureStats(
@@ -107,19 +107,23 @@ def quadrature_variances(s: FockState) -> QuadratureStats:
         squeeze_db_p=10.0 * math.log10(var_p / VACUUM_VARIANCE))
 
 
-def _denominator(u: float, x: float) -> float:
-    return 1.0 - x * (1.0 + u * (2.0 - x * (3.0 + (1.0 - x) * u)))
+def _denominator(alpha: float, r2: float) -> float:
+    """The closed forms' denominator; a PoleError where it vanishes."""
+    u = abs(alpha) ** 2
+    x = r2
+    den = 1.0 - x * (1.0 + u * (2.0 - x * (3.0 + (1.0 - x) * u)))
+    if abs(den) < 1e-14:
+        raise PoleError(
+            f"variance denominator vanishes at alpha={alpha}, r2={r2} "
+            "(herald probability is zero there)")
+    return den
 
 
 def variance_x_analytic(alpha: float, r2: float) -> float:
     """Closed-form X variance of the single-photon-catalyst output."""
     u = abs(alpha) ** 2
     x = r2
-    den = _denominator(u, x)
-    if abs(den) < 1e-14:
-        raise PoleError(
-            f"variance denominator vanishes at alpha={alpha}, r2={r2} "
-            "(herald probability is zero there)")
+    den = _denominator(alpha, r2)
     omx = 1.0 - x
     num = (omx ** 2
            - 4.0 * x * omx ** 2 * u
@@ -133,11 +137,7 @@ def variance_p_analytic(alpha: float, r2: float) -> float:
     """Closed-form P variance of the single-photon-catalyst output."""
     u = abs(alpha) ** 2
     x = r2
-    den = _denominator(u, x)
-    if abs(den) < 1e-14:
-        raise PoleError(
-            f"variance denominator vanishes at alpha={alpha}, r2={r2} "
-            "(herald probability is zero there)")
+    den = _denominator(alpha, r2)
     return 0.25 + x * x * u / (2.0 * den)
 
 
@@ -183,9 +183,39 @@ _WIGNER_CELLS = 10 ** 6     # grid points; about 0.1 GiB of recurrence buffers
 _WIGNER_BUDGET = 2e9        # recurrence cell-steps (`_wigner_work`), about 2 s
 
 
-class _WignerKernel:
-    """Wigner values on the grid xs by ps, one state a call.  With
-    gamma = 2(x + ip), y = |gamma|^2 and u = gamma / |gamma|,
+def _radii(xs: np.ndarray, ps: np.ndarray):
+    """(u, y, radius) on the cells of xs by ps, raveled: u = gamma / |gamma|
+    (1 at gamma = 0) with gamma = 2(x + ip), the distinct y = |gamma|^2
+    ascending, and each cell's index into them."""
+    unit = (xs[:, None] + 1j * ps[None, :]).ravel()
+    unit *= 2.0
+    r = np.abs(unit)
+    np.divide(unit, r, out=unit, where=r > 0.0)
+    unit[r == 0.0] = 1.0
+    r *= r
+    # np.unique(r, return_inverse=True), bit for bit, without the
+    # grid-sized copies it holds at once: sort, mark where the sorted
+    # radius changes, number the distinct radii, scatter back to cells.
+    # Any sort kind gives the same y and index; with the stable one a
+    # `state` command peaked about 0.1 MiB lower than with quicksort.
+    order = np.argsort(r, kind="stable")
+    r = r[order]
+    new = np.empty(r.size, dtype=bool)
+    new[0] = True
+    np.not_equal(r[1:], r[:-1], out=new[1:])
+    y = r[new]
+    del r
+    index = np.cumsum(new)
+    index -= 1
+    radius = np.empty_like(index)
+    radius[order] = index
+    return unit, y, radius
+
+
+def _wigner_values(psi: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """W[ix, ip] on the grid xs by ps of the normalized state with Fock
+    amplitudes ``psi``.  With gamma = 2(x + ip), y = |gamma|^2 and
+    u = gamma / |gamma|,
 
         W = (2/pi) sum_d w_d Re(u^d S_d(y)),   w_0 = 1, w_{d>0} = 2,
         S_d(y) = sum_n (-1)^n conj(c_{n+d}) c_n Q_{n,d}(y),
@@ -200,119 +230,84 @@ class _WignerKernel:
     through y, so the recurrence and the sums run once per distinct y (about
     a fifth of a square grid's cells), and only u^d is applied per cell.
 
-    The geometry (u, the distinct radii y and each cell's radius index) is
-    computed here and only read by a call.  Per cell of xs by ps the kernel
-    holds u and the phase (complex, 32 B together), the radius index (8 B)
-    and the cell buffer (8 B), and a call adds its output (8 B); the
-    recurrence buffers are per distinct radius.  For a real state on a
-    window with p_min = -p_max, `wigner` builds the kernel on the columns
-    p >= 0 only, so these count about half the window's cells.
+    Per cell of xs by ps this holds u and the phase (complex, 32 B
+    together), the radius index (8 B), the cell buffer (8 B) and the output
+    (8 B); the recurrence buffers are per distinct radius.  For a real state
+    on a window with p_min = -p_max, `wigner` passes the columns p >= 0
+    only, so these count about half the window's cells.
     """
-
-    def __init__(self, xs: np.ndarray, ps: np.ndarray):
-        self.shape = (xs.size, ps.size)
-        unit = (xs[:, None] + 1j * ps[None, :]).ravel()
-        unit *= 2.0
-        r = np.abs(unit)
-        np.divide(unit, r, out=unit, where=r > 0.0)
-        unit[r == 0.0] = 1.0
-        r *= r
-        self.unit = unit
-        # np.unique(r, return_inverse=True), bit for bit, without the
-        # grid-sized copies it holds at once: sort, mark where the sorted
-        # radius changes, number the distinct radii, scatter back to cells.
-        # Any sort kind gives the same y and index; with the stable one a
-        # `state` command peaked about 0.1 MiB lower than with quicksort.
-        order = np.argsort(r, kind="stable")
-        r = r[order]
-        new = np.empty(r.size, dtype=bool)
-        new[0] = True
-        np.not_equal(r[1:], r[:-1], out=new[1:])
-        self.y = r[new]
-        del r
-        index = np.cumsum(new)
-        index -= 1
-        self.radius = np.empty_like(index)
-        self.radius[order] = index
-        del order, index, new
-        self.seed = np.exp(-self.y / 2.0)
-        # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
-        # seed.  Those radii take it in log form, -y/2 + (d/2) ln y - lgamma(d+1)/2,
-        # and carry Q 2^shift, a shift per radius that brings the seed near 1.  A
-        # step multiplies |Q| by at most y + 3 dim + 1, so checking every `every`
-        # steps for a Q past 2^512 and scaling its radius, sums and all, by 2^-512
-        # keeps Q below 2^1011.  Each sum is scaled back by its radius' shift.
-        self.far = int(np.count_nonzero(self.seed >= np.finfo(float).tiny))
-        self.log_far = np.log(self.y[self.far:])
-        self.cell, self.phase = np.empty(unit.size), np.empty_like(unit)
-        # q_seed, q_prev, q_cur, spare, term, and a sum each for the real
-        # and the imaginary part of the couplings
-        self.buffers = [np.empty_like(self.y) for _ in range(7)]
-
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """W[ix, ip] of the normalized state with Fock amplitudes ``psi``."""
-        y, far, log_far, cell, phase = (self.y, self.far, self.log_far,
-                                        self.cell, self.phase)
-        q_seed, q_prev, q_cur, spare, term, *sums = self.buffers
-        n_dim = psi.size
-        total = np.zeros(cell.size)
-        np.copyto(q_seed, self.seed)
-        phase.fill(1.0)
-        every = max(1, int(499 // math.log2(y[-1] + 3 * n_dim + 1)))
-        for d in range(n_dim):
-            if d > 0:
-                np.divide(y, d, out=spare)
-                q_seed *= np.sqrt(spare, out=spare)
-                phase *= self.unit
-                if not np.any(q_seed) and d > y[-1]:   # past d = y seeds only fall
-                    break
+    unit, y, radius = _radii(xs, ps)
+    q_seed = np.exp(-y / 2.0)
+    # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
+    # seed.  Those radii take it in log form, -y/2 + (d/2) ln y - lgamma(d+1)/2,
+    # and carry Q 2^shift, a shift per radius that brings the seed near 1.  A
+    # step multiplies |Q| by at most y + 3 dim + 1, so checking every `every`
+    # steps for a Q past 2^512 and scaling its radius, sums and all, by 2^-512
+    # keeps Q below 2^1011.  Each sum is scaled back by its radius' shift.
+    far = int(np.count_nonzero(q_seed >= np.finfo(float).tiny))
+    log_far = np.log(y[far:])
+    cell, phase = np.empty(unit.size), np.empty_like(unit)
+    # q_prev, q_cur, spare, term, and a sum each for the real and the
+    # imaginary part of the couplings
+    q_prev, q_cur, spare, term, *sums = (np.empty_like(y) for _ in range(6))
+    n_dim = psi.size
+    total = np.zeros(cell.size)
+    phase.fill(1.0)
+    every = max(1, int(499 // math.log2(y[-1] + 3 * n_dim + 1)))
+    for d in range(n_dim):
+        if d > 0:
+            np.divide(y, d, out=spare)
+            q_seed *= np.sqrt(spare, out=spare)
+            phase *= unit
+            if not np.any(q_seed) and d > y[-1]:   # past d = y seeds only fall
+                break
+        if log_far.size:
+            log_seed = 0.5 * (d * log_far - y[far:] - math.lgamma(d + 1))
+            shift = np.rint(log_seed / -math.log(2.0))
+            q_seed[far:] = np.exp(log_seed + shift * math.log(2.0))
+        coup = np.conj(psi[d:]) * psi[:n_dim - d] * (2.0 if d else 1.0)
+        coup[1::2] *= -1.0
+        # (imaginary?, couplings, sum); Re(u^d i s) = -Im(u^d) s
+        parts = [(imaginary, part.tolist(), acc) for imaginary, part, acc
+                 in zip((False, True), (coup.real, -coup.imag), sums)
+                 if part.any()]
+        if not parts:
+            continue
+        for *_, acc in parts:
+            acc.fill(0.0)
+        steps = int(np.flatnonzero(coup)[-1]) + 1
+        np.copyto(q_cur, q_seed)
+        for n in range(steps):
+            for _, a, acc in parts:
+                if a[n]:
+                    np.multiply(q_cur, a[n], out=term)
+                    acc += term
+            if n + 1 == steps:
+                break
+            np.subtract(2 * n + 1 + d, y, out=spare)
+            spare *= q_cur
+            if n:               # Q_{-1,d} = 0, and x - 0 * 0 is x
+                q_prev *= math.sqrt(n * (n + d))
+                spare -= q_prev
+            spare /= math.sqrt((n + 1) * (n + 1 + d))
+            if log_far.size and n % every == 0:
+                big = far + np.flatnonzero(np.maximum(
+                    np.abs(spare[far:]), np.abs(q_cur[far:])) > 2.0 ** 512)
+                if big.size:
+                    for buffer in (spare, q_cur, *(part[2] for part in parts)):
+                        buffer[big] *= 2.0 ** -512
+                    shift[big - far] -= 512
+            q_prev, q_cur, spare = q_cur, spare, q_prev
+        for imaginary, _, acc in parts:
             if log_far.size:
-                log_seed = 0.5 * (d * log_far - y[far:] - math.lgamma(d + 1))
-                shift = np.rint(log_seed / -math.log(2.0))
-                q_seed[far:] = np.exp(log_seed + shift * math.log(2.0))
-            coup = np.conj(psi[d:]) * psi[:n_dim - d] * (2.0 if d else 1.0)
-            coup[1::2] *= -1.0
-            # (imaginary?, couplings, sum); Re(u^d i s) = -Im(u^d) s
-            parts = [(imaginary, part.tolist(), acc) for imaginary, part, acc
-                     in zip((False, True), (coup.real, -coup.imag), sums)
-                     if part.any()]
-            if not parts:
-                continue
-            for *_, acc in parts:
-                acc.fill(0.0)
-            steps = int(np.flatnonzero(coup)[-1]) + 1
-            np.copyto(q_cur, q_seed)
-            for n in range(steps):
-                for _, a, acc in parts:
-                    if a[n]:
-                        np.multiply(q_cur, a[n], out=term)
-                        acc += term
-                if n + 1 == steps:
-                    break
-                np.subtract(2 * n + 1 + d, y, out=spare)
-                spare *= q_cur
-                if n:               # Q_{-1,d} = 0, and x - 0 * 0 is x
-                    q_prev *= math.sqrt(n * (n + d))
-                    spare -= q_prev
-                spare /= math.sqrt((n + 1) * (n + 1 + d))
-                if log_far.size and n % every == 0:
-                    big = far + np.flatnonzero(np.maximum(
-                        np.abs(spare[far:]), np.abs(q_cur[far:])) > 2.0 ** 512)
-                    if big.size:
-                        for buffer in (spare, q_cur, *(part[2] for part in parts)):
-                            buffer[big] *= 2.0 ** -512
-                        shift[big - far] -= 512
-                q_prev, q_cur, spare = q_cur, spare, q_prev
-            for imaginary, _, acc in parts:
-                if log_far.size:
-                    acc[far:] = np.ldexp(acc[far:], -shift.astype(int))
-                # every index is in range; "wrap" only skips the bounds check
-                np.take(acc, self.radius, out=cell, mode="wrap")
-                if d > 0:
-                    cell *= phase.imag if imaginary else phase.real
-                total += cell
-        total *= 2.0 / math.pi
-        return total.reshape(self.shape)
+                acc[far:] = np.ldexp(acc[far:], -shift.astype(int))
+            # every index is in range; "wrap" only skips the bounds check
+            np.take(acc, radius, out=cell, mode="wrap")
+            if d > 0:
+                cell *= phase.imag if imaginary else phase.real
+            total += cell
+    total *= 2.0 / math.pi
+    return total.reshape(xs.size, ps.size)
 
 
 def _wigner_work(dims, spec: WignerGridSpec) -> int:
@@ -366,22 +361,22 @@ def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:
     integral is 1.  If the window covers less than 5 standard deviations of
     the state's quadrature spread a coverage warning is recorded.  The state
     is checked (normalization, work budget) before anything is allocated.
-    For a real state and p_min = -p_max, W(x, -p) = W(x, p): the kernel runs
-    on the columns p >= 0, half the cells and half the distinct radii, and
-    the grid mirrors them onto p < 0.  The p axis is then exactly
+    For a real state and p_min = -p_max, W(x, -p) = W(x, p): the values are
+    computed on the columns p >= 0, half the cells and half the distinct
+    radii, and the grid mirrors them onto p < 0.  The p axis is then exactly
     antisymmetric, u(x, -p) = conj u(x, p) bit for bit, and both halves
-    share every radius, so the mirrored grid is the full-plane kernel's bit
-    for bit.  Otherwise the kernel covers the whole window.
+    share every radius, so the mirrored grid is the full plane's bit for
+    bit.  Otherwise the values cover the whole window.
     """
     if spec is None:
         spec = WignerGridSpec()
-    if abs(s.norm_squared() - 1.0) > 1e-10:
+    if abs(s.norm_squared() - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
     _check_wigner_work(s.dim, spec)
     # the columns p < 0 the grid mirrors, none on the full plane
     real = not np.imag(s.amplitudes).any()
     half = spec.np // 2 if real and spec.p_min == -spec.p_max else 0
-    upper = _WignerKernel(spec.x_axis(), spec.p_axis()[half:])(s.amplitudes)
+    upper = _wigner_values(s.amplitudes, spec.x_axis(), spec.p_axis()[half:])
     return WignerGrid(spec, _mirrored(upper, half), _coverage_warning(s, spec))
 
 

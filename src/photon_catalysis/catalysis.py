@@ -29,13 +29,6 @@ from .core import (HERALD_CUTOFF, TAIL_GATE, TruncationError,
                    _stage_window, coherent_window)
 from .frame import _displaced_columns, _weights, heralded_frame
 
-__all__ = [
-    "BeamSplitter", "CatalysisConfig", "IteratedConfig", "TwoModeState",
-    "catalysis_coefficient", "pcoc_state",
-    "success_probability_analytic", "iterated_pcoc", "two_mode_output",
-    "bs_transform", "herald", "pcoc_oracle", "oracle_discrepancy",
-]
-
 # The reference sum's binomials are exact integers up to this order, log-gamma beyond.
 _EXACT_BINOM_LIMIT = 64
 

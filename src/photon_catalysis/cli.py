@@ -259,7 +259,7 @@ def _read_target(path: str) -> list[complex]:
     """The amplitudes of the --target state JSON; an unreadable or malformed
     file, or one whose squared amplitudes miss 1 by more than the 1e-10
     `wigner` allows, is a usage error naming it."""
-    from .core import _parse_state
+    from .core import NORM_TOL, _parse_state
 
     try:
         with open(path) as fh:
@@ -270,9 +270,9 @@ def _read_target(path: str) -> list[complex]:
         amplitudes = _parse_state(text)[0]
         # abs(a) * abs(a), not abs(a) ** 2, which raises past 1e154
         norm = math.fsum(abs(a) * abs(a) for a in amplitudes)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"amplitudes must be normalized, with squared "
-                             f"moduli summing to 1 within 1e-10, got {norm:.9g}")
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"amplitudes must be normalized, with squared moduli "
+                             f"summing to 1 within {NORM_TOL:.0e}, got {norm:.9g}")
         return amplitudes
     except ValueError as exc:
         raise ValueError(f"--target {path}: {exc}") from None

@@ -21,6 +21,8 @@ from operator import mul
 # Probability allowed to fall outside the truncation window before a
 # constructor refuses to build the state.
 TAIL_GATE = 1e-9
+# A probability total, or a state's squared norm, is 1 within this.
+NORM_TOL = 1e-10
 # A herald whose probability is below this cannot fire.
 HERALD_CUTOFF = 1e-300
 # Largest window side dim + k, kept from an older sum's float binomials so no

@@ -20,11 +20,6 @@ from . import METRICS
 from .core import (HERALD_CUTOFF, _check_stage, _herald, _stage_window,
                    _window_dim, fmt17, scan)
 
-__all__ = [
-    "Axis", "SweepSpec", "DesignProblem", "OptimizeResult",
-    "sweep", "optimize_reflectivities", "optimize_result_to_json", "METRICS",
-]
-
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Scan budgets, measured on a 2-core VM: 10^4 points of the costliest state
 # (k = 508) take 9 s for g2; 10^10 Wigner cell-steps take 4.5-8 s; 10^7

@@ -22,15 +22,9 @@ from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import add, mul
 
-from .core import (TruncationError, UndefinedQuantityError, _stage_window,
-                   coherent_window)
+from .core import (NORM_TOL, TruncationError, UndefinedQuantityError,
+                   _stage_window, coherent_window)
 from .frame import _displaced_columns, _weights
-
-__all__ = [
-    "LossChannel", "TMDConfig", "ClickDistribution", "JointClickDistribution",
-    "apply_loss", "tmd_click_distribution", "joint_output_distribution",
-    "g2_from_clicks",
-]
 
 
 class LossChannel:
@@ -65,7 +59,7 @@ class ClickDistribution:
         p = np.asarray(probabilities, dtype=float)
         if p.size != bins + 1:
             raise ValueError("need bins + 1 click probabilities")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > NORM_TOL:
             raise ValueError(f"click probabilities sum to {p.sum():.12g}")
         self.probabilities, self.bins = p, bins
 
@@ -79,7 +73,7 @@ class JointClickDistribution:
         p = np.asarray(probabilities, dtype=float)
         if p.ndim != 2:
             raise ValueError("joint click probabilities must be a matrix")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > NORM_TOL:
             raise ValueError(f"joint click probabilities sum to {p.sum():.12g}")
         self.probabilities = p
 
@@ -158,10 +152,10 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
 
 
 def _check_table_norm(tail: float, dim: int):
-    if abs(tail) > 1e-10:
+    if abs(tail) > NORM_TOL:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} beyond --dim {dim} exceeds "
-            f"1e-10, the two-mode table's norm tolerance; raise --dim")
+            f"{NORM_TOL:.0e}, the two-mode table's norm tolerance; raise --dim")
 
 
 def _joint_tables(alpha: float, r2s, k: int, dim: int | None,

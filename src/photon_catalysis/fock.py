@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from . import core
-from .core import (TAIL_GATE, TruncationError, UndefinedQuantityError,
-                   _parse_state, default_dim, fmt17)
+from .core import (NORM_TOL, TAIL_GATE, TruncationError,
+                   UndefinedQuantityError, _parse_state, default_dim, fmt17)
 
 
 class FockState:
@@ -48,7 +48,7 @@ class PhotonNumberDistribution:
             raise ValueError("probabilities must be a non-empty 1d vector")
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > NORM_TOL:
             raise ValueError(f"probabilities sum to {p.sum():.12g}, expected 1")
         self.probabilities = np.clip(p, 0.0, 1.0)
 
@@ -140,7 +140,7 @@ def fidelity(a: FockState, b: FockState) -> float:
 def number_distribution(s: FockState) -> PhotonNumberDistribution:
     p = np.abs(s.amplitudes) ** 2
     total = p.sum()
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized before taking its distribution")
     return PhotonNumberDistribution(p / total)
 

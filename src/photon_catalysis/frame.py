@@ -29,7 +29,7 @@ def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[comple
     With i = min(m, j), d = |m - j|, y = |gamma|^2 and u = gamma / |gamma|,
     <i+d|D|i> = u^d Q_{i,d}(y) and <i|D|i+d> = (-conj(u))^d Q_{i,d}(y), where
     Q_{i,d} runs the normalised Laguerre recurrence of
-    `analysis._WignerKernel` along i, from a seed Q_{0,d} taken in log form,
+    `analysis._wigner_values` along i, from a seed Q_{0,d} taken in log form,
     -y/2 + (d/2) ln y - lgamma(d + 1)/2, so that no factorial overflows.
     """
     y = abs(gamma) ** 2

@@ -9,8 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
-from photon_catalysis.analysis import (DomainError, VACUUM_VARIANCE,
-                                       WignerGridSpec, _WignerKernel, g2,
+from photon_catalysis.analysis import (DomainError, PoleError,
+                                       VACUUM_VARIANCE, WignerGridSpec,
+                                       _radii, _wigner_values, g2,
                                        locus_alpha_max,
                                        locus_alpha_min, quadrature_variances,
                                        variance_p_analytic,
@@ -93,6 +94,14 @@ class TestQuadratureVariances:
     def test_full_reflection_limit_is_single_photon(self):
         assert variance_x_analytic(1.3, 1.0) == pytest.approx(0.75, abs=1e-12)
         assert variance_p_analytic(1.3, 1.0) == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("closed_form", [variance_x_analytic,
+                                             variance_p_analytic])
+    def test_closed_forms_refuse_their_pole(self, closed_form):
+        """The denominator vanishes at alpha = 0, r2 = 1, where the
+        herald cannot fire."""
+        with pytest.raises(PoleError, match="alpha=0.0, r2=1.0"):
+            closed_form(0.0, 1.0)
 
 
 class TestLoci:
@@ -334,7 +343,7 @@ class TestWignerAccuracy:
         W(0, 0) = (2/pi) sum_n (-1)^n |c_n|^2."""
         state = _random_state(seed, dim, complex_amps)
         axis = np.array([-0.5, 0.0, 0.5])
-        got = _WignerKernel(axis, axis)(state.amplitudes)[1, 1]
+        got = _wigner_values(state.amplitudes, axis, axis)[1, 1]
         probs = np.abs(state.amplitudes) ** 2
         parity = probs[::2].sum() - probs[1::2].sum()
         assert abs(got - 2 / math.pi * parity) <= 1e-15
@@ -351,7 +360,7 @@ class TestWignerAccuracy:
         assert float(want[0, 0]) == pytest.approx(1.076e-2, abs=1e-5)
         assert abs(got - float(want[0, 0])) <= 1e-10
         xs, ps = np.array([18.073170731707314]), np.array([6.658536585365852])
-        got = _WignerKernel(xs, ps)(state.amplitudes)[0, 0]
+        got = _wigner_values(state.amplitudes, xs, ps)[0, 0]
         assert abs(got - float(_wigner_extended(state.amplitudes, xs, ps)[0, 0])) <= 1e-10
         # Past |2(x + ip)|^2 = 2,790 even a seed scaled by a fixed 2^990 was
         # subnormal for small d, and the diagonals were lost where the state
@@ -360,7 +369,7 @@ class TestWignerAccuracy:
         # 2.8e-3.  Each radius now carries a scale of its own.
         state, _ = pcoc_state(CatalysisConfig(27.0, BeamSplitter(0.05), 1))
         xs, ps = np.array([27.0, 28.0]), np.array([0.0])
-        got = _WignerKernel(xs, ps)(state.amplitudes)[:, 0]
+        got = _wigner_values(state.amplitudes, xs, ps)[:, 0]
         want = _wigner_extended(state.amplitudes, xs, ps)[:, 0].astype(float)
         assert want == pytest.approx([0.2766, 2.805e-3], rel=1e-3)
         assert np.abs(got - want).max() <= 1e-10
@@ -429,19 +438,19 @@ class TestWignerDistinctRadii:
         ((-28.5, 28.5, -28.5, 28.5), 57, 57),       # far radii, y up to 6,272
     ])
     def test_geometry_is_np_unique_bit_for_bit(self, bounds, nx, n_p):
-        """The kernel's distinct radii and each cell's index into them are
+        """The distinct radii and each cell's index into them are
         np.unique(r, return_inverse=True)'s, in dtype and in every bit."""
         spec = WignerGridSpec(*bounds, nx=nx, np=n_p)
         xs, ps = spec.x_axis(), spec.p_axis()
-        kernel = _WignerKernel(xs, ps)
+        _, radii, radius = _radii(xs, ps)
         gamma = (xs[:, None] + 1j * ps[None, :]).ravel()
         gamma *= 2.0
         r = np.abs(gamma)
         r *= r
         y, index = np.unique(r, return_inverse=True)
-        assert kernel.y.dtype == y.dtype and kernel.radius.dtype == index.dtype
-        assert np.array_equal(_bits(kernel.y), _bits(y))
-        assert np.array_equal(kernel.radius, index)
+        assert radii.dtype == y.dtype and radius.dtype == index.dtype
+        assert np.array_equal(_bits(radii), _bits(y))
+        assert np.array_equal(radius, index)
 
 
 class TestWignerHalfPlane:
@@ -451,16 +460,16 @@ class TestWignerHalfPlane:
 
     @staticmethod
     def _kernel_columns(monkeypatch) -> list:
-        """The p-axis size of every kernel `wigner` builds."""
+        """The p-axis size of every `_wigner_values` call `wigner` makes."""
         from photon_catalysis import analysis
 
-        columns, kernel = [], analysis._WignerKernel
+        columns, values = [], analysis._wigner_values
 
-        def counted(xs, ps):
+        def counted(psi, xs, ps):
             columns.append(ps.size)
-            return kernel(xs, ps)
+            return values(psi, xs, ps)
 
-        monkeypatch.setattr(analysis, "_WignerKernel", counted)
+        monkeypatch.setattr(analysis, "_wigner_values", counted)
         return columns
 
     @settings(max_examples=80, deadline=None, database=None)
@@ -476,7 +485,7 @@ class TestWignerHalfPlane:
         spec = WignerGridSpec(-x_bounds[0], x_bounds[1], -p_extent, p_extent,
                               nx=nx, np=n_p)
         grid = wigner(state, spec)
-        full = _WignerKernel(spec.x_axis(), spec.p_axis())(state.amplitudes)
+        full = _wigner_values(state.amplitudes, spec.x_axis(), spec.p_axis())
         assert np.array_equal(_bits(grid.values), _bits(full))
 
     @pytest.mark.parametrize("alpha, extent, n", [(19.0, 21.0, 21),
@@ -490,7 +499,7 @@ class TestWignerHalfPlane:
         columns = self._kernel_columns(monkeypatch)
         got = wigner(state, spec).values
         assert columns == [n - n // 2]
-        full = _WignerKernel(spec.x_axis(), spec.p_axis())(state.amplitudes)
+        full = _wigner_values(state.amplitudes, spec.x_axis(), spec.p_axis())
         assert np.array_equal(_bits(got), _bits(full))
 
     @pytest.mark.parametrize("complex_amps, bounds", [

@@ -183,6 +183,7 @@ def test_public_names_resolve_to_their_modules():
     for module, names in EXPORTS.items():
         home = importlib.import_module(f"photon_catalysis.{module}")
         assert getattr(photon_catalysis, module) is home and module in listed
+        assert not hasattr(home, "__all__"), f"{module} keeps its own export list"
         for name in names:
             assert getattr(photon_catalysis, name) is getattr(home, name)
             assert name in listed
