@@ -10,8 +10,11 @@ The joint click table of both beam-splitter output arms has two kernels:
 `joint_output_distribution`, numpy products on `catalysis`'s two-mode
 output, and `_joint_tables`, the same tables in standard-library Python from
 `frame`'s displacement columns.  `catalysis joint` takes the second up to a
-work bound, so a small table loads neither numpy nor `catalysis`.  numpy is
-imported only where arrays are built.
+work bound, so a small table loads neither numpy nor `catalysis`, and
+writes each r2 step's table before it builds the next.  For a real alpha,
+as every CLI alpha is, both kernels run in real arithmetic: the displacement
+columns are floats and the products real.  numpy is imported only where
+arrays are built.
 """
 
 from __future__ import annotations
@@ -182,10 +185,10 @@ def _joint_tables(alpha: float, r2s, k: int, dim: int | None,
             for cfg in (cfg1, cfg2)]
     for r2 in r2s:
         r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
-        a = [[z.real * w for z in col] for col, w in
+        a = [[z * w for z in col] for col, w in
              zip(_displaced_columns(t * alpha, side, k + 1), _weights(r, t, k))]
-        b = [[z.real for z in col]   # b[j] = D(-r alpha)|k - j>
-             for col in _displaced_columns(-r * alpha, side, k + 1)][::-1]
+        # b[j] = D(-r alpha)|k - j>; both blocks are floats for a real alpha
+        b = _displaced_columns(-r * alpha, side, k + 1)[::-1]
         q = []   # |A[m][l]|^2, 0 for l < k - m, ending at l = dim + k - m - 1
         for m in range(side):
             lo = max(0, k - m)

@@ -24,19 +24,23 @@ from .core import HERALD_CUTOFF, VACUUM_VARIANCE, UndefinedQuantityError
 
 
 def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[complex]]:
-    """D[j][m] = <m|D(gamma)|j> for m < rows and j < cols.
+    """D[j][m] = <m|D(gamma)|j> for m < rows and j < cols: floats for a real
+    gamma, complex numbers for a complex one.
 
     With i = min(m, j), d = |m - j|, y = |gamma|^2 and u = gamma / |gamma|,
     <i+d|D|i> = u^d Q_{i,d}(y) and <i|D|i+d> = (-conj(u))^d Q_{i,d}(y), where
     Q_{i,d} runs the normalised Laguerre recurrence of
     `analysis._wigner_values` along i, from a seed Q_{0,d} taken in log form,
-    -y/2 + (d/2) ln y - lgamma(d + 1)/2, so that no factorial overflows.
+    -y/2 + (d/2) ln y - lgamma(d + 1)/2, so that no factorial overflows.  A
+    real gamma has u = +-1, so each float is the real part of the complex
+    entry of complex(gamma), bit for bit.
     """
     y = abs(gamma) ** 2
     u = gamma / abs(gamma) if gamma else 1.0
-    out = [[0j] * rows for _ in range(cols)]
+    zero = 0j if isinstance(gamma, complex) else 0.0
+    out = [[zero] * rows for _ in range(cols)]
     sqrt = math.sqrt
-    power = 1.0 + 0j          # u^d
+    power = 1.0 + zero        # u^d
     for d in range(max(rows, cols)):
         below = min(cols, rows - d)   # entries <i+d|D|i> in the block
         above = min(rows, cols - d)   # entries <i|D|i+d>
@@ -47,14 +51,15 @@ def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[comple
             q = 0.0 if d else 1.0
         if q == 0.0 and d > y:
             break   # past d = y the seeds only fall, and a 0 seed keeps Q at 0
-        q_prev = 0.0
+        q_prev = root = 0.0   # root = sqrt(i (i + d)), carried from the last step
         for i in range(max(below, above)):
             if i < below:
                 out[i][i + d] = lower * q
             if d and i < above:
                 out[i + d][i] = upper * q
-            q, q_prev = ((2 * i + 1 + d - y) * q - sqrt(i * (i + d)) * q_prev) \
-                / sqrt((i + 1) * (i + 1 + d)), q
+            root_next = sqrt((i + 1) * (i + 1 + d))
+            q, q_prev = ((2 * i + 1 + d - y) * q - root * q_prev) / root_next, q
+            root = root_next
         power *= u
     return out
 

@@ -78,6 +78,19 @@ class TestAgainstMpmath:
                 want = displacement_mp(gamma, m, j)
                 assert abs(mpmath.mpc(got[j][m]) - want) <= tol
 
+    @pytest.mark.parametrize("rows, cols", [(40, 3), (481, 1)])
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3, 2.5, -4.5])
+    def test_real_gamma_gives_floats(self, gamma, rows, cols):
+        """A real gamma's columns hold floats, each the real part of
+        complex(gamma)'s entry bit for bit, whose imaginary part is 0."""
+        real = _displaced_columns(gamma, rows, cols)
+        cplx = _displaced_columns(complex(gamma), rows, cols)
+        assert [len(col) for col in real] == [rows] * cols
+        for got, want in zip(real, cplx, strict=True):
+            assert {type(x) for x in got} == {float}
+            assert [x.hex() for x in got] == [z.real.hex() for z in want]
+            assert not any(z.imag for z in want)
+
     @pytest.mark.parametrize("gamma, k", [
         (0.0, 5), (-12.6, 60), (3.0 - 2.0j, 40), (1e-3, 480), (25.0, 3),
         (1e-160, 40),
