@@ -180,12 +180,7 @@ def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
     k, side, r, t = cfg.k, cfg.dim + cfg.k, cfg.bs.r, cfg.bs.t
     a = np.array(_displaced_columns(t * cfg.alpha, side, k + 1)).T * _weights(r, t, k)
     b = np.array(_displaced_columns(-r * cfg.alpha, side, k + 1))[::-1]
-    if a.dtype == b.dtype == float:   # a real alpha
-        amps = a @ b
-    else:
-        # In real products: a complex matmul would load BLAS's complex
-        # kernels, 0.35 MiB more peak RSS per `joint` command.
-        amps = (a.real @ b.real - a.imag @ b.imag) + 1j * (a.real @ b.imag + a.imag @ b.real)
+    amps = a @ b
     total = np.add.outer(np.arange(side), np.arange(side))
     amps[(total < k) | (total >= side)] = 0.0
     return TwoModeState(amps)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 
 from . import METRICS
@@ -168,8 +169,6 @@ def _parse_r2(text: str) -> tuple[float, float, int]:
 
 
 def cmd_joint(args) -> int:
-    from itertools import chain
-
     from .core import FMT9, _check_stage, _stage_window, fmt9, scan
     from .detector import TMDConfig, _joint_tables
 
@@ -215,20 +214,27 @@ def cmd_joint(args) -> int:
         tables = (joint_output_distribution(
             CatalysisConfig(alpha, BeamSplitter(r2), args.k, args.dim), det1,
             det2).probabilities.tolist() for r2 in r2s)
-    # The first table is built before --out is opened, so a refusal leaves
-    # no file and an existing one as it was; each step is written as soon as
-    # it is built, so the scan holds one step at a time.
-    first = next(tables)
     # Each (r2, i) row is one %-template: its "r2,i" prefix joins the row's
     # ",j,%p\n" suffixes, built once for the command.
     suffixes = [f",{j},%{FMT9}\n" for j in range(args.bins + 1)]
-    with open(args.out, "w", newline="") as fh:
-        fh.write("r2,i,j,p\n")
-        for r2, rows in zip(r2s, chain([first], tables)):
-            r2_cell = fmt9(r2)
-            for i, row in enumerate(rows):
-                prefix = f"{r2_cell},{i}"
-                fh.write((prefix + prefix.join(suffixes)) % tuple(row))
+    # Each step is written as soon as it is built, so the scan holds one
+    # step at a time.  The rows go to a file beside --out that replaces it
+    # only once the last step is written: a refusal at any step leaves no
+    # file and an existing one as it was.
+    part = f"{args.out}.part"
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write("r2,i,j,p\n")
+            for r2, rows in zip(r2s, tables):
+                r2_cell = fmt9(r2)
+                for i, row in enumerate(rows):
+                    prefix = f"{r2_cell},{i}"
+                    fh.write((prefix + prefix.join(suffixes)) % tuple(row))
+        os.replace(part, args.out)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
     return 0
 
 

@@ -51,15 +51,14 @@ def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[comple
             q = 0.0 if d else 1.0
         if q == 0.0 and d > y:
             break   # past d = y the seeds only fall, and a 0 seed keeps Q at 0
-        q_prev = root = 0.0   # root = sqrt(i (i + d)), carried from the last step
+        q_prev = 0.0
         for i in range(max(below, above)):
             if i < below:
                 out[i][i + d] = lower * q
             if d and i < above:
                 out[i + d][i] = upper * q
-            root_next = sqrt((i + 1) * (i + 1 + d))
-            q, q_prev = ((2 * i + 1 + d - y) * q - root * q_prev) / root_next, q
-            root = root_next
+            q, q_prev = ((2 * i + 1 + d - y) * q - sqrt(i * (i + d)) * q_prev) \
+                / sqrt((i + 1) * (i + 1 + d)), q
         power *= u
     return out
 

@@ -253,6 +253,29 @@ class TestTwoModeFrame:
             assert abs(amps[m, l] - want) <= 1e-14, (m, l)
 
 
+    @pytest.mark.parametrize("alpha2, r2, k", [
+        (200.0, 0.2, 2), (200.0, 0.5, 2), (200.0, 0.8, 2), (1.0, 0.5, 500)])
+    def test_real_alpha_takes_the_real_part_of_the_complex_product(
+            self, alpha2, r2, k):
+        """A real alpha's one real product equals, cell for cell, the real
+        part of the complex blocks' product taken in real products, whose
+        imaginary terms are exact zeros: the same table on this machine's
+        BLAS whatever its summation order."""
+        from photon_catalysis.frame import _displaced_columns, _weights
+
+        cfg = CatalysisConfig(math.sqrt(alpha2), BeamSplitter(r2), k)
+        side, r, t = cfg.dim + k, cfg.bs.r, cfg.bs.t
+        a = np.array(_displaced_columns(complex(t * cfg.alpha), side, k + 1)).T \
+            * _weights(r, t, k)
+        b = np.array(_displaced_columns(complex(-r * cfg.alpha), side, k + 1))[::-1]
+        want = a.real @ b.real - a.imag @ b.imag
+        total = np.add.outer(np.arange(side), np.arange(side))
+        window = (total >= k) & (total < side)
+        amps = two_mode_output(cfg).amplitudes
+        assert not amps.imag.any()
+        assert np.array_equal(amps.real[window], want[window])
+
+
 class TestPcocState:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("r2", [0.1, 0.5, 0.9])

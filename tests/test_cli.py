@@ -307,27 +307,6 @@ class TestJoint:
         assert list(totals) == ["2.00000000e-01", "5.00000000e-01", "8.00000000e-01"]
         assert all(t == pytest.approx(1.0, abs=1e-8) for t in totals.values())
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["--alpha2", "200", "--r2", "0.2:0.8:3", "--bins", "16"],
-         "2a6e43080e2b3dcd9581cef5e0034bc37bd8f50cf8dec5648de8be88cab247b8"),
-        (["--alpha2", "1", "--k", "500", "--r2", "0.5"],
-         "ccbdf2b4761d7ccdadcce7862553a8328d79a6c3b233490b848961aab7d411b9"),
-    ])
-    def test_numpy_side_bytes_are_pinned(self, tmp_path, capsys, monkeypatch,
-                                         argv, digest):
-        """Tables above _STDLIB_JOINT_WORK, from numpy's products (numpy
-        2.4.6), hashed while a real alpha still took four real products of
-        complex blocks, whose imaginary ones are exact zeros."""
-        from photon_catalysis import detector
-
-        def refused(*args):
-            raise AssertionError("this command must take numpy's products")
-
-        monkeypatch.setattr(detector, "_joint_tables", refused)
-        out = tmp_path / "joint.csv"
-        assert run(capsys, "joint", *argv, "--out", str(out))[0] == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
     def test_scan_holds_one_step(self, tmp_path, capsys):
         """Each r2 step is written as soon as it is built.  This scan's
         1.5 MB CSV peaked at 4.6 MB traced while the whole text was joined
@@ -1055,14 +1034,40 @@ class TestInputGates:
 
     @pytest.mark.parametrize("dim", ["12", "13"])
     def test_refused_joint_keeps_an_existing_out(self, tmp_path, capsys, dim):
-        """The first table is built before --out is opened, so a refusal
-        leaves a file that was there byte for byte."""
+        """A refusal leaves a file that was there byte for byte."""
         out = tmp_path / "j.csv"
         out.write_bytes(b"r2,i,j,p\nkept\n")
         got, _, stderr = run(capsys, "joint", "--alpha2", "1.11", "--dim", dim,
                              "--r2", "0.5", "--out", str(out))
         assert got == 2 and stderr.startswith("error: truncation gate: ")
         assert out.read_bytes() == b"r2,i,j,p\nkept\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha2", "1", "--r2", "0.1:0.9:4"],                  # stdlib kernel
+        ["--alpha2", "200", "--r2", "0.2:0.8:3", "--bins", "16"],  # numpy's
+    ])
+    def test_joint_refused_at_a_later_step_keeps_an_existing_out(
+            self, tmp_path, capsys, monkeypatch, flags):
+        """The first step is written before the second is built; a refusal
+        there still leaves no partial table and the old file as it was."""
+        from photon_catalysis import core, detector
+
+        calls = []
+
+        def second_refused(tail, dim):
+            calls.append(tail)
+            if len(calls) == 2:
+                raise core.TruncationError("refused at the second step")
+
+        monkeypatch.setattr(detector, "_check_table_norm", second_refused)
+        out = tmp_path / "j.csv"
+        out.write_bytes(b"r2,i,j,p\nkept\n")
+        got, _, stderr = run(capsys, "joint", *flags, "--out", str(out))
+        assert got == 2 and len(calls) == 2
+        assert stderr.startswith("error: truncation gate: refused at the second")
+        assert out.read_bytes() == b"r2,i,j,p\nkept\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_joint_window_past_the_tail_is_unchanged(self, tmp_path, capsys):
         """--dim 14 keeps the tail under 1e-10.  Hashed from the displaced-
