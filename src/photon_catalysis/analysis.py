@@ -2,20 +2,23 @@
 
 Conventions fixed throughout: X = (a + a^+)/2, P = (a - a^+)/(2i), so the
 vacuum variance is 1/4 and squeezing in dB is 10 log10(var / (1/4)).
+
+numpy and `fock` are imported only where arrays are built, so the minimum
+of a default grid that `_wigner_min` certifies from the displaced frame
+loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import islice
+from operator import mul
 from typing import Iterator
-
-import numpy as np
 
 from .core import (FMT9, NORM_TOL, TAIL_GATE, VACUUM_VARIANCE,
                    TruncationError, UndefinedQuantityError, fmt9)
-from .fock import FockState, PhotonNumberDistribution, factorial_moments
-from .frame import _quadratures
+from .frame import _displaced_columns, _quadratures
 
 
 class PoleError(ArithmeticError):
@@ -72,15 +75,19 @@ class WignerGridSpec:
         return (self.p_max - self.p_min) / self.np
 
     def x_axis(self) -> np.ndarray:
-        return _centres(self.x_min, self.x_max, self.nx, self.dx)
+        import numpy as np
+
+        return np.array(_centres(self.x_min, self.x_max, self.nx, self.dx))
 
     def p_axis(self) -> np.ndarray:
-        return _centres(self.p_min, self.p_max, self.np, self.dp)
+        import numpy as np
+
+        return np.array(_centres(self.p_min, self.p_max, self.np, self.dp))
 
 
-def _centres(lo: float, hi: float, n: int, step: float) -> np.ndarray:
+def _centres(lo: float, hi: float, n: int, step: float) -> list[float]:
     """The n cell centres of the axis lo:hi (see `WignerGridSpec`)."""
-    return (lo + hi) / 2.0 + (np.arange(n) - (n - 1) / 2.0) * step
+    return [(lo + hi) / 2.0 + (i - (n - 1) / 2.0) * step for i in range(n)]
 
 
 class WignerGrid:
@@ -173,6 +180,8 @@ def locus_alpha_max(r2: float) -> float:
 
 def g2(d: PhotonNumberDistribution) -> float:
     """Second-order autocorrelation <n(n-1)> / <n>^2 at zero delay."""
+    from .fock import factorial_moments
+
     m1, m2 = factorial_moments(d.probabilities)
     if m1 <= 0.0:
         raise UndefinedQuantityError("g2 undefined for vacuum (zero mean)")
@@ -187,6 +196,8 @@ def _radii(xs: np.ndarray, ps: np.ndarray):
     """(u, y, radius) on the cells of xs by ps, raveled: u = gamma / |gamma|
     (1 at gamma = 0) with gamma = 2(x + ip), the distinct y = |gamma|^2
     ascending, and each cell's index into them."""
+    import numpy as np
+
     unit = (xs[:, None] + 1j * ps[None, :]).ravel()
     unit *= 2.0
     r = np.abs(unit)
@@ -236,6 +247,8 @@ def _wigner_values(psi: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarra
     on a window with p_min = -p_max, `wigner` passes the columns p >= 0
     only, so these count about half the window's cells.
     """
+    import numpy as np
+
     unit, y, radius = _radii(xs, ps)
     q_seed = np.exp(-y / 2.0)
     # Past y = 1,417 e^{-y/2} is subnormal or 0, and the product loses the
@@ -330,12 +343,14 @@ def _check_wigner_work(dim: int, spec: WignerGridSpec):
             f"{_WIGNER_BUDGET:.0e} cell-steps; lower --alpha/--dim or --grid")
 
 
-def _coverage_warning(s: FockState, spec: WignerGridSpec) -> str | None:
+def _coverage_warning(amplitudes: list, tail_mass: float,
+                      spec: WignerGridSpec) -> str | None:
     """A warning if the window covers less than 5 standard deviations of the
-    state's quadrature spread (no check once the tail is too heavy)."""
-    if s.tail_mass > TAIL_GATE:
+    quadrature spread of the normalized state with these amplitudes (no
+    check once its tail is too heavy)."""
+    if tail_mass > TAIL_GATE:
         return None
-    a1, var_x, var_p = _quadratures(s.amplitudes.tolist(), 1.0)
+    a1, var_x, var_p = _quadratures(amplitudes, 1.0)
     sx, sp = math.sqrt(var_x), math.sqrt(var_p)
     if (a1.real - 5 * sx < spec.x_min or a1.real + 5 * sx > spec.x_max
             or a1.imag - 5 * sp < spec.p_min or a1.imag + 5 * sp > spec.p_max):
@@ -346,6 +361,8 @@ def _coverage_warning(s: FockState, spec: WignerGridSpec) -> str | None:
 def _mirrored(upper: np.ndarray, half: int) -> np.ndarray:
     """The grid whose columns from ``half`` on are ``upper`` and whose first
     ``half`` columns mirror them, W(x, -p) = W(x, p); ``upper`` for 0."""
+    import numpy as np
+
     if not half:
         return upper
     full = np.empty((upper.shape[0], half + upper.shape[1]))
@@ -368,6 +385,8 @@ def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:
     share every radius, so the mirrored grid is the full plane's bit for
     bit.  Otherwise the values cover the whole window.
     """
+    import numpy as np
+
     if spec is None:
         spec = WignerGridSpec()
     if abs(s.norm_squared() - 1.0) > NORM_TOL:
@@ -377,7 +396,154 @@ def wigner(s: FockState, spec: WignerGridSpec | None = None) -> WignerGrid:
     real = not np.imag(s.amplitudes).any()
     half = spec.np // 2 if real and spec.p_min == -spec.p_max else 0
     upper = _wigner_values(s.amplitudes, spec.x_axis(), spec.p_axis()[half:])
-    return WignerGrid(spec, _mirrored(upper, half), _coverage_warning(s, spec))
+    return WignerGrid(spec, _mirrored(upper, half),
+                      _coverage_warning(s.amplitudes.tolist(), s.tail_mass, spec))
+
+
+# The frame grid's largest k.  Its monomial form stays within 2.8e-15 of the
+# windowed kernel run on phi up to here and takes 17 ms at k = 10, which a
+# grid the frame does not certify adds to the command (2-core VM, CHANGES.md).
+_FRAME_K = 10
+# Most cells the certificate evaluates on the window, 0.24-1.3 ms each at
+# windows of 25-40 levels.
+_MAX_CANDIDATES = 16
+# Bounds the frame grid's and the windowed kernel's rounding together.
+_CERT_EPS = 1e-9
+# Bounds the difference between the window's W at a cell by `_window_value`
+# and by `wigner`: 11 times the largest seen, 8.9e-16 (CHANGES.md).
+_ROUNDING = 1e-14
+
+
+def _poisson_tail(mu: float, n: int) -> float:
+    """An upper bound on sum_{m >= n} e^-mu mu^m / m!, summed from m = n
+    (1 minus the sum below n rounds to 0 under 1e-16): terms one by one
+    until their ratio mu / (m + 1) is at most 1/2 and they fall below
+    1e-17 of the sum, then a geometric bound on the rest."""
+    if mu == 0.0:
+        return 0.0 if n else 1.0
+    term = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+    total = 0.0
+    while term > 1e-17 * total or mu / (n + 1) > 0.5:
+        total += term
+        term *= mu / (n + 1)
+        n += 1
+    # the log form's and the sum's rounding, far inside the factor
+    return (total + term / (1.0 - mu / (n + 1))) * (1.0 + 1e-9)
+
+
+def _frame_polynomial(phi: list[float], prob: float) -> list[list[float]]:
+    """d with W_phi(u, v) = (2/pi) e^{-2u^2 - 2v^2} sum_{q,p} d[q][p] u^p v^2q
+    for a real phi on the levels 0..k, normalized by prob = |phi|^2.
+
+    <m|D(2z)|n> = e^{-2|z|^2} sum_j sqrt(m! n!) (2z)^(m-j) (-2 conj z)^(n-j)
+    / (j! (m-j)! (n-j)!), so with a = m - j and b = n - j the parity (-1)^n
+    leaves P = sum_{a,b} c_ab z^a conj(z)^b, with
+
+        c_ab = 2^(a+b) / (a! b!) sum_j (-1)^j sqrt((a+j)! (b+j)!) / j!
+               phi_(a+j) phi_(b+j) / prob,
+
+    symmetric in a and b.  z^a conj(z)^b = sum_q e_q i^q u^(a+b-q) v^q with
+    e_q the coefficient of x^q in (1 + x)^a (1 - x)^b; the odd powers of v
+    cancel between c_ab and c_ba.
+    """
+    k = len(phi) - 1
+    fact = [math.factorial(n) for n in range(k + 1)]
+    d = [[0.0] * (2 * k + 1 - 2 * q) for q in range(k + 1)]
+    for a in range(k + 1):
+        for b in range(k + 1):
+            c = math.fsum((-1) ** j * math.sqrt(fact[a + j] * fact[b + j])
+                          / fact[j] * phi[a + j] * phi[b + j]
+                          for j in range(k + 1 - max(a, b)))
+            c *= 2.0 ** (a + b) / (fact[a] * fact[b]) / prob
+            for q in range(0, a + b + 1, 2):
+                e = sum((-1) ** t * math.comb(a, q - t) * math.comb(b, t)
+                        for t in range(max(0, q - a), min(q, b) + 1))
+                d[q // 2][a + b - q] += (-1) ** (q // 2) * e * c
+    return d
+
+
+def _frame_grid(beta: float, phi: list[float], prob: float, xs: list[float],
+                ps: list[float]) -> list[list[float]]:
+    """W of D(beta) phi / |phi| on the cells xs by ps, for a real beta and
+    phi: W_phi(x - beta, p), one x row at a time from the 2k + 1 row
+    coefficients of `_frame_polynomial` and k + 1 columns v^2q e^{-2v^2}."""
+    d = _frame_polynomial(phi, prob)
+    cols = [[p ** (2 * q) * math.exp(-2.0 * p * p) for p in ps]
+            for q in range(len(d))]
+    rows = []
+    for x in xs:
+        u = x - beta
+        scale = 2.0 / math.pi * math.exp(-2.0 * u * u)
+        row = [0.0] * len(ps)
+        for dq, col in zip(d, cols):
+            r = 0.0
+            for coeff in reversed(dq):
+                r = r * u + coeff
+            r *= scale
+            row = [w + r * c for w, c in zip(row, col)]
+        rows.append(row)
+    return rows
+
+
+def _window_candidates(alpha: complex, psi: list, frame) -> list | None:
+    """The cells (x, p) of the default grid's half plane p >= 0 that can hold
+    the minimum of the grid of the windowed state psi (the mirror half
+    repeats them), from the frame (beta, phi, |phi|^2) of the same state;
+    None when the frame does not narrow them to _MAX_CANDIDATES.
+
+    Both are unit vectors: psi = P chi / |P chi| is the exact state chi
+    cut to the window P, so |psi - chi|^2 <= 2t with t the probability of
+    chi beyond the window, at most the coherent tail beyond it over |phi|^2
+    (every |C_n| <= 1).  W of unit vectors differs by at most (4/pi) times
+    their distance, so the windowed grid is within
+    delta = (4/pi) sqrt(2t) + _CERT_EPS of the frame's, and a cell more than
+    2 delta above the frame's minimum cannot hold the windowed minimum."""
+    beta, phi, prob = frame
+    if isinstance(alpha, complex) or len(phi) - 1 > _FRAME_K:
+        return None
+    spec = WignerGridSpec()
+    xs = _centres(spec.x_min, spec.x_max, spec.nx, spec.dx)
+    ps = _centres(spec.p_min, spec.p_max, spec.np, spec.dp)[spec.np // 2:]
+    rows = _frame_grid(beta, [c.real for c in phi], prob, xs, ps)
+    tail = _poisson_tail(abs(alpha) ** 2, len(psi)) / prob
+    top = min(map(min, rows)) + 2.0 * (4.0 / math.pi * math.sqrt(2.0 * tail)
+                                       + _CERT_EPS)
+    cells = list(islice(((x, p) for x, row in zip(xs, rows)
+                         for p, w in zip(ps, row) if w <= top),
+                        _MAX_CANDIDATES + 1))
+    return cells if len(cells) <= _MAX_CANDIDATES else None
+
+
+def _window_value(psi: list[float], x: float, p: float) -> float:
+    """W(x, p) of the real normalized state psi:
+    (2/pi) sum_{m,n} psi_m psi_n (-1)^n <m|D(2(x + ip))|n>."""
+    cols = _displaced_columns(complex(2.0 * x, 2.0 * p), len(psi), len(psi))
+    total = sum((-1) ** n * c * sum(map(mul, col, psi))
+                for n, (c, col) in enumerate(zip(psi, cols)))
+    return 2.0 / math.pi * total.real
+
+
+def _wigner_min(alpha: complex, psi: list, tail: float,
+                frame) -> tuple[float, str | None]:
+    """(minimum, coverage warning) of the default grid of the windowed state
+    psi, normalized, with its tail mass and the frame (beta, phi, |phi|^2)
+    of the same state, as `wigner` gives them; `cmd_state` and every
+    wigner_min sweep point take it.  The grid's budget is checked first.
+    Where `_window_candidates` narrows the minimum to a few cells, it is the
+    least of psi's values there, if every value within _ROUNDING of it
+    prints the same 9 digits, so that it prints the grid minimum's, and
+    loads no numpy; otherwise `wigner` computes the grid."""
+    spec = WignerGridSpec()
+    _check_wigner_work(len(psi), spec)
+    cells = _window_candidates(alpha, psi, frame)
+    if cells is not None:
+        minimum = min(_window_value(psi, x, p) for x, p in cells)
+        if fmt9(minimum - _ROUNDING) == fmt9(minimum + _ROUNDING):
+            return minimum, _coverage_warning(psi, tail, spec)
+    from .fock import FockState
+
+    grid = wigner(FockState(psi, tail), spec)
+    return float(grid.values.min()), grid.coverage_warning
 
 
 def wigner_negativity(w: WignerGrid) -> tuple[float, float]:
@@ -406,6 +572,8 @@ def _wigner_csv_rows(w: WignerGrid) -> Iterator[str]:
 
 def wigner_to_pgm(w: WignerGrid) -> bytes:
     """16-bit NetPBM heatmap: linear map of [min, max] onto 0..65535."""
+    import numpy as np
+
     lo = float(w.values.min())
     hi = float(w.values.max())
     if hi > lo:

@@ -24,10 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (HERALD_CUTOFF, TAIL_GATE, TruncationError,
-                   UndefinedQuantityError, _check_stage, _herald,
-                   _stage_window, coherent_window)
-from .frame import _displaced_columns, _weights, heralded_frame
+from .core import (HERALD_CUTOFF, UndefinedQuantityError, _check_stage,
+                   _herald, _stage_window, coherent_window)
+from .frame import _displaced_columns, _weights, _windowed
 
 # The reference sum's binomials are exact integers up to this order, log-gamma beyond.
 _EXACT_BINOM_LIMIT = 64
@@ -133,15 +132,12 @@ def pcoc_state(cfg: CatalysisConfig) -> tuple[FockState, float]:
     included (the r2=0 limit gives exactly 1 and the r2=1 limit the Poisson
     weight of |k> in the input, both confirmed by the brute-force oracle).
     The state's tail_mass is the output's own, 1 - probability / |phi|^2
-    with |phi|^2 untruncated (`frame.heralded_frame`), gated at TAIL_GATE.
+    with |phi|^2 untruncated, gated at TAIL_GATE (`frame._windowed`).
     """
-    stage = (cfg.bs.r2, int(cfg.k))
-    raw, prob = _herald(cfg.alpha, cfg.dim, (stage,))
-    tail = max(0.0, 1.0 - prob / heralded_frame(cfg.alpha, *stage)[2])
-    if tail > TAIL_GATE:
-        raise TruncationError(f"output tail mass {tail:.3e} exceeds "
-                              f"{TAIL_GATE:.0e} at dim={cfg.dim}; raise --dim")
-    return _state(raw, prob, tail), prob
+    from .fock import FockState
+
+    psi, prob, tail, _ = _windowed(cfg.alpha, cfg.bs.r2, int(cfg.k), cfg.dim)
+    return FockState(psi, tail), prob
 
 
 def success_probability_analytic(alpha: complex, bs: BeamSplitter) -> float:
@@ -176,14 +172,21 @@ def two_mode_output(cfg: CatalysisConfig) -> TwoModeState:
     set to zero, where the frame leaves the amplitudes beyond the window or
     rounding residue.  Heralding l = k leaves C_n.
     """
+    return TwoModeState(_two_mode_amplitudes(cfg))
+
+
+def _two_mode_amplitudes(cfg: CatalysisConfig) -> np.ndarray:
+    """`two_mode_output`'s A as one product of the two column blocks, real
+    for a real alpha, with the cells outside the window zeroed row by row."""
     coherent_window(cfg.alpha, cfg.dim)   # refuses a tail above TAIL_GATE
     k, side, r, t = cfg.k, cfg.dim + cfg.k, cfg.bs.r, cfg.bs.t
     a = np.array(_displaced_columns(t * cfg.alpha, side, k + 1)).T * _weights(r, t, k)
     b = np.array(_displaced_columns(-r * cfg.alpha, side, k + 1))[::-1]
     amps = a @ b
-    total = np.add.outer(np.arange(side), np.arange(side))
-    amps[(total < k) | (total >= side)] = 0.0
-    return TwoModeState(amps)
+    for m, row in enumerate(amps):   # keep k <= m + l < side
+        row[:max(0, k - m)] = 0.0
+        row[side - m:] = 0.0
+    return amps
 
 
 @lru_cache(maxsize=4096)

@@ -8,7 +8,10 @@ Identical flags produce byte-identical output files.
 
 Each command imports the modules it runs, so --help, usage errors, `optimize`,
 every sweep but wigner_min and every `joint` up to _STDLIB_JOINT_WORK finish
-without loading numpy.
+without loading numpy.  `state` and wigner_min sweeps load it only for a
+Wigner minimum the displaced frame does not certify
+(`analysis._wigner_min`): one near 0 on many cells, one at k above
+`analysis._FRAME_K`, or a complex alpha from Python.
 """
 
 from __future__ import annotations
@@ -97,22 +100,23 @@ def _warn_coverage(*warnings: str | None):
 
 def cmd_state(args) -> int:
     """The first four summary lines are `frame.sweep_point`'s, untruncated;
-    the windowed state gives the JSON and the Wigner line."""
-    from .analysis import wigner
-    from .core import fmt9
-    from .fock import state_to_json
-    from .frame import sweep_point
+    the windowed state gives the JSON and the Wigner line
+    (`analysis._wigner_min`)."""
+    from .analysis import _wigner_min
+    from .core import _stage_window, fmt9, state_json
+    from .frame import _windowed, sweep_point
 
     names = ("success_prob", "var_x_db", "var_p_db", "g2")
-    state, _ = _build_state(args.alpha, args.r2, args.k, args.dim)
+    dim = _stage_window(args.alpha, ((args.r2, args.k),), args.dim)
+    psi, _, tail, frame = _windowed(args.alpha, args.r2, args.k, dim)
     values = [sweep_point(name, args.alpha, args.r2, args.k)[0] for name in names]
-    grid = wigner(state)
-    _warn_coverage(grid.coverage_warning)
-    values.append(float(grid.values.min()))
+    minimum, warning = _wigner_min(args.alpha, psi, tail, frame)
+    _warn_coverage(warning)
+    values.append(minimum)
     for name, value in zip((*names, "wigner_min"), values):
         print(f"{name} = {fmt9(value)}")
     if args.out:
-        _write_text(args.out, state_to_json(state))
+        _write_text(args.out, state_json(psi, tail))
     return 0
 
 

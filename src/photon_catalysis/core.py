@@ -200,6 +200,14 @@ def fmt17(x: float) -> str:
     return f"{x:.16e}"
 
 
+def state_json(amplitudes, tail_mass: float) -> str:
+    """The state JSON {dim, amplitudes: [[re, im], ...], tail_mass}, each
+    number in `fmt17`."""
+    rows = ",".join(f"[{fmt17(a.real)},{fmt17(a.imag)}]" for a in amplitudes)
+    return (f'{{"dim": {len(amplitudes)}, "amplitudes": [{rows}], '
+            f'"tail_mass": {fmt17(tail_mass)}}}')
+
+
 def _parse_state(text: str) -> tuple[list[complex], float]:
     """(amplitudes, tail_mass) of a `state_to_json` document (a missing
     tail_mass reads 0); any other document raises a ValueError that says

@@ -121,35 +121,32 @@ def sweep(spec: SweepSpec, warn=None) -> list[tuple]:
     Every point's stage and window, then the budget, is checked before any
     point is computed.  ``warn``, if given, is called with each Wigner
     coverage warning.  wigner_min takes each point in row order: it builds
-    the state, takes the minimum of its Wigner grid, and drops the grid."""
+    the windowed state and takes the minimum of its Wigner grid
+    (`analysis._wigner_min`), which holds one grid at a time."""
     names = [a.name for a in spec.axes]
     combos = list(itertools.product(*(a.values() for a in spec.axes)))
     points = [(p.get("alpha", spec.alpha), p.get("r2", spec.r2),
                p.get("k", spec.k))
               for p in (dict(zip(names, combo)) for combo in combos)]
+    dims = [_stage_window(alpha, ((r2, k),)) for alpha, r2, k in points]
     if spec.metric != "wigner_min":
         from .frame import sweep_point
 
-        for alpha, r2, k in points:
-            _stage_window(alpha, ((r2, k),))
         if spec.target is not None:
             _check_fidelity_sweep(points, len(spec.target))
         return [combo + sweep_point(spec.metric, alpha, r2, int(k), spec.target)
                 for combo, (alpha, r2, k) in zip(combos, points)]
-    from .analysis import wigner
-    from .catalysis import BeamSplitter, CatalysisConfig, pcoc_state
+    from .analysis import _wigner_min
+    from .frame import _windowed
 
-    configs = [CatalysisConfig(alpha, BeamSplitter(r2), int(k))
-               for alpha, r2, k in points]
-    _check_wigner_sweep([cfg.dim for cfg in configs])
+    _check_wigner_sweep(dims)
     rows = []
-    for combo, cfg in zip(combos, configs):
-        state, prob = pcoc_state(cfg)
-        grid = wigner(state)
-        if warn and grid.coverage_warning:
-            warn(grid.coverage_warning)
-        rows.append(combo + (float(grid.values.min()), prob))
-        del grid    # dropped before the next grid is computed
+    for combo, (alpha, r2, k), dim in zip(combos, points, dims):
+        psi, prob, tail, frame = _windowed(alpha, r2, int(k), dim)
+        minimum, warning = _wigner_min(alpha, psi, tail, frame)
+        if warn and warning:
+            warn(warning)
+        rows.append(combo + (minimum, prob))
     return rows
 
 

@@ -142,12 +142,14 @@ def joint_output_distribution(cfg: CatalysisConfig, cfg1: TMDConfig,
     numbers only, so it misses its norm by the coherent tail beyond --dim; a
     miss above 1e-10 is refused as a TruncationError.  `catalysis` is
     imported here, so that importing this module loads neither it nor numpy.
+    A real alpha's amplitudes are squared in place into |A|^2.
     """
     import numpy as np
 
-    from .catalysis import two_mode_output
+    from .catalysis import _two_mode_amplitudes
 
-    q = np.abs(two_mode_output(cfg).amplitudes) ** 2
+    amps = _two_mode_amplitudes(cfg)
+    q = np.square(amps, out=amps) if amps.dtype.kind == "f" else np.abs(amps) ** 2
     _check_table_norm(1.0 - q.sum(), cfg.dim)
     n_max = q.shape[0] - 1
     return JointClickDistribution(

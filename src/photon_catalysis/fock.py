@@ -8,7 +8,8 @@ import numpy as np
 
 from . import core
 from .core import (NORM_TOL, TAIL_GATE, TruncationError,
-                   UndefinedQuantityError, _parse_state, default_dim, fmt17)
+                   UndefinedQuantityError, _parse_state, default_dim,
+                   state_json)
 
 
 class FockState:
@@ -153,10 +154,7 @@ def factorial_moments(p: np.ndarray) -> tuple[float, float]:
 
 def state_to_json(s: FockState) -> str:
     """Serialize to the fixed schema {dim, amplitudes: [[re, im], ...], tail_mass}."""
-    rows = ",".join(
-        f"[{fmt17(a.real)},{fmt17(a.imag)}]" for a in s.amplitudes)
-    return (f'{{"dim": {s.dim}, "amplitudes": [{rows}], '
-            f'"tail_mass": {fmt17(s.tail_mass)}}}')
+    return state_json(s.amplitudes.tolist(), s.tail_mass)
 
 
 def state_from_json(text: str) -> FockState:

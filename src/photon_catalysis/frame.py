@@ -12,15 +12,18 @@ So heralding k photons in mode b leaves the unnormalised state D(beta) phi
 in mode a, with beta = t alpha and phi_j = w_j <k|D(-r alpha)|k - j> on the
 k + 1 levels j = 0..k.  The herald probability is |phi|^2, exactly, and every
 moment of the output follows from phi's own moments, because displacement
-only shifts the means.  No Fock window truncates any of it.  Only the
-commands that print these metrics, and `joint`, import this module.
+only shifts the means.  No Fock window truncates any of it.  `_windowed`
+gives the windowed one-stage state beside its frame, which the state JSON,
+the Wigner minima and `catalysis.pcoc_state` take.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from .core import HERALD_CUTOFF, VACUUM_VARIANCE, UndefinedQuantityError
+from .core import (HERALD_CUTOFF, TAIL_GATE, VACUUM_VARIANCE, TruncationError,
+                   UndefinedQuantityError, _herald)
 
 
 def _displaced_columns(gamma: complex, rows: int, cols: int) -> list[list[complex]]:
@@ -109,10 +112,20 @@ def _displaced_row(gamma: complex, k: int) -> list[complex]:
 
 
 def _weights(r: float, t: float, k: int) -> list[float]:
-    """w_j = sqrt(C(k, j)) r^j t^(k-j) for j = 0..k: U|0, k> = sum_j w_j |j, k - j>."""
+    """w_j = sqrt(C(k, j)) r^j t^(k-j) for j = 0..k: U|0, k> = sum_j w_j |j, k - j>.
+
+    A binomial past the float range (k >= 1030) is multiplied by
+    r^j t^(k-j) in log form, as that product may fall below the range; such
+    a j has 0 < j < k, so r = 0 or t = 0 makes its weight 0."""
     w, binom = [], 1
     for j in range(k + 1):
-        w.append(math.sqrt(binom) * r ** j * t ** (k - j))
+        if binom <= sys.float_info.max:
+            w.append(math.sqrt(binom) * r ** j * t ** (k - j))
+        elif r and t:
+            w.append(math.exp(0.5 * math.log(binom) + j * math.log(r)
+                              + (k - j) * math.log(t)))
+        else:
+            w.append(0.0)
         binom = binom * (k - j) // (j + 1)
     return w
 
@@ -131,6 +144,25 @@ def heralded_frame(alpha: complex, r2: float, k: int) -> tuple[complex, list[com
     if prob < HERALD_CUTOFF:
         raise UndefinedQuantityError("herald outcome has zero probability")
     return t * alpha, phi, prob
+
+
+def _windowed(alpha: complex, r2: float, k: int,
+              dim: int) -> tuple[list, float, float, tuple]:
+    """(psi, prob, tail, frame) of the one-stage state on the checked window
+    dim: its normalized amplitudes psi = u C / |u C| on n < dim from
+    `core._herald` and their herald probability prob; tail, its own
+    probability beyond the window, 1 - prob / |phi|^2; and frame, its
+    `heralded_frame`.  Refuses a dead herald and a tail above TAIL_GATE."""
+    raw, prob = _herald(alpha, dim, ((r2, k),))
+    frame = heralded_frame(alpha, r2, k)
+    tail = max(0.0, 1.0 - prob / frame[2])
+    if tail > TAIL_GATE:
+        raise TruncationError(f"output tail mass {tail:.3e} exceeds "
+                              f"{TAIL_GATE:.0e} at dim={dim}; raise --dim")
+    if prob < HERALD_CUTOFF:
+        raise UndefinedQuantityError("herald outcome has zero probability")
+    norm = math.sqrt(prob)
+    return [a / norm for a in raw], prob, tail, frame
 
 
 def _moments(phi: list[complex], prob: float):

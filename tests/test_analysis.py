@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
+from photon_catalysis import analysis, core, frame
 from photon_catalysis.analysis import (DomainError, PoleError,
                                        VACUUM_VARIANCE, WignerGridSpec,
                                        _radii, _wigner_values, g2,
@@ -21,6 +22,7 @@ from photon_catalysis.analysis import (DomainError, PoleError,
 from photon_catalysis.catalysis import (BeamSplitter, CatalysisConfig,
                                         pcoc_state,
                                         success_probability_analytic)
+from photon_catalysis.core import fmt9
 from photon_catalysis.fock import (FockState, PhotonNumberDistribution,
                                    UndefinedQuantityError, make_coherent,
                                    make_fock, number_distribution)
@@ -567,6 +569,82 @@ class TestWignerMemory:
         eight = traced_peak(lambda: [float(wigner(state).values.min())
                                      for state in states])
         assert eight <= 1.2 * one
+
+
+def _windowed_state(alpha: float, r2: float, k: int):
+    """(psi, tail, frame) of the CLI's state at (alpha, r2, k)."""
+    dim = core._stage_window(alpha, ((r2, k),))
+    psi, _, tail, frame_ = frame._windowed(alpha, r2, k, dim)
+    return psi, tail, frame_
+
+
+class TestCertifiedMinimum:
+    """`analysis._wigner_min` takes a default grid's minimum from the window's
+    own values at the cells the displaced frame leaves, and `wigner`'s grid
+    where the frame leaves too many."""
+
+    @given(alpha=st.floats(-2.7, 2.7), r2=st.floats(0.01, 0.99),
+           k=st.integers(0, analysis._FRAME_K))
+    @settings(max_examples=60, deadline=None, database=None)
+    @example(alpha=2.7, r2=0.05, k=1)       # three candidate cells
+    @example(alpha=1.35, r2=0.77, k=1)      # the README state
+    @example(alpha=0.0, r2=0.5, k=2)        # beta = 0 and phi complex-typed
+    @example(alpha=0.0703125, r2=0.375, k=7)   # minimum -2.6e-8: digits unsure
+    def test_candidates_hold_the_grid_minimum(self, alpha, r2, k):
+        """Whenever the frame certifies, its candidate cells hold the cell
+        where `wigner`'s grid takes its minimum, the least window value
+        among them is within _ROUNDING of the grid's minimum, and the
+        minimum prints the grid minimum's 9 digits."""
+        psi, tail, frame_ = _windowed_state(alpha, r2, k)
+        cells = analysis._window_candidates(alpha, psi, frame_)
+        if cells is None:
+            return
+        grid = wigner(FockState(psi, tail))
+        spec = grid.spec
+        upper = grid.values[:, spec.np // 2:]   # p >= 0; the rest mirrors it
+        assert upper.min() == grid.values.min()
+        i, j = np.unravel_index(np.argmin(upper), upper.shape)
+        assert (spec.x_axis()[i], spec.p_axis()[spec.np // 2 + j]) in cells
+        least = min(analysis._window_value(psi, x, p) for x, p in cells)
+        assert abs(least - grid.values.min()) <= analysis._ROUNDING
+        got, warning = analysis._wigner_min(alpha, psi, tail, frame_)
+        assert fmt9(got) == fmt9(grid.values.min())
+        assert got in (least, grid.values.min())
+        assert warning == grid.coverage_warning
+
+    @pytest.mark.parametrize("alpha, r2, k", [
+        (1.7996, 0.0531, 1),   # W > 0 on the grid; the window prints -3.19e-09
+        (0.35, 0.068, 1),      # a nearly coherent state, W near 0 far out
+        (1.0, 0.4, analysis._FRAME_K + 1)])
+    def test_fallbacks_take_the_grid(self, alpha, r2, k):
+        psi, tail, frame_ = _windowed_state(alpha, r2, k)
+        assert analysis._window_candidates(alpha, psi, frame_) is None
+        grid = wigner(FockState(psi, tail))
+        assert analysis._wigner_min(alpha, psi, tail, frame_) == \
+            (float(grid.values.min()), grid.coverage_warning)
+
+    @pytest.mark.parametrize("alpha, r2, k", [(1.35, 0.77, 1), (2.0, 0.5, 3),
+                                              (1.0, 0.5, analysis._FRAME_K)])
+    def test_frame_grid_is_the_kernel_on_phi(self, alpha, r2, k):
+        """The monomial form agrees with the windowed kernel run on phi / |phi|
+        over axes shifted by beta."""
+        beta, phi, prob = frame.heralded_frame(alpha, r2, k)
+        spec = WignerGridSpec()
+        xs, ps = spec.x_axis(), spec.p_axis()[spec.np // 2:]
+        got = analysis._frame_grid(beta, [c.real for c in phi], prob,
+                                   xs.tolist(), ps.tolist())
+        want = _wigner_values(np.array(phi) / math.sqrt(prob), xs - beta, ps)
+        assert np.abs(np.array(got) - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("mu, n", [(0.09, 25), (1.0, 25), (7.29, 38),
+                                       (7.29, 3), (400.0, 500), (1000.0, 1030)])
+    def test_poisson_tail_bounds_the_exact_tail(self, mu, n):
+        with mpmath.workdps(40):
+            want = mpmath.fsum(mpmath.exp(-mu) * mpmath.mpf(mu) ** m
+                               / mpmath.factorial(m) for m in range(n, 3 * n + 100))
+        got = analysis._poisson_tail(mu, n)
+        assert want <= got <= want * (1 + 1e-8)
+        assert analysis._poisson_tail(0.0, 25) == 0.0
 
 
 class TestNegativity:

@@ -131,6 +131,58 @@ class TestState:
         assert exc.value.code == 2
 
 
+class TestStateWignerMin:
+    """`state`'s wigner_min line is the minimum of the windowed state's
+    default grid: taken at the few cells the displaced frame leaves where it
+    certifies them (`analysis._wigner_min`), from `wigner`'s grid otherwise.
+    Each line and JSON digest is the one printed before certified minima."""
+
+    @pytest.mark.parametrize("flags, line, digest, grids", [
+        # W > 0 on the grid, which the window's error prints as negative
+        (["--alpha", "1.7996", "--r2", "0.0531"], "-3.19317362e-09",
+         "91ba6bf8d54b4072ebd548d03b8fa5fb90256b6983cf3ef910480805f713c2b4", 1),
+        # a nearly coherent state: W is near 0 on many cells
+        (["--alpha", "0.35", "--r2", "0.068"], "1.01283827e-46",
+         "f24215a1877697016b74a336723921e956c6d6d07624bbf6f029d0dd49cbfae8", 1),
+        # k above the frame grid's cutoff
+        (["--alpha", "1", "--r2", "0.4", "--k", "11"], "-3.90348918e-01",
+         "8d4d2e19e5dd15f943db4e44943e6f563cd2929eb5dbe3e651ca302fec863066", 1),
+        # three candidate cells, but the minimum's 9th digit is 1e-14
+        (["--alpha", "2.7", "--r2", "0.05"], "-7.94914571e-06",
+         "949d7ecf8eb34af32deed38810ed87971fd40416899ff40d9b9c4c78353eee84", 1),
+        (["--alpha", "2", "--r2", "0.4", "--k", "3"], "-4.31138746e-01",
+         "345a5be0513acc988bebe6d126876cb1ee9082a134ad0d7b0edb05a5ed4a7b78", 0),
+        (["--alpha", "1.35", "--r2", "0.77"], "-6.07746318e-01",
+         "5ef729184968c2b895fc49f4b85c760713725dc185423528f0b0d880b3eac061", 0),
+    ])
+    def test_line_and_json_are_pinned(self, tmp_path, capsys, monkeypatch,
+                                      flags, line, digest, grids):
+        from photon_catalysis import analysis
+
+        calls, real = [], analysis.wigner
+        monkeypatch.setattr(analysis, "wigner",
+                            lambda *args: calls.append(1) or real(*args))
+        out = tmp_path / "s.json"
+        code, stdout, _ = run(capsys, "state", *flags, "--out", str(out))
+        assert code == 0
+        assert stdout.splitlines()[-1] == f"wigner_min = {line}"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert len(calls) == grids
+
+    def test_wigner_budget_is_refused_before_any_grid(self, capsys,
+                                                      monkeypatch):
+        from photon_catalysis import analysis
+
+        def refuse(*args):
+            raise AssertionError("a Wigner grid was computed")
+
+        monkeypatch.setattr(analysis, "_frame_grid", refuse)
+        monkeypatch.setattr(analysis, "_wigner_values", refuse)
+        code, stdout, stderr = run(capsys, "state", "--alpha", "28", "--r2", "0.5")
+        assert (code, stdout) == (2, "")
+        assert "--alpha/--dim or --grid" in stderr
+
+
 class TestSweep:
     def test_csv_shape(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -447,7 +499,7 @@ class TestRefusedBeforeAnyWork:
     first."""
 
     KERNELS = ("heralded_frame", "wigner", "two_mode_output",
-               "_displaced_columns", "_herald")
+               "_displaced_columns", "_herald", "_frame_grid")
 
     @classmethod
     def count_kernel_calls(cls, monkeypatch) -> list:
@@ -468,6 +520,7 @@ class TestRefusedBeforeAnyWork:
         return calls
 
     @pytest.mark.parametrize("argv, message", [
+        (["state", "--alpha", "2.7", "--r2", "1.5", "--k", "3"], "outside [0, 1]"),
         (["sweep", "--metric", "fidelity_to_target", "--axis",
           "r2:0.1:1.5:9999", "--alpha", "2.7", "--k", "3"], "outside [0, 1]"),
         (["sweep", "--metric", "wigner_min", "--axis", "r2:0.1:1.5:7",

@@ -160,16 +160,20 @@ class TestSweep:
         assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == digest
 
     def test_wigner_min_point_resolves_its_window_once(self, monkeypatch):
-        """Each point's CatalysisConfig is built once, for the Wigner budget
-        and for the state; the budget, the sweep and pcoc_state's cascade each
-        built one (21 window checks here).  The rows are bitwise as before.
+        """Each point's window is checked once, for the Wigner budget and for
+        the state; the budget, the sweep and pcoc_state's cascade each
+        checked one (21 window checks here).  The rows are bitwise as before.
         Re-hashed when the coefficient rows moved from the binomial sum to the
         recurrence: 10 of the 14 wigner_min and success_prob values moved,
         each by at most 1.1e-16.  Re-hashed again when the heralded states
         moved to the standard-library kernel: 9 of the 14 (5 wigner_min, 4
         success_prob), each by at most 1.1e-16; and again when the cell
         centres became exactly symmetric and real states moved to the half
-        plane p >= 0: 6 of the 14 (all wigner_min), each by at most 2.8e-16."""
+        plane p >= 0: 6 of the 14 (all wigner_min), each by at most 2.8e-16;
+        and again when certified minima were taken from the window's own
+        values at the frame's candidate cells: 5 of the 14 (all wigner_min),
+        each by at most 1.2e-16 (7.8e-16 relative), every printed digit
+        unchanged."""
         spec = SweepSpec((Axis("alpha", 0.5, 2.5, 7),), "wigner_min", k=2)
         calls = []
         window_dim = core._window_dim
@@ -182,7 +186,7 @@ class TestSweep:
         rows = sweep(spec)
         assert len(calls) == 7
         assert hashlib.sha256(np.array(rows).tobytes()).hexdigest() == \
-            "0dc7e8e10807b331b0a6bb2c78ac7145b371a800463c591782ee574c3773b869"
+            "6b50641a24e8a6d673e6524382afb493c6d8fe59f32f65c12974430d0aa8e051"
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         spec = SweepSpec((Axis("r2", 0.1, 0.9, 7),), "g2")
@@ -228,7 +232,10 @@ class TestSweepMatchesOracle:
 class TestWignerMinBlocks:
     def test_alpha_by_k_sweep_equals_per_point_wigner(self):
         """Nine points whose states differ in dim, each the minimum of its
-        own `wigner` grid."""
+        own `wigner` grid: bit for bit where `wigner` computes it, and to
+        every printed digit, within 1e-14 relative, where the displaced frame
+        certifies it (all 9 here; 7 moved, by at most 1.4e-15 relative,
+        when minima were first certified)."""
         spec = SweepSpec((Axis("alpha", 0.5, 3.5, 3), Axis("k", 1, 3, 3)),
                          "wigner_min", r2=0.4)
         warnings = []
@@ -241,7 +248,11 @@ class TestWignerMinBlocks:
                 if grid.coverage_warning:
                     want_warnings.append(grid.coverage_warning)
                 want_rows.append((alpha, k, wigner_negativity(grid)[0], prob))
-        assert rows == want_rows
+        assert [row[:2] + row[3:] for row in rows] == \
+            [row[:2] + row[3:] for row in want_rows]
+        for (*_, got, _), (*_, want, _) in zip(rows, want_rows):
+            assert core.fmt9(got) == core.fmt9(want)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert warnings == want_warnings and warnings
 
     def test_sweep_peaks_at_one_grid(self):

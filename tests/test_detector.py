@@ -238,9 +238,24 @@ class TestJointMatchesOracle:
         cfg = CatalysisConfig(1.7, BeamSplitter(r2), k)
         det1, det2 = TMDConfig(0.6), TMDConfig(0.9, 4)
         got = joint_output_distribution(cfg, det1, det2).probabilities
-        monkeypatch.setattr(catalysis, "two_mode_output", oracle_two_mode_output)
+        monkeypatch.setattr(catalysis, "_two_mode_amplitudes",
+                            lambda cfg: oracle_two_mode_output(cfg).amplitudes)
         want = joint_output_distribution(cfg, det1, det2).probabilities
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha, r2, k", [
+        (math.sqrt(1.11), 0.5, 1), (2.7, 0.3, 3), (1.0, 0.5, 500),
+        (1.2 + 0.5j, 0.4, 2)])
+    def test_table_is_the_two_mode_output_table(self, alpha, r2, k):
+        """The table squares the amplitudes in place, bit for bit the
+        |A|^2 of `two_mode_output`'s state on the same machine."""
+        cfg = CatalysisConfig(alpha, BeamSplitter(r2), k)
+        det1, det2 = TMDConfig(0.6), TMDConfig(0.9, 4)
+        q = np.abs(catalysis.two_mode_output(cfg).amplitudes) ** 2
+        want = (detector._loss_click_matrix(q.shape[0] - 1, det1).T @ q
+                @ detector._loss_click_matrix(q.shape[0] - 1, det2))
+        got = joint_output_distribution(cfg, det1, det2).probabilities
+        assert np.array_equal(got, want)
 
 
 class TestJointExports:

@@ -13,7 +13,7 @@ from photon_catalysis.catalysis import BeamSplitter, CatalysisConfig, pcoc_state
 from photon_catalysis.core import HERALD_CUTOFF, UndefinedQuantityError
 from photon_catalysis.design import Axis, SweepSpec, sweep
 from photon_catalysis.frame import (_displaced_columns, _displaced_row,
-                                    heralded_frame, sweep_point)
+                                    _weights, heralded_frame, sweep_point)
 from photon_catalysis.fock import fidelity, number_distribution
 
 mpmath.mp.dps = 60
@@ -158,3 +158,37 @@ class TestRefusals:
         assert sweep_point("success_prob", 0.0, 0.3, 2)[0] == pytest.approx(0.7 ** 2)
         with pytest.raises(UndefinedQuantityError, match="vacuum"):
             sweep_point("g2", 0.0, 0.3, 2)
+
+
+class TestWeights:
+    """w_j = sqrt(C(k, j)) r^j t^(k-j), the catalyst's split |0, k> ->
+    sum_j w_j |j, k - j>; from k = 1030 C(k, k/2) is past the float range,
+    where `heralded_frame(1.0, 0.5, 1030)` raised OverflowError."""
+
+    @pytest.mark.parametrize("k", [1030, 2000])
+    @pytest.mark.parametrize("r2", [0.5, 0.1, 0.9])
+    def test_squares_sum_to_one_past_the_float_range(self, k, r2):
+        r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
+        w = _weights(r, t, k)
+        assert len(w) == k + 1
+        assert math.fsum(x * x for x in w) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r2", [0.0, 1.0])
+    def test_an_open_or_closed_splitter_keeps_one_weight(self, r2):
+        r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
+        w = _weights(r, t, 1030)
+        assert w == [float(j == 1030 * r2) for j in range(1031)]
+
+    @pytest.mark.parametrize("r2", [0.5, 0.3, 0.97])
+    def test_weights_inside_the_float_range_are_unchanged(self, r2):
+        """Bit for bit the weights of the plain formula, for every k <= 1029."""
+        r, t = math.sqrt(r2), math.sqrt(1.0 - r2)
+        for k in [*range(40), *range(40, 1030, 41), 1028, 1029]:
+            want = [math.sqrt(math.comb(k, j)) * r ** j * t ** (k - j)
+                    for j in range(k + 1)]
+            assert _weights(r, t, k) == want
+
+    def test_frame_of_a_1030_photon_catalyst(self):
+        beta, phi, prob = heralded_frame(1.0, 0.5, 1030)
+        assert beta == math.sqrt(0.5) and len(phi) == 1031
+        assert 0.0 < prob <= 1.0

@@ -4,8 +4,9 @@ command loads only the package modules it runs, and no command `dataclasses`.
 scipy is needed only by the matrix-exponential oracle that the tests compare
 the closed forms against.  This guard keeps its import cost off the CLI, and
 keeps numpy off `catalysis --help`, usage errors, `optimize`, every sweep
-but wigner_min and every `joint` table below the standard-library kernel's
-work bound.
+but wigner_min, every `joint` table below the standard-library kernel's
+work bound, and every `state` and wigner_min sweep whose Wigner minima the
+displaced frame certifies.
 """
 
 import importlib
@@ -88,10 +89,14 @@ CORE = PACKAGE + ["photon_catalysis.core"]
 # pcoc_state takes its output's tail against the frame's herald probability.
 WIGNER = CORE + ["photon_catalysis.analysis", "photon_catalysis.catalysis",
                  "photon_catalysis.fock", "photon_catalysis.frame", "numpy"]
-STATE = WIGNER
+# A Wigner minimum the displaced frame certifies loads no numpy; one it does
+# not is taken from `wigner`'s grid of the windowed state's amplitudes.
+STATE = CORE + ["photon_catalysis.analysis", "photon_catalysis.frame"]
+FALLBACK_STATE = STATE + ["photon_catalysis.fock", "numpy"]
 # Every sweep metric but wigner_min runs on the standard-library kernel.
 SWEEP = CORE + ["photon_catalysis.design", "photon_catalysis.frame"]
-WIGNER_SWEEP = WIGNER + ["photon_catalysis.design"]
+WIGNER_SWEEP = STATE + ["photon_catalysis.design"]
+FALLBACK_WIGNER_SWEEP = FALLBACK_STATE + ["photon_catalysis.design"]
 # The optimizer's probes run on the standard-library heralded-state kernel
 # of `core`.
 OPTIMIZE = CORE + ["photon_catalysis.design"]
@@ -109,14 +114,18 @@ LARGE_JOINT = JOINT + ["photon_catalysis.catalysis", "numpy"]
      2, PACKAGE),
     (["state", "--alpha", "1.2", "--r2", "0.4", "--k", "2", "--out", "t.json"],
      0, STATE),
+    (["state", "--alpha", "1.7996", "--r2", "0.0531", "--out", "t.json"],
+     0, FALLBACK_STATE),
     (["wigner", "--alpha", "1.2", "--r2", "0.4", "--grid", "21", "--out", "w.csv"],
      0, WIGNER),
     (["sweep", "--metric", "g2", "--axis", "r2:0.1:0.9:5", "--out", "s.csv"],
      0, SWEEP),
     (["sweep", "--metric", "fidelity_to_target", "--axis", "alpha:0.5:1.5:3",
       "--axis", "k:1:2:2", "--target", "t.json", "--out", "s.csv"], 0, SWEEP),
-    (["sweep", "--metric", "wigner_min", "--axis", "r2:0.1:0.9:3",
+    (["sweep", "--metric", "wigner_min", "--axis", "r2:0.5:0.9:3",
       "--out", "s.csv"], 0, WIGNER_SWEEP),
+    (["sweep", "--metric", "wigner_min", "--axis", "r2:0.1:0.9:3",
+      "--out", "s.csv"], 0, FALLBACK_WIGNER_SWEEP),
     (["optimize", "--target", "t.json", "--stages", "1", "--k", "2",
       "--alpha", "1.2", "--tol", "1e-4"], 0, OPTIMIZE),
     (["joint", "--alpha2", "1.11", "--r2", "0.5", "--out", "j.csv"], 0, JOINT),
